@@ -41,28 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate.set_defaults(func=cmd_validate)
 
     p_dance = sub.add_parser("dance", help="decide one dance plan and optionally dump its trace")
-    _diagram_flags(p_dance)
+    _plan_flags(p_dance)
     p_dance.add_argument("--points", required=True, help="comma-separated gap indices, e.g. 0,3")
     p_dance.add_argument("--k", type=int, required=True, help="paths each dancer traverses")
-    p_dance.add_argument("--rule", choices=["forward", "matching"], default="forward")
     p_dance.add_argument("--facings", default=None, help="comma-separated F/B per point (matching rule)")
-    p_dance.add_argument(
-        "--crossing",
-        choices=["over-first", "under-first", "unrestricted"],
-        default="over-first",
-    )
     p_dance.add_argument("--json", default=None, metavar="PATH", help="write the JSON trace here")
     p_dance.add_argument("--svg", default=None, metavar="PATH", help="write an SVG timeline here")
     p_dance.set_defaults(func=cmd_dance)
 
     p_solve = sub.add_parser("solve", help="minimal dancers (then laps) for a diagram")
-    _diagram_flags(p_solve)
-    p_solve.add_argument("--rule", choices=["forward", "matching"], default="forward")
-    p_solve.add_argument(
-        "--crossing",
-        choices=["over-first", "under-first", "unrestricted"],
-        default="over-first",
-    )
+    _plan_flags(p_solve)
     p_solve.add_argument("--max-n", type=int, required=True, help="largest dancer count to try")
     p_solve.add_argument("--max-k", type=int, required=True, help="largest lap count to try")
     p_solve.add_argument("--json", default=None, metavar="PATH", help="write the winning trace here")
@@ -70,10 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diagram_flags(sub: argparse.ArgumentParser) -> None:
+def _plan_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--diagram", help="diagram string")
     group.add_argument("--file", help="read the diagram from a file")
+    sub.add_argument("--rule", choices=[r.value for r in RuleKind], default=RuleKind.FORWARD.value)
+    sub.add_argument(
+        "--crossing",
+        choices=[c.value for c in CrossingRule],
+        default=CrossingRule.OVER_FIRST.value,
+    )
 
 
 def _read_text(args: argparse.Namespace) -> str:

@@ -89,14 +89,18 @@ def parse(text: str | bytes) -> Diagram:
         m = _TOKEN_RE.fullmatch(run)
         if m is None:
             raise LexError(f"unrecognized token {run!r}", SourceSpan(i, j))
+        try:
+            ident = int(m.group(2) or m.group(4) or m.group(5) or b"0")
+        except ValueError:  # more digits than the interpreter's int-string limit
+            raise LexError(f"id too long in token {run[:12]!r}...", SourceSpan(i, j)) from None
         if m.group(1) is not None:
             strand = Strand.OVER if m.group(1) == b"O" else Strand.UNDER
             sign = CrossingSign.NEGATIVE if m.group(3) == b"-" else CrossingSign.POSITIVE
-            events.append(ClassicalPass(int(m.group(2)), strand, sign))
+            events.append(ClassicalPass(ident, strand, sign))
         elif m.group(4) is not None:
-            events.append(VirtualPass(int(m.group(4))))
+            events.append(VirtualPass(ident))
         elif m.group(5) is not None:
-            events.append(TwistBar(int(m.group(5))))
+            events.append(TwistBar(ident))
         else:
             events.append(TwistBar(next_auto_bar))
             next_auto_bar += 1

@@ -155,6 +155,9 @@ class InstanceTooLarge(ValueError):
 
 ORACLE_STEP_LIMIT = 16
 
+# The strand that spends a permission the other strand deposits; none if unrestricted.
+_CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: Strand.OVER}
+
 
 def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n)."""
@@ -199,74 +202,71 @@ def _witness(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -
 def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     """Decide the plan and produce a witness schedule or a certified failure.
 
-    The state is the vector of per-dancer route positions; crossing balances
-    are pure functions of it, so a visited set over position vectors is a
-    sound memo.  The witness, when one exists, is the lexicographically
-    least feasible dancer-id sequence.
+    Routes are lowered once to ``(slot, delta)`` steps: the rule's consuming
+    strand of a classical crossing is -1 (it spends a held permission), the
+    other strand +1 (it deposits one), and virtual passes, twist bars and all
+    steps under the unrestricted rule are ``(0, 0)``.  A step runs only when
+    ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0, so the ``(0, -1)``
+    that ends each route never runs.  Balances are pure functions of the
+    position vector, so a set of dead vectors, each read as one mixed-radix
+    int, is a sound memo.  The witness, when one exists, is the
+    lexicographically least feasible dancer-id sequence.
     """
     if not _facing_gate(plan):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
 
     routes = routes_of(plan)
-    events = plan.diagram.events
     n = len(routes)
-    lengths = [len(r) for r in routes]
-    total = sum(lengths)
+    total = sum(len(r) for r in routes)
     if total == 0:
         return _witness(plan, routes, [])
 
-    rule = plan.crossing_rule
+    consumer = _CONSUMER.get(plan.crossing_rule)
+    slots: dict[int, int] = {}  # classical crossing id -> balance slot
+    lowered_event = [
+        (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
+        if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
+        for ev in plan.diagram.events
+    ]
+    lowered = [[lowered_event[idx] for idx in route] + [(0, -1)] for route in routes]
+    stride = [1]
+    for route in routes[:-1]:
+        stride.append(stride[-1] * (len(route) + 1))
+
     positions = [0] * n
-    balance: dict[int, int] = {}  # crossing -> completed overs minus unders
-    dead: set[tuple[int, ...]] = set()
+    balance = [0] * (len(slots) + 1)  # slot -> deposits minus consumptions
+    key = 0  # sum of positions[d] * stride[d]
+    dead: set[int] = set()
     moves: list[int] = []
     resume = [0]  # per depth: next dancer id to try at this state
     explored = 1
 
-    def blocked(d: int) -> bool:
-        ev = events[routes[d][positions[d]]]
-        if not isinstance(ev, ClassicalPass) or rule is CrossingRule.UNRESTRICTED:
-            return False
-        bal = balance.get(ev.crossing_id, 0)
-        if rule is CrossingRule.OVER_FIRST:
-            return ev.strand is Strand.UNDER and bal <= 0
-        return ev.strand is Strand.OVER and bal >= 0
-
-    def shift(d: int, direction: int) -> None:
-        if direction < 0:
-            positions[d] -= 1
-        ev = events[routes[d][positions[d]]]
-        if isinstance(ev, ClassicalPass):
-            delta = 1 if ev.strand is Strand.OVER else -1
-            balance[ev.crossing_id] = balance.get(ev.crossing_id, 0) + direction * delta
-        if direction > 0:
-            positions[d] += 1
-
     while True:
         d = resume[-1]
-        descended = False
         while d < n:
-            if positions[d] < lengths[d] and not blocked(d):
-                shift(d, +1)
-                if tuple(positions) in dead:
-                    shift(d, -1)
-                else:
-                    explored += 1
-                    resume[-1] = d + 1
-                    moves.append(d)
-                    if len(moves) == total:
-                        return _witness(plan, routes, moves)
-                    resume.append(0)
-                    descended = True
-                    break
+            slot, delta = lowered[d][positions[d]]
+            if (delta >= 0 or balance[slot] > 0) and key + stride[d] not in dead:
+                balance[slot] += delta
+                positions[d] += 1
+                key += stride[d]
+                explored += 1
+                resume[-1] = d + 1
+                moves.append(d)
+                if len(moves) == total:
+                    return _witness(plan, routes, moves)
+                resume.append(0)
+                break
             d += 1
-        if descended:
-            continue
-        dead.add(tuple(positions))
-        resume.pop()
-        if not moves:
-            return Infeasible(InfeasibleReason.DEADLOCK, explored)
-        shift(moves.pop(), -1)
+        else:
+            dead.add(key)
+            resume.pop()
+            if not moves:
+                return Infeasible(InfeasibleReason.DEADLOCK, explored)
+            d = moves.pop()
+            positions[d] -= 1
+            slot, delta = lowered[d][positions[d]]
+            balance[slot] -= delta
+            key -= stride[d]
 
 
 def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:

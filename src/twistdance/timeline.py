@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ClassicalPass, TwistBar, VirtualPass
+from .codec import token
 from .scheduler import Facing, Schedule
 
 __all__ = ["TimelineStyle", "svg_timeline"]
@@ -27,16 +27,6 @@ class TimelineStyle:
     label_width: int = 72
     font_size: int = 12
     dancer_palette: tuple[str, ...] = _PALETTE
-
-
-def _glyph(event) -> str:
-    if isinstance(event, ClassicalPass):
-        return f"{event.strand.value}{event.crossing_id}"
-    if isinstance(event, VirtualPass):
-        return f"V{event.crossing_id}"
-    if isinstance(event, TwistBar):
-        return f"T{event.bar_id}"
-    raise TypeError(f"not an event: {event!r}")
 
 
 def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> str:
@@ -95,7 +85,7 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
             prev_x = x
         for t, step in mine:
             x = x_at(t)
-            label = _glyph(events[step.event_index]) if events else str(step.event_index)
+            label = token(events[step.event_index]).rstrip("+-") if events else str(step.event_index)
             out.append(f'<circle cx="{x}" cy="{cy}" r="4" fill="{color}"/>')
             out.append(
                 f'<text x="{x}" y="{cy - 8}" text-anchor="middle" '

@@ -314,6 +314,18 @@ def test_criterion_8_codec_roundtrip_and_fuzz():
             pass
         except Exception:
             crashes += 1
+    # ids around CPython's 4,300-digit int-string limit, alone or among short tokens
+    for _ in range(400):
+        digits = b"9" * rng.randint(4290, 4310)
+        token = rng.choice([b"O", b"U", b"V", b"T"]) + digits + rng.choice([b"", b"+", b"-"])
+        data = rng.choice([b"", b"O1 U1 "]) + token + rng.choice([b"", b" V2 V2"])
+        fuzzed += 1
+        try:
+            parse(data)
+        except (LexError, DiagramError):
+            pass
+        except Exception:
+            crashes += 1
     ok = roundtrip_bad == 0 and crashes == 0
     _report(
         "criterion 8: codec roundtrip and fuzz",

@@ -38,6 +38,11 @@ def test_validate_lex_error_span(capsys):
     assert "bytes 4..6" in capsys.readouterr().err
 
 
+def test_validate_overlong_id_is_invalid(capsys):
+    assert main(["validate", "T" + "9" * 5000]) == 1
+    assert "LexError at bytes 0..5001" in capsys.readouterr().err
+
+
 def test_validate_from_file(tmp_path, capsys):
     path = tmp_path / "d.gauss"
     path.write_text(TREFOIL + "\n")

@@ -64,6 +64,14 @@ def test_lex_error_span():
     assert exc.value.span == SourceSpan(4, 6)
 
 
+@pytest.mark.parametrize("head", ["O", "U", "V", "T"])
+def test_overlong_id_is_a_lex_error(head):
+    # 5,000 digits is past CPython's default int-string limit of 4,300
+    with pytest.raises(LexError) as exc:
+        parse("V1 V1 " + head + "9" * 5000)
+    assert exc.value.span == SourceSpan(6, 5007)
+
+
 @pytest.mark.parametrize("bad", ["O0+", "O01+", "T0", "V0", "o1+", "O1++", "O1 +"])
 def test_grammar_rejections(bad):
     with pytest.raises((LexError, DiagramError)):

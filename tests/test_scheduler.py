@@ -6,7 +6,14 @@ import pytest
 
 from twistdance.codec import parse, token
 from twistdance.facing import Facing, forward_rule_ok, matching_solve, parity_vector, window_parity
-from twistdance.model import DuplicateGap, TwistBar
+from twistdance.model import (
+    ClassicalPass,
+    Diagram,
+    DuplicateGap,
+    Strand,
+    TwistBar,
+    VirtualPass,
+)
 from twistdance.scheduler import (
     CrossingRule,
     DancePlan,
@@ -225,6 +232,69 @@ def test_retrograde_duality_on_corpus():
                 ):
                     disagreements.append((d, points, k))
     assert disagreements == []
+
+
+# ------------------------------------------------------- crossing rules
+
+
+def _outcome(result):
+    """What a search decided, without the plan: the steps or the failure."""
+    return result.steps if feasible(result) else result
+
+
+def _swap_strands(d):
+    swap = {Strand.OVER: Strand.UNDER, Strand.UNDER: Strand.OVER}
+    return Diagram(
+        tuple(
+            replace(ev, strand=swap[ev.strand]) if isinstance(ev, ClassicalPass) else ev
+            for ev in d.events
+        )
+    )
+
+
+def _classical_to_virtual(d):
+    fresh = max((ev.crossing_id for ev in d.events if isinstance(ev, VirtualPass)), default=0)
+    return Diagram(
+        tuple(
+            VirtualPass(fresh + ev.crossing_id) if isinstance(ev, ClassicalPass) else ev
+            for ev in d.events
+        )
+    )
+
+
+def test_under_first_is_over_first_on_the_strand_swap():
+    for d in diagram_corpus(29, 14):
+        swapped = _swap_strands(d)
+        for points in all_placements(d, n_max=3):
+            for k in (1, 2):
+                under = DancePlan(d, points, k, crossing_rule=CrossingRule.UNDER_FIRST)
+                over = DancePlan(swapped, points, k, crossing_rule=CrossingRule.OVER_FIRST)
+                assert _outcome(schedule_search(under)) == _outcome(schedule_search(over))
+
+
+def test_unrestricted_is_over_first_with_classical_crossings_made_virtual():
+    for d in diagram_corpus(37, 14):
+        virtual = _classical_to_virtual(d)
+        for points in all_placements(d, n_max=3):
+            for k in (1, 2):
+                free = DancePlan(d, points, k, crossing_rule=CrossingRule.UNRESTRICTED)
+                over = DancePlan(virtual, points, k, crossing_rule=CrossingRule.OVER_FIRST)
+                assert _outcome(schedule_search(free)) == _outcome(schedule_search(over))
+
+
+def test_sparse_crossing_ids_larger_than_the_diagram():
+    assert [s.dancer for s in _witness("O1000 U7 O7 U1000", (0, 2), 1).steps] == [0, 1, 0, 1]
+    for code in ("O1000 U7 O7 U1000", "V900 O1000 U7 V900 O7 U1000"):
+        d = parse(code)
+        for rule in (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST):
+            for points in all_placements(d, n_max=4):
+                for k in range(1, 16 // len(d.events) + 1):
+                    plan = DancePlan(d, points, k, crossing_rule=rule)
+                    fast, slow = schedule_search(plan), oracle_schedule(plan)
+                    assert feasible(fast) == feasible(slow)
+                    if feasible(fast):
+                        assert fast.steps == slow.steps
+                        assert verify_schedule(fast) == []
 
 
 # ------------------------------------------------------------- verifier
