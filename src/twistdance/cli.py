@@ -88,7 +88,7 @@ def _load_diagram(args: argparse.Namespace, parser_exit_usage: bool) -> Diagram:
     """Parse the diagram input; raises _CliExit with the proper code."""
     try:
         text = _read_text(args)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         raise _CliExit(2)
     try:
@@ -144,16 +144,11 @@ def _write(path: str, text: str) -> None:
 def cmd_dance(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args, parser_exit_usage=True)
     points = _parse_points(args.points)
-    rule = RuleKind(args.rule)
-    facings = None
-    if rule is RuleKind.MATCHING:
-        if args.facings is None:
-            raise _CliExit(_usage("--rule matching requires --facings"))
-        facings = _parse_facings(args.facings)
-    elif args.facings is not None:
-        raise _CliExit(_usage("--facings only applies to --rule matching"))
+    facings = _parse_facings(args.facings) if args.facings is not None else None
     try:
-        plan = DancePlan(diagram, points, args.k, rule, facings, CrossingRule(args.crossing))
+        plan = DancePlan(
+            diagram, points, args.k, RuleKind(args.rule), facings, CrossingRule(args.crossing)
+        )
     except ValueError as err:
         raise _CliExit(_usage(str(err)))
 

@@ -62,7 +62,7 @@ class LexError(ValueError):
         self.span = span
 
 
-_SEPARATORS = b" \t\n,"
+_RUN_RE = re.compile(rb"[^ \t\n,]+")  # a maximal run of non-separator bytes
 _TOKEN_RE = re.compile(rb"([OU])([1-9][0-9]*)([+-]?)|V([1-9][0-9]*)|T([1-9][0-9]*)?")
 
 
@@ -77,15 +77,8 @@ def parse(text: str | bytes) -> Diagram:
     events: list[Event] = []
     spans: list[SourceSpan] = []
     next_auto_bar = 1
-    i, size = 0, len(data)
-    while i < size:
-        if data[i] in _SEPARATORS:
-            i += 1
-            continue
-        j = i
-        while j < size and data[j] not in _SEPARATORS:
-            j += 1
-        run = data[i:j]
+    for found in _RUN_RE.finditer(data):
+        run, (i, j) = found.group(), found.span()
         m = _TOKEN_RE.fullmatch(run)
         if m is None:
             raise LexError(f"unrecognized token {run!r}", SourceSpan(i, j))
@@ -105,7 +98,6 @@ def parse(text: str | bytes) -> Diagram:
             events.append(TwistBar(next_auto_bar))
             next_auto_bar += 1
         spans.append(SourceSpan(i, j))
-        i = j
     try:
         return validate(events)
     except DiagramError as err:

@@ -13,9 +13,11 @@ consumes one, aggregated over all dancers.  The under-first rule is the
 mirror image; the unrestricted rule never blocks.  Virtual passes and twist
 bars never block under any rule.
 
-Facing requirements are pure parity constraints (see ``facing``) and are
-checked before any search, so an infeasible verdict distinguishes a facing
-mismatch from a scheduling deadlock.
+The forward rule is the matching rule with every initial point designated
+forward, so past plan construction the dance rule is read only through
+``DancePlan.designated``.  Facing requirements are pure parity constraints
+(see ``facing``) and are checked before any search, so an infeasible verdict
+distinguishes a facing mismatch from a scheduling deadlock.
 
 ``schedule_search`` runs a depth-first search over the vector of per-dancer
 route positions, memoizing states proven dead.  Successors are tried in
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
-from .facing import Facing, forward_rule_ok, matching_check, parity_vector
+from .facing import Facing, matching_check, parity_vector
 from .model import (
     ClassicalPass,
     Diagram,
@@ -82,7 +84,8 @@ class DancePlan:
     """A diagram with placement, lap count, dance rule and crossing rule.
 
     ``facings`` designates one facing per initial point and is required
-    exactly when the rule is matching.
+    exactly when the rule is matching; ``designated`` reads the forward
+    rule as every point designated forward.
     """
 
     diagram: Diagram
@@ -98,18 +101,26 @@ class DancePlan:
             raise ValueError(f"lap count must be >= 1, got {self.k}")
         if self.rule is RuleKind.MATCHING:
             if self.facings is None:
-                raise ValueError("matching rule needs a facing per initial point")
+                raise ValueError("matching rule needs facings, one per initial point")
             object.__setattr__(self, "facings", tuple(self.facings))
             if len(self.facings) != len(self.points):
                 raise ValueError(
                     f"{len(self.facings)} facings for {len(self.points)} points"
                 )
+            if not all(isinstance(f, Facing) for f in self.facings):
+                raise ValueError(f"facings must be Facing values, got {self.facings!r}")
         elif self.facings is not None:
             raise ValueError("facings are only meaningful under the matching rule")
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @property
+    def designated(self) -> tuple[Facing, ...]:
+        """The facing designated at each initial point: all forward under
+        the forward rule."""
+        return self.facings if self.facings is not None else (Facing.FORWARD,) * self.n
 
 
 @dataclass(frozen=True)
@@ -172,22 +183,9 @@ def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     return routes
 
 
-def _start_facings(plan: DancePlan) -> list[Facing]:
-    if plan.rule is RuleKind.MATCHING:
-        return list(plan.facings)
-    return [Facing.FORWARD] * plan.n
-
-
-def _facing_gate(plan: DancePlan) -> bool:
-    t = parity_vector(plan.diagram, plan.points)
-    if plan.rule is RuleKind.FORWARD:
-        return forward_rule_ok(t, plan.k)
-    return matching_check(t, plan.facings, plan.k)
-
-
 def _witness(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
     events = plan.diagram.events
-    facings = _start_facings(plan)
+    facings = list(plan.designated)
     positions = [0] * len(routes)
     steps = []
     for d in moves:
@@ -212,7 +210,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     int, is a sound memo.  The witness, when one exists, is the
     lexicographically least feasible dancer-id sequence.
     """
-    if not _facing_gate(plan):
+    if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
 
     routes = routes_of(plan)
@@ -287,15 +285,11 @@ def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:
     events = plan.diagram.events
     n = len(routes)
     k = plan.k
-    starts = _start_facings(plan)
+    starts = plan.designated
     for d, route in enumerate(routes):
         flips = sum(1 for idx in route if isinstance(events[idx], TwistBar))
         end = starts[d] if flips % 2 == 0 else starts[d].flipped()
-        if plan.rule is RuleKind.FORWARD:
-            ok = end is Facing.FORWARD
-        else:
-            ok = end is plan.facings[(d + k) % n]
-        if not ok:
+        if end is not starts[(d + k) % n]:
             return Infeasible(InfeasibleReason.FACING_PARITY, 0)
 
     rule = plan.crossing_rule
@@ -385,7 +379,7 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     for step in schedule.steps:
         by_dancer[step.dancer].append(step)
 
-    starts = _start_facings(plan)
+    starts = plan.designated
     for d, steps in enumerate(by_dancer):
         route = routes[d]
         if [s.route_position for s in steps] != list(range(len(route))):
@@ -402,16 +396,11 @@ def verify_schedule(schedule: Schedule) -> list[str]:
                     f"dancer {d}: facing at route position {s.route_position} "
                     f"should be {facing.letter}"
                 )
-        if plan.rule is RuleKind.FORWARD:
-            if facing is not Facing.FORWARD:
-                problems.append(f"dancer {d}: ends backward under the forward rule")
-        else:
-            designated = plan.facings[(d + plan.k) % n]
-            if facing is not designated:
-                problems.append(
-                    f"dancer {d}: ends {facing.letter} at a point designated "
-                    f"{designated.letter}"
-                )
+        designated = starts[(d + plan.k) % n]
+        if facing is not designated:
+            problems.append(
+                f"dancer {d}: ends {facing.letter} at a point designated {designated.letter}"
+            )
 
     rule = plan.crossing_rule
     if rule is not CrossingRule.UNRESTRICTED:

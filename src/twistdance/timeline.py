@@ -56,12 +56,7 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
     def y_at(d: int) -> int:
         return style.margin + d * style.lane_height + style.lane_height // 2
 
-    starts: list[Facing] = []
-    if schedule.plan is not None:
-        if schedule.plan.facings is not None:
-            starts = list(schedule.plan.facings)
-        else:
-            starts = [Facing.FORWARD] * lanes
+    starts = schedule.plan.designated if schedule.plan is not None else ()
 
     for d in range(lanes):
         color = style.dancer_palette[d % len(style.dancer_palette)]

@@ -54,6 +54,20 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "--file", "/nonexistent/nope.gauss"]) == 2
 
 
+def test_validate_non_utf8_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "d.gauss"
+    path.write_bytes(b"\xff\xfe O1+ U1+")
+    assert main(["validate", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_crlf_file(tmp_path, capsys):
+    path = tmp_path / "d.gauss"
+    path.write_bytes(b"O1+ U2+ O3+\r\nU1+ O2+ U3+\r\n")
+    assert main(["validate", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == TREFOIL
+
+
 def test_validate_requires_some_input(capsys):
     assert main(["validate"]) == 2
     assert "nothing to validate" in capsys.readouterr().err
@@ -86,6 +100,21 @@ def test_dance_matching_requires_facings(capsys):
     code = main(["dance", "--diagram", TREFOIL, "--points", "0,3", "--k", "1", "--rule", "matching"])
     assert code == 2
     assert "facings" in capsys.readouterr().err
+
+
+def test_dance_forward_rejects_facings(capsys):
+    code = main(
+        ["dance", "--diagram", TREFOIL, "--points", "0,3", "--k", "1", "--facings", "F,F"]
+    )
+    assert code == 2
+    assert "facings" in capsys.readouterr().err
+
+
+def test_dance_non_utf8_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "d.gauss"
+    path.write_bytes(b"O1+ \xff U1+")
+    assert main(["dance", "--file", str(path), "--points", "0", "--k", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_dance_matching_with_facings(capsys):

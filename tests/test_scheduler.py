@@ -22,6 +22,7 @@ from twistdance.scheduler import (
     InstanceTooLarge,
     RuleKind,
     Schedule,
+    Step,
     oracle_schedule,
     retrograde,
     retrograde_points,
@@ -79,6 +80,19 @@ def test_plan_rejects_bad_geometry():
         DancePlan(d, (0, 3), 1, RuleKind.MATCHING, (F,))
     with pytest.raises(ValueError):
         DancePlan(d, (0, 3), 1, RuleKind.FORWARD, (F, F))
+
+
+def test_plan_rejects_facings_that_are_not_facing_values():
+    d = parse(TREFOIL)
+    for facings in ((0, 0), ("F", "F"), (F, 1)):
+        with pytest.raises(ValueError, match="Facing"):
+            DancePlan(d, (0, 3), 1, RuleKind.MATCHING, facings)
+
+
+def test_designated_is_all_forward_under_the_forward_rule():
+    d = parse(TREFOIL)
+    assert DancePlan(d, (0, 3), 1).designated == (F, F)
+    assert DancePlan(d, (0, 3), 1, RuleKind.MATCHING, [F, B]).designated == (F, B)
 
 
 # ---------------------------------------------------------------- search
@@ -195,6 +209,19 @@ def test_oracle_and_search_return_the_same_lex_least_witness():
             slow = oracle_schedule(plan)
             if feasible(fast) and feasible(slow):
                 assert fast.steps == slow.steps
+
+
+def test_forward_rule_is_matching_with_every_point_designated_forward():
+    for d in diagram_corpus(53, 14):
+        for points in all_placements(d, n_max=3):
+            for k in (1, 2, 3):
+                forward = DancePlan(d, points, k)
+                matching = DancePlan(d, points, k, RuleKind.MATCHING, (F,) * len(points))
+                assert _outcome(schedule_search(forward)) == _outcome(schedule_search(matching))
+                if k * len(d.events) <= 16:
+                    assert _outcome(oracle_schedule(forward)) == _outcome(
+                        oracle_schedule(matching)
+                    )
 
 
 # ------------------------------------------------------------- retrograde
@@ -342,6 +369,19 @@ def test_verifier_accepts_search_witnesses_on_corpus():
             result = schedule_search(plan)
             if feasible(result):
                 assert verify_schedule(result) == []
+
+
+def test_verifier_flags_a_wrong_end_facing_under_both_rules():
+    d = parse("T1")
+    for plan in (
+        DancePlan(d, (0,), 1),
+        DancePlan(d, (0,), 1, RuleKind.MATCHING, (F,)),
+    ):
+        # the facing evolution is right (the bar flips F to B) but the
+        # dancer ends B at a point designated F
+        schedule = Schedule((Step(0, 0, 0, B),), True, plan)
+        problems = verify_schedule(schedule)
+        assert len(problems) == 1 and problems[0].startswith("dancer 0: ends")
 
 
 def test_verifier_requires_plan():
