@@ -202,6 +202,9 @@ def validate(events: Iterable[Event]) -> Diagram:
 def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     """Validate a tuple of initial points: distinct gaps, listed in cyclic order.
 
+    Each point must be an ``int`` gap index (a ``bool`` is refused); any
+    violation raises ``ValueError``.
+
     Cyclic order means that walking the diagram forward from ``points[0]``
     meets the remaining points in list order.  Returns the normalized tuple.
     """
@@ -210,6 +213,8 @@ def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("at least one initial point is required")
     gaps = diagram.gap_count
     for p in pts:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"gap index must be an int, got {p!r}")
         if not 0 <= p < gaps:
             raise ValueError(f"gap index {p} out of range 0..{gaps - 1}")
     seen: set[int] = set()

@@ -22,10 +22,21 @@ distinguishes a facing mismatch from a scheduling deadlock.
 ``schedule_search`` runs a depth-first search over the vector of per-dancer
 route positions, memoizing states proven dead.  Successors are tried in
 dancer-id order, so a feasible plan yields the lexicographically least
-witness interleaving.  ``oracle_schedule`` answers the same question by
-brute force over interleavings, with no memoization and with crossing counts
-recounted from the raw prefix; it exists to cross-check the search and is
-kept deliberately independent of it.
+witness interleaving.
+
+A safe move (an over pass under over-first, an under pass under under-first,
+a virtual pass, a twist bar, any step under unrestricted) is never blocked
+and only raises balances, so it can be moved to the front of any completion:
+a state is feasible exactly when the state after any of its safe moves is.
+The search therefore remembers dead states by the state reached after every
+safe move has run, and once one safe move from a state has failed it tries
+no further dancer there.  Only dead states are pruned, so the witness stays
+the lexicographically least one.
+
+``oracle_schedule`` answers the same question by brute force over
+interleavings, with no memoization and with crossing counts recounted from
+the raw prefix; it exists to cross-check the search and is kept deliberately
+independent of it.
 """
 
 from __future__ import annotations
@@ -83,6 +94,8 @@ class InfeasibleReason(Enum):
 class DancePlan:
     """A diagram with placement, lap count, dance rule and crossing rule.
 
+    ``k`` must be an ``int`` >= 1 (a ``bool`` is refused) and the points
+    ints accepted by ``check_points``; otherwise ``ValueError``.
     ``facings`` designates one facing per initial point and is required
     exactly when the rule is matching; ``designated`` reads the forward
     rule as every point designated forward.
@@ -97,6 +110,8 @@ class DancePlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", check_points(self.diagram, self.points))
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"lap count must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"lap count must be >= 1, got {self.k}")
         if self.rule is RuleKind.MATCHING:
@@ -154,7 +169,14 @@ class Schedule:
 @dataclass(frozen=True)
 class Infeasible:
     """Certified failure: facing parities cannot work, or every reachable
-    interleaving deadlocks."""
+    interleaving deadlocks.
+
+    ``states_explored`` counts the states a deadlocked search entered, the
+    root included: for ``schedule_search`` the states of its safe-move
+    reduced search, usually far fewer than the reachable position vectors,
+    and for ``oracle_schedule`` its own brute-force nodes.  It is 0 for a
+    facing-parity failure.
+    """
 
     reason: InfeasibleReason
     states_explored: int = 0
@@ -209,6 +231,16 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     position vector, so a set of dead vectors, each read as one mixed-radix
     int, is a sound memo.  The witness, when one exists, is the
     lexicographically least feasible dancer-id sequence.
+
+    Steps with ``delta >= 0`` are safe: never blocked, and they only raise
+    balances, so a state is feasible exactly when the state after any one of
+    its safe moves is.  Two uses follow.  The memo key is the state reached
+    after all safe moves: each dancer contributes the position where it next
+    waits at a consuming step (the route end counting as one), so a safe move
+    leaves the key alone and a consuming move adds its precomputed jump.  And
+    once the subtree under a safe move fails, the state is dead, so no later
+    dancer is tried there.  ``states_explored`` counts the states the reduced
+    search enters.
     """
     if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
@@ -226,14 +258,25 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
         if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
         for ev in plan.diagram.events
     ]
-    lowered = [[lowered_event[idx] for idx in route] + [(0, -1)] for route in routes]
     stride = [1]
     for route in routes[:-1]:
         stride.append(stride[-1] * (len(route) + 1))
+    lowered = []  # lowered[d][p] = (slot, delta, what running step p adds to key)
+    key = 0  # sum over dancers of stride[d] * the position where d next waits
+    for d, route in enumerate(routes):
+        steps = [(0, -1, 0)]
+        wait = len(route)  # first consuming position after p; the route end is one
+        for p in range(len(route) - 1, -1, -1):
+            slot, delta = lowered_event[route[p]]
+            steps.append((slot, delta, (wait - p) * stride[d] if delta < 0 else 0))
+            if delta < 0:
+                wait = p
+        steps.reverse()
+        lowered.append(steps)
+        key += wait * stride[d]
 
     positions = [0] * n
     balance = [0] * (len(slots) + 1)  # slot -> deposits minus consumptions
-    key = 0  # sum of positions[d] * stride[d]
     dead: set[int] = set()
     moves: list[int] = []
     resume = [0]  # per depth: next dancer id to try at this state
@@ -242,11 +285,12 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     while True:
         d = resume[-1]
         while d < n:
-            slot, delta = lowered[d][positions[d]]
-            if (delta >= 0 or balance[slot] > 0) and key + stride[d] not in dead:
+            slot, delta, step = lowered[d][positions[d]]
+            # a safe move leaves key alone, and key is not dead while dancers are tried here
+            if delta >= 0 or (balance[slot] > 0 and key + step not in dead):
                 balance[slot] += delta
                 positions[d] += 1
-                key += stride[d]
+                key += step
                 explored += 1
                 resume[-1] = d + 1
                 moves.append(d)
@@ -262,9 +306,11 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
                 return Infeasible(InfeasibleReason.DEADLOCK, explored)
             d = moves.pop()
             positions[d] -= 1
-            slot, delta = lowered[d][positions[d]]
+            slot, delta, step = lowered[d][positions[d]]
             balance[slot] -= delta
-            key -= stride[d]
+            key -= step
+            if delta >= 0:  # a safe move failed, so its state is dead too
+                resume[-1] = n
 
 
 def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:

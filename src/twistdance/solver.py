@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .facing import Facing, matching_solve, parity_vector
+from .facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
 from .model import Diagram
 from .scheduler import (
     CrossingRule,
@@ -64,11 +64,17 @@ def _plan_for(
     rule: RuleKind,
     crossing_rule: CrossingRule,
 ) -> DancePlan | None:
-    """Build the plan to try for one placement; None when the matching rule
-    admits no facing assignment at all (parity-inconsistent orbits)."""
+    """Build the plan to try for one placement, or None when the placement's
+    path parities alone refuse the rule: under the forward rule some route
+    flips its facing an odd number of times, under the matching rule no facing
+    assignment exists (parity-inconsistent orbits).  Either way the search
+    would answer ``FACING_PARITY`` without running."""
+    t = parity_vector(diagram, placement)
     if rule is RuleKind.FORWARD:
+        if not forward_rule_ok(t, k):
+            return None
         return DancePlan(diagram, placement, k, rule, None, crossing_rule)
-    facings = matching_solve(parity_vector(diagram, placement), k)
+    facings = matching_solve(t, k)
     if facings is None:
         return None
     return DancePlan(diagram, placement, k, rule, facings, crossing_rule)
@@ -122,7 +128,8 @@ def survey(
     Under the matching rule each placement is tried with its solved facing
     assignment; with ``enumerate_facings`` every one of the 2**n assignments
     gets its own row instead (distinct facings over one placement can differ,
-    so the exhaustive view matters).
+    so the exhaustive view matters).  Rows whose facings the placement's
+    path parities refuse are recorded as ``FACING_PARITY`` without a search.
     """
     gaps = diagram.gap_count
     if not 1 <= n <= gaps:
@@ -130,9 +137,15 @@ def survey(
     rows: list[SurveyRow] = []
     for placement in combinations(range(gaps), n):
         if rule is RuleKind.MATCHING and enumerate_facings:
+            t = parity_vector(diagram, placement)
             for facings in product((Facing.FORWARD, Facing.BACKWARD), repeat=n):
-                plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
-                rows.append(_row(plan))
+                if matching_check(t, facings, k):
+                    plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
+                    rows.append(_row(plan))
+                else:
+                    rows.append(
+                        SurveyRow(placement, facings, False, InfeasibleReason.FACING_PARITY)
+                    )
             continue
         plan = _plan_for(diagram, placement, k, rule, crossing_rule)
         if plan is None:

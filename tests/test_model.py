@@ -148,6 +148,13 @@ def test_points_must_be_cyclically_ordered():
     assert check_points(d, (4, 5, 2)) == (4, 5, 2)
 
 
+def test_points_must_be_ints():
+    d = validate(TREFOIL)
+    for points in ((0.0,), ("1",), (True,), (0, None)):
+        with pytest.raises(ValueError, match="gap index"):
+            check_points(d, points)
+
+
 def test_no_points_rejected():
     with pytest.raises(ValueError):
         paths_of(validate(TREFOIL), ())

@@ -5,7 +5,14 @@ from dataclasses import replace
 import pytest
 
 from twistdance.codec import parse, token
-from twistdance.facing import Facing, forward_rule_ok, matching_solve, parity_vector, window_parity
+from twistdance.facing import (
+    Facing,
+    forward_rule_ok,
+    matching_check,
+    matching_solve,
+    parity_vector,
+    window_parity,
+)
 from twistdance.model import (
     ClassicalPass,
     Diagram,
@@ -20,9 +27,11 @@ from twistdance.scheduler import (
     Infeasible,
     InfeasibleReason,
     InstanceTooLarge,
+    ORACLE_STEP_LIMIT,
     RuleKind,
     Schedule,
     Step,
+    _witness as _witness_of,
     oracle_schedule,
     retrograde,
     retrograde_points,
@@ -87,6 +96,20 @@ def test_plan_rejects_facings_that_are_not_facing_values():
     for facings in ((0, 0), ("F", "F"), (F, 1)):
         with pytest.raises(ValueError, match="Facing"):
             DancePlan(d, (0, 3), 1, RuleKind.MATCHING, facings)
+
+
+def test_plan_rejects_a_lap_count_that_is_not_an_int():
+    d = parse(TREFOIL)
+    for k in (2.0, "2", True, None):
+        with pytest.raises(ValueError, match="lap count"):
+            DancePlan(d, (0, 3), k)
+
+
+def test_plan_rejects_points_that_are_not_ints():
+    d = parse(TREFOIL)
+    for points in ((0.0,), ("0",), (True,), (0, 3.0), (False, 3)):
+        with pytest.raises(ValueError, match="gap index"):
+            DancePlan(d, points, 1)
 
 
 def test_designated_is_all_forward_under_the_forward_rule():
@@ -222,6 +245,96 @@ def test_forward_rule_is_matching_with_every_point_designated_forward():
                     assert _outcome(oracle_schedule(forward)) == _outcome(
                         oracle_schedule(matching)
                     )
+
+
+# ------------------------------------------------------ safe-move reduction
+
+
+def _unreduced_search(plan):
+    """The search without the safe-move reduction: every dancer is tried at
+    every state and dead states are keyed by the raw position vector."""
+    if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
+        return Infeasible(InfeasibleReason.FACING_PARITY, 0)
+    routes = routes_of(plan)
+    n, total = len(routes), sum(len(r) for r in routes)
+    consumers = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: Strand.OVER}
+    consumer = consumers.get(plan.crossing_rule)
+    slots = {}
+    lowered_event = [
+        (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
+        if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
+        for ev in plan.diagram.events
+    ]
+    lowered = [[lowered_event[idx] for idx in route] + [(0, -1)] for route in routes]
+    stride = [1]
+    for route in routes[:-1]:
+        stride.append(stride[-1] * (len(route) + 1))
+    positions, balance = [0] * n, [0] * (len(slots) + 1)
+    key, dead, moves, resume = 0, set(), [], [0]
+    while len(moves) < total:
+        d = resume[-1]
+        while d < n:
+            slot, delta = lowered[d][positions[d]]
+            if (delta >= 0 or balance[slot] > 0) and key + stride[d] not in dead:
+                balance[slot] += delta
+                positions[d] += 1
+                key += stride[d]
+                resume[-1] = d + 1
+                moves.append(d)
+                resume.append(0)
+                break
+            d += 1
+        else:
+            dead.add(key)
+            resume.pop()
+            if not moves:
+                return Infeasible(InfeasibleReason.DEADLOCK)
+            d = moves.pop()
+            positions[d] -= 1
+            slot, delta = lowered[d][positions[d]]
+            balance[slot] -= delta
+            key -= stride[d]
+    return _witness_of(plan, routes, moves)
+
+
+def test_reduced_search_agrees_with_the_unreduced_search_beyond_the_oracle():
+    checked = Counter()
+    for d in diagram_corpus(83, 8, max_events=10):
+        for points in all_placements(d, n_max=3):
+            for k in (1, 2, 3):
+                if k * len(d.events) <= ORACLE_STEP_LIMIT:
+                    continue
+                for rule in CrossingRule:
+                    plan = DancePlan(d, points, k, crossing_rule=rule)
+                    fast, slow = schedule_search(plan), _unreduced_search(plan)
+                    if feasible(slow):
+                        assert feasible(fast) and fast.steps == slow.steps
+                        checked["feasible"] += 1
+                    else:
+                        assert not feasible(fast) and fast.reason is slow.reason
+                        checked[slow.reason] += 1
+    assert min(checked.values()) >= 500, checked
+
+
+TAIL_DIAGRAM = (
+    "O6- U5+ V2 U3+ V2 V5 V6 U1+ O1+ V7 V3 V10 U6- V4 V4 V3 "
+    "V1 V8 V1 O5+ O2+ V6 U4- O3+ U2+ V8 V7 V10 O4- V9 V9 V5"
+)
+TAIL_POINTS = (0, 1, 2, 3, 12, 15, 24, 25)
+
+
+def test_tail_plan_deadlocks_in_few_states():
+    # the unreduced search needs 2,154,904 states to exhaust this plan
+    d = parse(TAIL_DIAGRAM)
+    result = schedule_search(DancePlan(d, TAIL_POINTS, 4))
+    assert result.reason is InfeasibleReason.DEADLOCK
+    assert result.states_explored < 10_000
+    dual = DancePlan(
+        retrograde(d), retrograde_points(d, TAIL_POINTS), 4, crossing_rule=CrossingRule.UNDER_FIRST
+    )
+    result = schedule_search(dual)
+    assert result.reason is InfeasibleReason.DEADLOCK
+    assert result.states_explored < 10_000
 
 
 # ------------------------------------------------------------- retrograde

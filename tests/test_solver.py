@@ -15,6 +15,8 @@ from twistdance.scheduler import (
 )
 from twistdance.solver import min_dancers, survey
 
+from corpus import diagram_corpus
+
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
 
@@ -164,3 +166,20 @@ def test_survey_rows_match_direct_search():
     for row in rows:
         result = schedule_search(DancePlan(d, row.placement, 4))
         assert row.feasible == (not isinstance(result, Infeasible))
+
+
+def test_survey_enumerated_facings_match_direct_search():
+    reasons = set()
+    for d in diagram_corpus(41, 8, max_events=8):
+        for rule in (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST):
+            for n in range(1, min(3, d.gap_count) + 1):
+                for k in (1, 2):
+                    rows = survey(d, RuleKind.MATCHING, rule, n, k, enumerate_facings=True)
+                    assert len(rows) == len(list(combinations(range(d.gap_count), n))) * 2**n
+                    for row in rows:
+                        plan = DancePlan(d, row.placement, k, RuleKind.MATCHING, row.facings, rule)
+                        result = schedule_search(plan)
+                        assert row.feasible == (not isinstance(result, Infeasible))
+                        assert row.reason is (result.reason if not row.feasible else None)
+                        reasons.add(row.reason)
+    assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
