@@ -74,7 +74,7 @@ def window_parity(t: Sequence[int], i: int, k: int) -> int:
 def forward_rule_ok(t: Sequence[int], k: int) -> bool:
     """True iff every dancer's k-path route flips its facing an even number
     of times, i.e. everyone who starts forward also ends forward."""
-    return all(window_parity(t, i, k) == 0 for i in range(len(t)))
+    return matching_check(t, (Facing.FORWARD,) * len(t), k)
 
 
 def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:

@@ -19,10 +19,17 @@ forward, so past plan construction the dance rule is read only through
 (see ``facing``) and are checked before any search, so an infeasible verdict
 distinguishes a facing mismatch from a scheduling deadlock.
 
-``schedule_search`` runs a depth-first search over the vector of per-dancer
-route positions, memoizing states proven dead.  Successors are tried in
-dancer-id order, so a feasible plan yields the lexicographically least
-witness interleaving.
+Before searching, ``schedule_search`` runs a relaxation that is linear in
+total route length: every dancer runs as far as it can while a consuming
+step needs only some deposit of its crossing reached by anyone, and spends
+nothing.  It over-approximates every real schedule, so a dancer stuck in it
+proves Deadlock without a search, and ``states_explored`` is then 1, the
+root.
+
+Otherwise ``schedule_search`` runs a depth-first search over the vector of
+per-dancer route positions, memoizing states proven dead.  Successors are
+tried in dancer-id order, so a feasible plan yields the lexicographically
+least witness interleaving.
 
 A safe move (an over pass under over-first, an under pass under under-first,
 a virtual pass, a twist bar, any step under unrestricted) is never blocked
@@ -174,8 +181,9 @@ class Infeasible:
     ``states_explored`` counts the states a deadlocked search entered, the
     root included: for ``schedule_search`` the states of its safe-move
     reduced search, usually far fewer than the reachable position vectors,
-    and for ``oracle_schedule`` its own brute-force nodes.  It is 0 for a
-    facing-parity failure.
+    and 1 (the root alone) when its relaxation refuted the plan before any
+    search; for ``oracle_schedule`` its own brute-force nodes.  It is 0 for
+    a facing-parity failure.
     """
 
     reason: InfeasibleReason
@@ -222,12 +230,22 @@ def _witness(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -
 def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     """Decide the plan and produce a witness schedule or a certified failure.
 
+    The facing gate runs first: a plan whose path parities refuse its
+    designated facings is ``Infeasible(FACING_PARITY, 0)`` without a search.
+
     Routes are lowered once to ``(slot, delta)`` steps: the rule's consuming
     strand of a classical crossing is -1 (it spends a held permission), the
     other strand +1 (it deposits one), and virtual passes, twist bars and all
     steps under the unrestricted rule are ``(0, 0)``.  A step runs only when
     ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0, so the ``(0, -1)``
-    that ends each route never runs.  Balances are pure functions of the
+    that ends each route never runs.
+
+    Before any search, a relaxation runs every dancer as far as it can while
+    consuming steps spend nothing (see ``_stuck``).  A dancer stuck there is
+    stuck in every interleaving, so the plan is ``Infeasible(DEADLOCK, 1)``:
+    the 1 counts the root, the only state entered.
+
+    Otherwise a depth-first search runs.  Balances are pure functions of the
     position vector, so a set of dead vectors, each read as one mixed-radix
     int, is a sound memo.  The witness, when one exists, is the
     lexicographically least feasible dancer-id sequence.
@@ -244,13 +262,15 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     """
     if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
+    return _decide(plan)
 
-    routes = routes_of(plan)
-    n = len(routes)
-    total = sum(len(r) for r in routes)
-    if total == 0:
-        return _witness(plan, routes, [])
 
+def _lower(
+    plan: DancePlan, routes: list[tuple[int, ...]]
+) -> tuple[list[list[tuple[int, int, int]]], int, int]:
+    """Lower each route to ``(slot, delta, key jump)`` steps, ``(0, -1, 0)``
+    ending each, and return them with the slot count and the root's memo key.
+    """
     consumer = _CONSUMER.get(plan.crossing_rule)
     slots: dict[int, int] = {}  # classical crossing id -> balance slot
     lowered_event = [
@@ -274,9 +294,61 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
         steps.reverse()
         lowered.append(steps)
         key += wait * stride[d]
+    return lowered, len(slots), key
+
+
+def _stuck(lowered: list[list[tuple[int, int, int]]], slot_count: int) -> bool:
+    """Relaxed reachability over lowered routes.
+
+    Every dancer runs as far as it can.  A deposit always runs and marks its
+    slot reached; a consuming step runs once its slot has been reached by
+    anyone, and spends nothing.  Dancers waiting on a slot are woken when it
+    is first reached, so the cost is linear in total route length.
+
+    In a real schedule a consuming step needs a positive balance, so some
+    deposit of its slot comes first.  Hence no real schedule takes a dancer
+    past the point where the relaxation stops it: True (some dancer waits
+    short of its route end) proves Deadlock.  Asking a dancer's j-th
+    consumption of a slot for j deposits would refute nothing more: between
+    two of its consumptions of a slot a dancer walks the whole cycle, so it
+    passes that slot's deposit once itself.
+    """
+    reached = [False] * (slot_count + 1)  # slot 0 is never reached
+    waiting: dict[int, list[int]] = {}  # slot -> dancers waiting on it
+    at = [0] * len(lowered)
+    work = list(range(len(lowered)))
+    while work:
+        d = work.pop()
+        steps, p = lowered[d], at[d]
+        while True:
+            slot, delta, _ = steps[p]
+            if delta > 0:
+                reached[slot] = True
+                if slot in waiting:
+                    work += waiting.pop(slot)
+            elif delta and not reached[slot]:
+                break
+            p += 1
+        at[d] = p
+        if slot:  # slot 0 is the route end
+            waiting.setdefault(slot, []).append(d)
+    return bool(waiting)
+
+
+def _decide(plan: DancePlan) -> Union[Schedule, Infeasible]:
+    """``schedule_search`` for a plan whose facings pass the gate."""
+    routes = routes_of(plan)
+    n = len(routes)
+    total = sum(len(r) for r in routes)
+    if total == 0:
+        return _witness(plan, routes, [])
+
+    lowered, slot_count, key = _lower(plan, routes)
+    if slot_count and _stuck(lowered, slot_count):  # no slot: nothing ever waits
+        return Infeasible(InfeasibleReason.DEADLOCK, 1)
 
     positions = [0] * n
-    balance = [0] * (len(slots) + 1)  # slot -> deposits minus consumptions
+    balance = [0] * (slot_count + 1)  # slot -> deposits minus consumptions
     dead: set[int] = set()
     moves: list[int] = []
     resume = [0]  # per depth: next dancer id to try at this state

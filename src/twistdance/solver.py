@@ -21,7 +21,7 @@ from .scheduler import (
     InfeasibleReason,
     RuleKind,
     Schedule,
-    schedule_search,
+    _decide,
 )
 
 __all__ = ["SolveReport", "SurveyRow", "min_dancers", "survey"]
@@ -108,7 +108,7 @@ def min_dancers(
                 plan = _plan_for(diagram, placement, k, rule, crossing_rule)
                 if plan is None:
                     continue
-                result = schedule_search(plan)
+                result = _decide(plan)  # _plan_for has gated the facings
                 if isinstance(result, Schedule):
                     return SolveReport(plan, result, (1, n), (1, k), tried)
     return SolveReport(None, None, (1, n_max), (1, k_max), tried)
@@ -156,7 +156,8 @@ def survey(
 
 
 def _row(plan: DancePlan) -> SurveyRow:
-    result = schedule_search(plan)
+    """The row of a plan whose facings the caller has already gated."""
+    result = _decide(plan)
     if isinstance(result, Infeasible):
         return SurveyRow(plan.points, plan.facings, False, result.reason)
     return SurveyRow(plan.points, plan.facings, True, None)

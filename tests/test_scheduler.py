@@ -1,10 +1,14 @@
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from twistdance.codec import parse, token
+from twistdance.codec import parse, serialize, token
 from twistdance.facing import (
     Facing,
     forward_rule_ok,
@@ -31,6 +35,8 @@ from twistdance.scheduler import (
     RuleKind,
     Schedule,
     Step,
+    _lower,
+    _stuck,
     _witness as _witness_of,
     oracle_schedule,
     retrograde,
@@ -41,6 +47,7 @@ from twistdance.scheduler import (
 )
 
 from corpus import all_placements, diagram_corpus
+from strategies import plan_geometries
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -335,6 +342,86 @@ def test_tail_plan_deadlocks_in_few_states():
     result = schedule_search(dual)
     assert result.reason is InfeasibleReason.DEADLOCK
     assert result.states_explored < 10_000
+
+
+TAIL_80_DIAGRAM = (
+    "V3 V27 V12 V12 V14 V4 V15 V13 V22 U8- V25 V17 V27 V28 U4- V10 V19 O9- V22 V21 "
+    "O7- V21 O5- V3 O6- U7- V19 V11 V8 U9- V5 V1 U6- V24 V17 V26 V29 O3- U10- V23 "
+    "V13 V20 V26 V23 V30 O10- O8- V24 V28 V18 U3- V29 V15 O2+ V9 O4- U2+ V1 V8 V2 "
+    "U5- V16 V25 V10 V7 V20 V16 V11 V5 V18 U1- V4 V7 O1- V2 V6 V14 V9 V6 V30"
+)
+TAIL_80_POINTS = (15, 16, 26, 43, 46, 49, 51, 59, 67, 75, 76)
+
+
+def test_80_event_tail_plan_is_refuted_before_the_search():
+    # the search alone needs 2,569,400 states to exhaust this plan
+    d = parse(TAIL_80_DIAGRAM)
+    result = schedule_search(DancePlan(d, TAIL_80_POINTS, 4))
+    assert result.reason is InfeasibleReason.DEADLOCK
+    assert result.states_explored == 1
+    dual = DancePlan(
+        retrograde(d),
+        retrograde_points(d, TAIL_80_POINTS),
+        4,
+        crossing_rule=CrossingRule.UNDER_FIRST,
+    )
+    result = schedule_search(dual)
+    assert result.reason is InfeasibleReason.DEADLOCK
+    assert result.states_explored == 1
+
+
+# ------------------------------------------------------------- relaxation
+
+
+def _stuck_in_relaxation(plan):
+    lowered, slot_count, _ = _lower(plan, routes_of(plan))
+    return _stuck(lowered, slot_count)
+
+
+def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
+    checked = Counter()
+    passed_yet_deadlocked = []
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    for d in diagram_corpus(91, 4, max_events=10):
+        for points in all_placements(d, n_max=3):
+            facings = [None, *product((F, B), repeat=len(points))]
+            for k, rule, f in product((1, 2, 3), rules, facings):
+                if k * len(d.events) <= ORACLE_STEP_LIMIT:
+                    continue
+                if f is None:
+                    plan = DancePlan(d, points, k, crossing_rule=rule)
+                else:
+                    plan = DancePlan(d, points, k, RuleKind.MATCHING, f, rule)
+                slow = _unreduced_search(plan)
+                if not feasible(slow) and slow.reason is InfeasibleReason.FACING_PARITY:
+                    continue
+                stuck = _stuck_in_relaxation(plan)
+                if feasible(slow):
+                    assert not stuck, (serialize(d), points, k, rule, f)
+                    checked["feasible"] += 1
+                elif stuck:
+                    checked["refuted"] += 1
+                else:
+                    passed_yet_deadlocked.append((serialize(d), points, k, rule, f))
+    # that the relaxation refutes every deadlock is an open conjecture, not a contract
+    for plan in passed_yet_deadlocked:
+        warnings.warn(f"passes the relaxation yet deadlocks: {plan}")
+    assert min(checked.values()) >= 500, checked
+
+
+@given(
+    plan_geometries(max_events=8, n_max=3, k_max=4),
+    st.sampled_from((CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)),
+)
+def test_a_dancer_stuck_in_the_relaxation_proves_deadlock(geometry, rule):
+    d, points, k = geometry
+    assume(k * len(d.events) <= ORACLE_STEP_LIMIT)
+    facings = matching_solve(parity_vector(d, points), k)
+    assume(facings is not None)
+    plan = DancePlan(d, points, k, RuleKind.MATCHING, facings, rule)
+    if _stuck_in_relaxation(plan):
+        result = oracle_schedule(plan)
+        assert not feasible(result) and result.reason is InfeasibleReason.DEADLOCK
 
 
 # ------------------------------------------------------------- retrograde
