@@ -10,9 +10,12 @@ two views together.
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import accumulate, product
+from math import gcd
+from operator import xor
 from typing import Iterable, Sequence
 
-from .model import Diagram, TwistBar, paths_of
+from .model import Diagram, TwistBar, check_points
 
 __all__ = [
     "Facing",
@@ -49,10 +52,24 @@ class Facing(IntEnum):
 
 def parity_vector(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     """Per-path twist-bar counts mod 2, one bit per initial point."""
-    return tuple(
-        sum(isinstance(ev, TwistBar) for ev in path) % 2
-        for path in paths_of(diagram, points)
-    )
+    return _parities(_bar_prefix(diagram), check_points(diagram, points))
+
+
+def _bar_prefix(diagram: Diagram) -> list[int]:
+    """``prefix[j]``: the parity of the twist bars among the first j events."""
+    return list(accumulate((isinstance(ev, TwistBar) for ev in diagram.events), xor, initial=0))
+
+
+def _parities(prefix: Sequence[int], pts: Sequence[int]) -> tuple[int, ...]:
+    """``parity_vector`` of checked points, read from a diagram's bar prefix.
+
+    Path i runs from gap ``pts[i]`` to gap ``pts[i + 1]``; a path that wraps
+    past the last event (a single point's path always does) adds the parity
+    of the whole cycle.
+    """
+    total = prefix[-1]
+    ends = (*pts[1:], pts[0])
+    return tuple(prefix[a] ^ prefix[b] ^ (total if b <= a else 0) for a, b in zip(pts, ends))
 
 
 def window_parity(t: Sequence[int], i: int, k: int) -> int:
@@ -120,3 +137,20 @@ def matching_solve(t: Sequence[int], k: int) -> tuple[Facing, ...] | None:
                 break
             f[i] = Facing(bit)
     return tuple(f)  # type: ignore[arg-type]
+
+
+def _matching_solutions(t: Sequence[int], k: int) -> set[tuple[int, ...]]:
+    """Every assignment ``matching_check`` accepts, as tuples of facing bits.
+
+    The orbit of index i under the endpoint map is the indices congruent to
+    i mod gcd(n, k), and flipping a whole orbit of a solution gives another,
+    so the solutions are ``matching_solve``'s with any set of orbits flipped.
+    """
+    least = matching_solve(t, k)
+    if least is None:
+        return set()
+    g = gcd(len(t), k)
+    return {
+        tuple(f ^ flips[i % g] for i, f in enumerate(least))
+        for flips in product((0, 1), repeat=g)
+    }

@@ -235,16 +235,20 @@ def path_event_indices(diagram: Diagram, points: Iterable[int]) -> list[tuple[in
     ``points[i+1]``, wrapping cyclically; a single point yields the whole
     cycle starting there.
     """
-    pts = check_points(diagram, points)
-    m = len(diagram.events)
+    return _arcs(len(diagram.events), check_points(diagram, points))
+
+
+def _arcs(m: int, pts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``path_event_indices`` of points already checked against a diagram of
+    ``m`` events."""
     if m == 0:
         return [()]
     n = len(pts)
     arcs = []
     for i in range(n):
         start = pts[i]
-        span = (pts[(i + 1) % n] - start) % m or m
-        arcs.append(tuple((start + j) % m for j in range(span)))
+        end = start + ((pts[(i + 1) % n] - start) % m or m)
+        arcs.append(tuple(range(start, end)) if end <= m else (*range(start, m), *range(end - m)))
     return arcs
 
 

@@ -40,6 +40,12 @@ safe move has run, and once one safe move from a state has failed it tries
 no further dancer there.  Only dead states are pruned, so the witness stays
 the lexicographically least one.
 
+The search itself reads only the routes and a per-diagram event table of
+``(slot, delta)`` under the crossing rule, and returns a dancer-id move
+sequence; the facings enter only when that sequence is replayed into a
+``Schedule``.  The solver builds the table once per call and decides a
+placement without building a witness.
+
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
 the raw prefix; it exists to cross-check the search and is kept deliberately
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Union
 
 from .facing import Facing, matching_check, parity_vector
@@ -58,8 +65,8 @@ from .model import (
     Diagram,
     Strand,
     TwistBar,
+    _arcs,
     check_points,
-    path_event_indices,
 )
 
 __all__ = [
@@ -202,15 +209,12 @@ _CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: St
 
 def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n)."""
-    arcs = path_event_indices(plan.diagram, plan.points)
+    return _routes(_arcs(len(plan.diagram.events), plan.points), plan.k)
+
+
+def _routes(arcs: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
     n = len(arcs)
-    routes = []
-    for i in range(n):
-        route: list[int] = []
-        for lap in range(plan.k):
-            route.extend(arcs[(i + lap) % n])
-        routes.append(tuple(route))
-    return routes
+    return [tuple(chain.from_iterable(arcs[(i + lap) % n] for lap in range(k))) for i in range(n)]
 
 
 def _witness(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
@@ -262,22 +266,33 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     """
     if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
-    return _decide(plan)
+    routes = routes_of(plan)
+    moves = _moves(routes, *_event_table(plan.diagram, plan.crossing_rule))
+    return moves if isinstance(moves, Infeasible) else _witness(plan, routes, moves)
+
+
+def _event_table(
+    diagram: Diagram, crossing_rule: CrossingRule
+) -> tuple[list[tuple[int, int]], int]:
+    """Each event's ``(slot, delta)`` under the crossing rule, and the slot
+    count: the rule's consuming strand of a classical crossing is -1, the
+    other strand +1, everything else ``(0, 0)``."""
+    consumer = _CONSUMER.get(crossing_rule)
+    slots: dict[int, int] = {}  # classical crossing id -> balance slot
+    table = [
+        (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
+        if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
+        for ev in diagram.events
+    ]
+    return table, len(slots)
 
 
 def _lower(
-    plan: DancePlan, routes: list[tuple[int, ...]]
-) -> tuple[list[list[tuple[int, int, int]]], int, int]:
-    """Lower each route to ``(slot, delta, key jump)`` steps, ``(0, -1, 0)``
-    ending each, and return them with the slot count and the root's memo key.
-    """
-    consumer = _CONSUMER.get(plan.crossing_rule)
-    slots: dict[int, int] = {}  # classical crossing id -> balance slot
-    lowered_event = [
-        (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
-        if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
-        for ev in plan.diagram.events
-    ]
+    table: list[tuple[int, int]], routes: list[tuple[int, ...]]
+) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Lower each route through the event table to ``(slot, delta, key
+    jump)`` steps, ``(0, -1, 0)`` ending each, and return them with the
+    root's memo key."""
     stride = [1]
     for route in routes[:-1]:
         stride.append(stride[-1] * (len(route) + 1))
@@ -287,14 +302,14 @@ def _lower(
         steps = [(0, -1, 0)]
         wait = len(route)  # first consuming position after p; the route end is one
         for p in range(len(route) - 1, -1, -1):
-            slot, delta = lowered_event[route[p]]
+            slot, delta = table[route[p]]
             steps.append((slot, delta, (wait - p) * stride[d] if delta < 0 else 0))
             if delta < 0:
                 wait = p
         steps.reverse()
         lowered.append(steps)
         key += wait * stride[d]
-    return lowered, len(slots), key
+    return lowered, key
 
 
 def _stuck(lowered: list[list[tuple[int, int, int]]], slot_count: int) -> bool:
@@ -335,15 +350,18 @@ def _stuck(lowered: list[list[tuple[int, int, int]]], slot_count: int) -> bool:
     return bool(waiting)
 
 
-def _decide(plan: DancePlan) -> Union[Schedule, Infeasible]:
-    """``schedule_search`` for a plan whose facings pass the gate."""
-    routes = routes_of(plan)
+def _moves(
+    routes: list[tuple[int, ...]], table: list[tuple[int, int]], slot_count: int
+) -> Union[list[int], Infeasible]:
+    """The search proper: the lexicographically least dancer-id sequence
+    that completes every route, or the Deadlock.  It reads only the routes
+    and the event table, never facings."""
     n = len(routes)
     total = sum(len(r) for r in routes)
     if total == 0:
-        return _witness(plan, routes, [])
+        return []
 
-    lowered, slot_count, key = _lower(plan, routes)
+    lowered, key = _lower(table, routes)
     if slot_count and _stuck(lowered, slot_count):  # no slot: nothing ever waits
         return Infeasible(InfeasibleReason.DEADLOCK, 1)
 
@@ -367,7 +385,7 @@ def _decide(plan: DancePlan) -> Union[Schedule, Infeasible]:
                 resume[-1] = d + 1
                 moves.append(d)
                 if len(moves) == total:
-                    return _witness(plan, routes, moves)
+                    return moves
                 resume.append(0)
                 break
             d += 1

@@ -5,6 +5,14 @@ placement) that makes a fixed diagram danceable within the given bounds;
 ``survey`` tabulates every placement at one (n, k).  Feasibility is not
 assumed monotone in n or k, so bounds are exhausted rather than pruned.
 Iteration orders are fixed, making both results deterministic.
+
+Each call compiles its diagram once: the twist-bar prefix parities that give
+every placement's parity vector, and the ``(slot, delta)`` event table under
+the crossing rule that the search lowers routes through.  Past the facing
+gate the search reads only the placement, k and the crossing rule, never the
+facings, so a placement is decided once and all its gate-passing facing rows
+share that verdict.  Only the first feasible placement of ``min_dancers``
+gets a witness schedule.
 """
 
 from __future__ import annotations
@@ -12,8 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
-from .model import Diagram
+from .facing import (
+    Facing,
+    _bar_prefix,
+    _matching_solutions,
+    _parities,
+    forward_rule_ok,
+    matching_solve,
+)
+from .model import Diagram, _arcs
 from .scheduler import (
     CrossingRule,
     DancePlan,
@@ -21,7 +36,10 @@ from .scheduler import (
     InfeasibleReason,
     RuleKind,
     Schedule,
-    _decide,
+    _event_table,
+    _moves,
+    _routes,
+    _witness,
 )
 
 __all__ = ["SolveReport", "SurveyRow", "min_dancers", "survey"]
@@ -57,27 +75,25 @@ class SurveyRow:
     reason: InfeasibleReason | None
 
 
-def _plan_for(
-    diagram: Diagram,
-    placement: tuple[int, ...],
-    k: int,
-    rule: RuleKind,
-    crossing_rule: CrossingRule,
-) -> DancePlan | None:
-    """Build the plan to try for one placement, or None when the placement's
-    path parities alone refuse the rule: under the forward rule some route
-    flips its facing an odd number of times, under the matching rule no facing
-    assignment exists (parity-inconsistent orbits).  Either way the search
-    would answer ``FACING_PARITY`` without running."""
-    t = parity_vector(diagram, placement)
+def _check_bound(name: str, value: int, most: int | None = None) -> None:
+    """Refuse a bound that is not an ``int`` >= 1 (a ``bool`` included), or
+    exceeds ``most``, with ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be in 1..{most}, got {value}")
+
+
+def _designated(t: tuple[int, ...], k: int, rule: RuleKind) -> tuple[Facing, ...] | None:
+    """The facings a placement with path parities ``t`` is tried with (all
+    forward under the forward rule), or None when the parities alone refuse
+    the rule: under the forward rule some route flips its facing an odd
+    number of times, under the matching rule no facing assignment exists
+    (parity-inconsistent orbits).  Either way the search would answer
+    ``FACING_PARITY`` without running."""
     if rule is RuleKind.FORWARD:
-        if not forward_rule_ok(t, k):
-            return None
-        return DancePlan(diagram, placement, k, rule, None, crossing_rule)
-    facings = matching_solve(t, k)
-    if facings is None:
-        return None
-    return DancePlan(diagram, placement, k, rule, facings, crossing_rule)
+        return (Facing.FORWARD,) * len(t) if forward_rule_ok(t, k) else None
+    return matching_solve(t, k)
 
 
 def min_dancers(
@@ -93,24 +109,31 @@ def min_dancers(
     Placements are the size-n gap subsets in ascending tuple order (each
     cyclic placement enumerated once, canonicalized by its starting index).
     Under the matching rule the facings of each candidate come from
-    ``matching_solve``.  ``n_max`` may not exceed the diagram's gap count.
+    ``matching_solve``.  ``k_max`` and ``n_max`` must be ints >= 1, and
+    ``n_max`` may not exceed the diagram's gap count; otherwise
+    ``ValueError``.  Only the first feasible placement gets a witness.
     """
     gaps = diagram.gap_count
-    if not 1 <= n_max <= gaps:
-        raise ValueError(f"n_max must be in 1..{gaps}, got {n_max}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_bound("n_max", n_max, gaps)
+    _check_bound("k_max", k_max)
+    m = len(diagram.events)
+    prefix = _bar_prefix(diagram)
+    table, slot_count = _event_table(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             for placement in combinations(range(gaps), n):
                 tried += 1
-                plan = _plan_for(diagram, placement, k, rule, crossing_rule)
-                if plan is None:
+                designated = _designated(_parities(prefix, placement), k, rule)
+                if designated is None:
                     continue
-                result = _decide(plan)  # _plan_for has gated the facings
-                if isinstance(result, Schedule):
-                    return SolveReport(plan, result, (1, n), (1, k), tried)
+                routes = _routes(_arcs(m, placement), k)
+                moves = _moves(routes, table, slot_count)
+                if isinstance(moves, Infeasible):
+                    continue
+                facings = designated if rule is RuleKind.MATCHING else None
+                plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
+                return SolveReport(plan, _witness(plan, routes, moves), (1, n), (1, k), tried)
     return SolveReport(None, None, (1, n_max), (1, k_max), tried)
 
 
@@ -127,37 +150,42 @@ def survey(
 
     Under the matching rule each placement is tried with its solved facing
     assignment; with ``enumerate_facings`` every one of the 2**n assignments
-    gets its own row instead (distinct facings over one placement can differ,
-    so the exhaustive view matters).  Rows whose facings the placement's
-    path parities refuse are recorded as ``FACING_PARITY`` without a search.
+    gets its own row instead (distinct facings over one placement can differ
+    at the facing gate, so the exhaustive view matters).  Rows whose facings
+    the placement's path parities refuse are recorded as ``FACING_PARITY``
+    without a search.  Past the gate the verdict depends on the placement
+    alone, so each placement is decided at most once and every gate-passing
+    facing row shares that verdict.  ``n`` and ``k`` must be ints >= 1, and
+    ``n`` may not exceed the diagram's gap count; otherwise ``ValueError``.
     """
     gaps = diagram.gap_count
-    if not 1 <= n <= gaps:
-        raise ValueError(f"n must be in 1..{gaps}, got {n}")
+    _check_bound("n", n, gaps)
+    _check_bound("k", k)
+    m = len(diagram.events)
+    prefix = _bar_prefix(diagram)
+    table, slot_count = _event_table(diagram, crossing_rule)
+
+    def verdict(placement: tuple[int, ...]) -> tuple[bool, InfeasibleReason | None]:
+        moves = _moves(_routes(_arcs(m, placement), k), table, slot_count)
+        return (False, moves.reason) if isinstance(moves, Infeasible) else (True, None)
+
+    refused = (False, InfeasibleReason.FACING_PARITY)
+    every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
     rows: list[SurveyRow] = []
     for placement in combinations(range(gaps), n):
+        t = _parities(prefix, placement)
         if rule is RuleKind.MATCHING and enumerate_facings:
-            t = parity_vector(diagram, placement)
-            for facings in product((Facing.FORWARD, Facing.BACKWARD), repeat=n):
-                if matching_check(t, facings, k):
-                    plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
-                    rows.append(_row(plan))
-                else:
-                    rows.append(
-                        SurveyRow(placement, facings, False, InfeasibleReason.FACING_PARITY)
-                    )
+            passing = _matching_solutions(t, k)
+            shared = verdict(placement) if passing else refused
+            rows += [
+                SurveyRow(placement, facings, *(shared if facings in passing else refused))
+                for facings in every_facing
+            ]
             continue
-        plan = _plan_for(diagram, placement, k, rule, crossing_rule)
-        if plan is None:
-            rows.append(SurveyRow(placement, None, False, InfeasibleReason.FACING_PARITY))
+        designated = _designated(t, k, rule)
+        if designated is None:
+            rows.append(SurveyRow(placement, None, *refused))
         else:
-            rows.append(_row(plan))
+            facings = designated if rule is RuleKind.MATCHING else None
+            rows.append(SurveyRow(placement, facings, *verdict(placement)))
     return rows
-
-
-def _row(plan: DancePlan) -> SurveyRow:
-    """The row of a plan whose facings the caller has already gated."""
-    result = _decide(plan)
-    if isinstance(result, Infeasible):
-        return SurveyRow(plan.points, plan.facings, False, result.reason)
-    return SurveyRow(plan.points, plan.facings, True, None)

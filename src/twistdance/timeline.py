@@ -57,8 +57,16 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
         return style.margin + d * style.lane_height + style.lane_height // 2
 
     starts = schedule.plan.designated if schedule.plan is not None else ()
+    labels: dict[int, str] = {}  # event index -> its label, computed once
+    by_lane: list[list[tuple[int, str, Facing]]] = [[] for _ in range(lanes)]
+    for t, step in enumerate(schedule.steps):
+        if 0 <= step.dancer < lanes:
+            idx = step.event_index
+            if idx not in labels:
+                labels[idx] = token(events[idx]).rstrip("+-") if events else str(idx)
+            by_lane[step.dancer].append((x_at(t), labels[idx], step.facing_after))
 
-    for d in range(lanes):
+    for d, mine in enumerate(by_lane):
         color = style.dancer_palette[d % len(style.dancer_palette)]
         cy = y_at(d)
         out.append(
@@ -66,21 +74,17 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
             f'font-family="monospace" font-size="{style.font_size}" '
             f'fill="{color}">dancer {d}</text>'
         )
-        mine = [(t, s) for t, s in enumerate(schedule.steps) if s.dancer == d]
         facing_before = starts[d] if starts else Facing.FORWARD
         prev_x = style.margin + style.label_width
-        for t, step in mine:
-            x = x_at(t)
+        for x, _, facing_after in mine:
             dash = f' stroke-dasharray="{_DASH}"' if facing_before is Facing.BACKWARD else ""
             out.append(
                 f'<line x1="{prev_x}" y1="{cy}" x2="{x}" y2="{cy}" '
                 f'stroke="{color}" stroke-width="2"{dash}/>'
             )
-            facing_before = step.facing_after
+            facing_before = facing_after
             prev_x = x
-        for t, step in mine:
-            x = x_at(t)
-            label = token(events[step.event_index]).rstrip("+-") if events else str(step.event_index)
+        for x, label, _ in mine:
             out.append(f'<circle cx="{x}" cy="{cy}" r="4" fill="{color}"/>')
             out.append(
                 f'<text x="{x}" y="{cy - 8}" text-anchor="middle" '

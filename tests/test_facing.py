@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from twistdance.codec import parse
 from twistdance.facing import (
     Facing,
+    _matching_solutions,
     forward_rule_ok,
     matching_check,
     matching_solve,
     parity_vector,
     window_parity,
 )
-from twistdance.model import TwistBar
+from twistdance.model import TwistBar, paths_of
 
 from strategies import parity_vectors, plan_geometries
 
@@ -147,3 +148,17 @@ def test_matching_solve_brute_force_agreement():
                     assert sols, f"solver found {solved} but brute force found none"
                     assert solved == min(sols)
                     assert matching_check(bits, solved, k)
+
+
+@given(plan_geometries(), st.integers(0, 2))
+def test_parity_vector_counts_the_bars_on_each_path(geometry, r):
+    d, points, _ = geometry
+    r %= len(points)
+    pts = points[r:] + points[:r]  # any rotation of a cyclic order is one too
+    expected = tuple(sum(isinstance(ev, TwistBar) for ev in path) % 2 for path in paths_of(d, pts))
+    assert parity_vector(d, pts) == expected
+
+
+@given(parity_vectors(), st.integers(1, 8))
+def test_matching_solutions_are_the_assignments_matching_check_accepts(t, k):
+    assert _matching_solutions(t, k) == set(brute_solutions(t, k))

@@ -35,6 +35,7 @@ from twistdance.scheduler import (
     RuleKind,
     Schedule,
     Step,
+    _event_table,
     _lower,
     _stuck,
     _witness as _witness_of,
@@ -374,7 +375,8 @@ def test_80_event_tail_plan_is_refuted_before_the_search():
 
 
 def _stuck_in_relaxation(plan):
-    lowered, slot_count, _ = _lower(plan, routes_of(plan))
+    table, slot_count = _event_table(plan.diagram, plan.crossing_rule)
+    lowered, _ = _lower(table, routes_of(plan))
     return _stuck(lowered, slot_count)
 
 

@@ -1,21 +1,22 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from twistdance.codec import parse
-from twistdance.facing import Facing
+from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
 from twistdance.scheduler import (
     CrossingRule,
     DancePlan,
     Infeasible,
     InfeasibleReason,
     RuleKind,
+    Schedule,
     schedule_search,
     verify_schedule,
 )
 from twistdance.solver import min_dancers, survey
 
-from corpus import diagram_corpus
+from corpus import all_placements, diagram_corpus
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -170,10 +171,10 @@ def test_survey_rows_match_direct_search():
 
 def test_survey_enumerated_facings_match_direct_search():
     reasons = set()
-    for d in diagram_corpus(41, 8, max_events=8):
-        for rule in (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST):
+    for d in [parse(""), *diagram_corpus(41, 8, max_events=8)]:
+        for rule in CrossingRule:
             for n in range(1, min(3, d.gap_count) + 1):
-                for k in (1, 2):
+                for k in (1, 2, 3):
                     rows = survey(d, RuleKind.MATCHING, rule, n, k, enumerate_facings=True)
                     assert len(rows) == len(list(combinations(range(d.gap_count), n))) * 2**n
                     for row in rows:
@@ -183,3 +184,109 @@ def test_survey_enumerated_facings_match_direct_search():
                         assert row.reason is (result.reason if not row.feasible else None)
                         reasons.add(row.reason)
     assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
+
+
+def test_min_dancers_refuses_a_bool_bound():
+    d = parse(TREFOIL)
+    with pytest.raises(ValueError):
+        min_dancers(d, k_max=True, n_max=1)
+    with pytest.raises(ValueError):
+        min_dancers(d, k_max=1, n_max=True)
+
+
+def test_survey_refuses_a_fractional_k():
+    with pytest.raises(ValueError):
+        survey(parse(TREFOIL), RuleKind.FORWARD, CrossingRule.OVER_FIRST, 2, 1.5)
+
+
+def test_survey_refuses_a_bool_k_on_every_diagram():
+    # True used to pass as 1 on one diagram and raise on another
+    for code in ("T1 O1 U1", "O1 U1 T1 T2"):
+        for rule in CrossingRule:
+            with pytest.raises(ValueError):
+                survey(parse(code), RuleKind.MATCHING, rule, 2, True, enumerate_facings=True)
+
+
+def test_survey_refuses_a_bool_or_zero_n():
+    for n in (True, 0):
+        with pytest.raises(ValueError):
+            survey(parse(TREFOIL), RuleKind.FORWARD, CrossingRule.OVER_FIRST, n, 1)
+
+
+def test_survey_refuses_k_zero_with_or_without_enumerated_facings():
+    for rule in RuleKind:
+        for enumerate_facings in (False, True):
+            with pytest.raises(ValueError):
+                survey(
+                    parse("T1 T2"), rule, CrossingRule.OVER_FIRST, 2, 0,
+                    enumerate_facings=enumerate_facings,
+                )
+
+
+def _outcome(result):
+    """A search result with every facing left out."""
+    if isinstance(result, Infeasible):
+        return result
+    return tuple((s.dancer, s.route_position, s.event_index) for s in result.steps)
+
+
+def test_search_outcome_does_not_depend_on_gate_passing_facings():
+    # survey decides a placement once and shares the verdict with every
+    # facing row that passes the gate: past the gate, only facing_after may
+    # differ between two facing assignments of one (placement, k, rule)
+    shared = set()
+    for d in diagram_corpus(67, 10, max_events=7):
+        for crossing in CrossingRule:
+            for points in all_placements(d, n_max=3):
+                for k in (1, 2, 3):
+                    t = parity_vector(d, points)
+                    plans = [
+                        DancePlan(d, points, k, RuleKind.MATCHING, f, crossing)
+                        for f in product((Facing.FORWARD, Facing.BACKWARD), repeat=len(points))
+                        if matching_check(t, f, k)
+                    ]
+                    if forward_rule_ok(t, k):
+                        plans.append(DancePlan(d, points, k, RuleKind.FORWARD, None, crossing))
+                    outcomes = {_outcome(schedule_search(plan)) for plan in plans}
+                    assert len(outcomes) <= 1, (d, points, k, crossing)
+                    if len(plans) > 1:
+                        shared |= {type(o) for o in outcomes}
+    assert shared == {tuple, Infeasible}
+
+
+def _least_feasible(d, rule, crossing, k_max, n_max):
+    """``min_dancers`` as a loop of public ``schedule_search`` calls."""
+    tried = 0
+    for n in range(1, n_max + 1):
+        for k in range(1, k_max + 1):
+            for points in combinations(range(d.gap_count), n):
+                tried += 1
+                facings = None
+                if rule is RuleKind.MATCHING:
+                    facings = matching_solve(parity_vector(d, points), k)
+                    if facings is None:
+                        continue
+                plan = DancePlan(d, points, k, rule, facings, crossing)
+                result = schedule_search(plan)
+                if isinstance(result, Schedule):
+                    return plan, result, tried
+    return None, None, tried
+
+
+def test_min_dancers_matches_a_loop_of_direct_searches():
+    outcomes = set()
+    for d in [parse(BAR_TREFOIL), *diagram_corpus(29, 30, max_events=8)]:
+        n_max = min(3, d.gap_count)
+        for rule, crossing, k_max in product(RuleKind, CrossingRule, (1, 3)):
+            report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
+            plan, schedule, tried = _least_feasible(d, rule, crossing, k_max, n_max)
+            assert report.plan == plan
+            assert report.placements_tried == tried
+            if plan is None:
+                assert report.schedule is None
+            else:
+                assert report.plan.facings == plan.facings
+                assert report.schedule.steps == schedule.steps
+                assert report.schedule.plan == plan
+            outcomes.add((rule, report.feasible))
+    assert len(outcomes) == 4
