@@ -228,6 +228,15 @@ def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     return pts
 
 
+def _check_bound(name: str, value: int, most: int | None = None) -> None:
+    """Refuse a count that is not an ``int`` >= 1 (a ``bool`` included), or
+    exceeds ``most``, with ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be in 1..{most}, got {value}")
+
+
 def path_event_indices(diagram: Diagram, points: Iterable[int]) -> list[tuple[int, ...]]:
     """Event indices of each path, in path order.
 

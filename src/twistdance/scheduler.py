@@ -40,11 +40,11 @@ safe move has run, and once one safe move from a state has failed it tries
 no further dancer there.  Only dead states are pruned, so the witness stays
 the lexicographically least one.
 
-The search itself reads only the routes and a per-diagram event table of
-``(slot, delta)`` under the crossing rule, and returns a dancer-id move
-sequence; the facings enter only when that sequence is replayed into a
-``Schedule``.  The solver builds the table once per call and decides a
-placement without building a witness.
+``schedule_search``, ``min_dancers`` and ``survey`` share one compiled path:
+the diagram is compiled once under the crossing rule into twist-bar prefix
+parities and a ``(slot, delta)`` event table, then each placement is decided
+from its path parities, its routes and the search, which reads only the
+routes and the table, never the facings.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -59,13 +59,14 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Union
 
-from .facing import Facing, matching_check, parity_vector
+from .facing import Facing, _bar_prefix, _parities, matching_check
 from .model import (
     ClassicalPass,
     Diagram,
     Strand,
     TwistBar,
     _arcs,
+    _check_bound,
     check_points,
 )
 
@@ -124,10 +125,7 @@ class DancePlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", check_points(self.diagram, self.points))
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"lap count must be an int, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"lap count must be >= 1, got {self.k}")
+        _check_bound("lap count", self.k)
         if self.rule is RuleKind.MATCHING:
             if self.facings is None:
                 raise ValueError("matching rule needs facings, one per initial point")
@@ -264,27 +262,43 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     dancer is tried there.  ``states_explored`` counts the states the reduced
     search enters.
     """
-    if not matching_check(parity_vector(plan.diagram, plan.points), plan.designated, plan.k):
+    compiled = _Compiled(plan.diagram, plan.crossing_rule)
+    if not matching_check(compiled.parities(plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
-    routes = routes_of(plan)
-    moves = _moves(routes, *_event_table(plan.diagram, plan.crossing_rule))
+    routes, moves = compiled.decide(plan.points, plan.k)
     return moves if isinstance(moves, Infeasible) else _witness(plan, routes, moves)
 
 
-def _event_table(
-    diagram: Diagram, crossing_rule: CrossingRule
-) -> tuple[list[tuple[int, int]], int]:
-    """Each event's ``(slot, delta)`` under the crossing rule, and the slot
-    count: the rule's consuming strand of a classical crossing is -1, the
-    other strand +1, everything else ``(0, 0)``."""
-    consumer = _CONSUMER.get(crossing_rule)
-    slots: dict[int, int] = {}  # classical crossing id -> balance slot
-    table = [
-        (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
-        if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
-        for ev in diagram.events
-    ]
-    return table, len(slots)
+class _Compiled:
+    """A diagram compiled once under a crossing rule and applied to any
+    number of its placements: its twist-bar prefix parities (see ``facing``)
+    and each event's ``(slot, delta)`` (see ``schedule_search``), with the
+    slot count.  ``schedule_search`` applies it to one plan, the solver to
+    every placement it tries."""
+
+    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
+        self.m = len(diagram.events)
+        self.prefix = _bar_prefix(diagram)
+        consumer = _CONSUMER.get(crossing_rule)
+        slots: dict[int, int] = {}  # classical crossing id -> balance slot
+        self.table = [
+            (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
+            if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
+            for ev in diagram.events
+        ]
+        self.slot_count = len(slots)
+
+    def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
+        """The path parities of checked points."""
+        return _parities(self.prefix, points)
+
+    def decide(
+        self, points: tuple[int, ...], k: int
+    ) -> tuple[list[tuple[int, ...]], Union[list[int], Infeasible]]:
+        """The routes of checked points at lap count k, and the search's
+        verdict on them (see ``_moves``); the facings never enter."""
+        routes = _routes(_arcs(self.m, points), k)
+        return routes, _moves(routes, self.table, self.slot_count)
 
 
 def _lower(

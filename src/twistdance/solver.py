@@ -6,13 +6,13 @@ placement) that makes a fixed diagram danceable within the given bounds;
 assumed monotone in n or k, so bounds are exhausted rather than pruned.
 Iteration orders are fixed, making both results deterministic.
 
-Each call compiles its diagram once: the twist-bar prefix parities that give
-every placement's parity vector, and the ``(slot, delta)`` event table under
-the crossing rule that the search lowers routes through.  Past the facing
-gate the search reads only the placement, k and the crossing rule, never the
-facings, so a placement is decided once and all its gate-passing facing rows
-share that verdict.  Only the first feasible placement of ``min_dancers``
-gets a witness schedule.
+Each call compiles its diagram once through the scheduler's compiled path,
+the one ``schedule_search`` applies to a single plan.  The forward gate is
+the matching gate, the forward rule being the matching rule with every point
+designated forward.  Past the gate the search never reads the facings, so a
+placement is decided once and all its gate-passing facing rows share that
+verdict.  Only the first feasible placement of ``min_dancers`` gets a
+witness schedule.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .facing import (
-    Facing,
-    _bar_prefix,
-    _matching_solutions,
-    _parities,
-    forward_rule_ok,
-    matching_solve,
-)
-from .model import Diagram, _arcs
+from .facing import Facing, _matching_solutions, matching_solve
+from .model import Diagram, _check_bound
 from .scheduler import (
     CrossingRule,
     DancePlan,
@@ -36,9 +29,7 @@ from .scheduler import (
     InfeasibleReason,
     RuleKind,
     Schedule,
-    _event_table,
-    _moves,
-    _routes,
+    _Compiled,
     _witness,
 )
 
@@ -75,25 +66,14 @@ class SurveyRow:
     reason: InfeasibleReason | None
 
 
-def _check_bound(name: str, value: int, most: int | None = None) -> None:
-    """Refuse a bound that is not an ``int`` >= 1 (a ``bool`` included), or
-    exceeds ``most``, with ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    if most is not None and value > most:
-        raise ValueError(f"{name} must be in 1..{most}, got {value}")
-
-
 def _designated(t: tuple[int, ...], k: int, rule: RuleKind) -> tuple[Facing, ...] | None:
-    """The facings a placement with path parities ``t`` is tried with (all
-    forward under the forward rule), or None when the parities alone refuse
-    the rule: under the forward rule some route flips its facing an odd
-    number of times, under the matching rule no facing assignment exists
-    (parity-inconsistent orbits).  Either way the search would answer
-    ``FACING_PARITY`` without running."""
-    if rule is RuleKind.FORWARD:
-        return (Facing.FORWARD,) * len(t) if forward_rule_ok(t, k) else None
-    return matching_solve(t, k)
+    """The facings a placement with path parities ``t`` is tried with, or
+    None when the parities alone refuse the rule, so the search would answer
+    ``FACING_PARITY`` without running.  The forward gate is the matching
+    gate: ``matching_solve`` seeds every orbit forward, so its least solution
+    is all forward exactly when every window parity is 0."""
+    facings = matching_solve(t, k)
+    return None if rule is RuleKind.FORWARD and facings is not None and any(facings) else facings
 
 
 def min_dancers(
@@ -116,19 +96,16 @@ def min_dancers(
     gaps = diagram.gap_count
     _check_bound("n_max", n_max, gaps)
     _check_bound("k_max", k_max)
-    m = len(diagram.events)
-    prefix = _bar_prefix(diagram)
-    table, slot_count = _event_table(diagram, crossing_rule)
+    compiled = _Compiled(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             for placement in combinations(range(gaps), n):
                 tried += 1
-                designated = _designated(_parities(prefix, placement), k, rule)
+                designated = _designated(compiled.parities(placement), k, rule)
                 if designated is None:
                     continue
-                routes = _routes(_arcs(m, placement), k)
-                moves = _moves(routes, table, slot_count)
+                routes, moves = compiled.decide(placement, k)
                 if isinstance(moves, Infeasible):
                     continue
                 facings = designated if rule is RuleKind.MATCHING else None
@@ -161,19 +138,17 @@ def survey(
     gaps = diagram.gap_count
     _check_bound("n", n, gaps)
     _check_bound("k", k)
-    m = len(diagram.events)
-    prefix = _bar_prefix(diagram)
-    table, slot_count = _event_table(diagram, crossing_rule)
+    compiled = _Compiled(diagram, crossing_rule)
 
     def verdict(placement: tuple[int, ...]) -> tuple[bool, InfeasibleReason | None]:
-        moves = _moves(_routes(_arcs(m, placement), k), table, slot_count)
+        _, moves = compiled.decide(placement, k)
         return (False, moves.reason) if isinstance(moves, Infeasible) else (True, None)
 
     refused = (False, InfeasibleReason.FACING_PARITY)
     every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
     rows: list[SurveyRow] = []
     for placement in combinations(range(gaps), n):
-        t = _parities(prefix, placement)
+        t = compiled.parities(placement)
         if rule is RuleKind.MATCHING and enumerate_facings:
             passing = _matching_solutions(t, k)
             shared = verdict(placement) if passing else refused

@@ -30,15 +30,15 @@ class TimelineStyle:
 
 
 def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> str:
-    """Render a schedule as an SVG timeline string."""
-    if schedule.plan is not None:
-        lanes = schedule.plan.n
-        events = schedule.plan.diagram.events
-    elif schedule.steps:
-        lanes = max(s.dancer for s in schedule.steps) + 1
-        events = ()
-    else:
-        lanes, events = 0, ()
+    """Render a schedule as an SVG timeline string.
+
+    As in ``trace_to_json``, a schedule with steps needs its plan, which
+    gives the lanes, the start facings and the event labels.
+    """
+    plan = schedule.plan
+    if schedule.steps and plan is None:
+        raise ValueError("a schedule with steps needs its plan to name events")
+    lanes = plan.n if plan is not None else 0
 
     total = len(schedule.steps)
     width = 2 * style.margin + style.label_width + max(total, 1) * style.step_width
@@ -56,14 +56,13 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
     def y_at(d: int) -> int:
         return style.margin + d * style.lane_height + style.lane_height // 2
 
-    starts = schedule.plan.designated if schedule.plan is not None else ()
     labels: dict[int, str] = {}  # event index -> its label, computed once
     by_lane: list[list[tuple[int, str, Facing]]] = [[] for _ in range(lanes)]
     for t, step in enumerate(schedule.steps):
         if 0 <= step.dancer < lanes:
             idx = step.event_index
             if idx not in labels:
-                labels[idx] = token(events[idx]).rstrip("+-") if events else str(idx)
+                labels[idx] = token(plan.diagram.events[idx]).rstrip("+-")
             by_lane[step.dancer].append((x_at(t), labels[idx], step.facing_after))
 
     for d, mine in enumerate(by_lane):
@@ -74,7 +73,7 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
             f'font-family="monospace" font-size="{style.font_size}" '
             f'fill="{color}">dancer {d}</text>'
         )
-        facing_before = starts[d] if starts else Facing.FORWARD
+        facing_before = plan.designated[d]
         prev_x = style.margin + style.label_width
         for x, _, facing_after in mine:
             dash = f' stroke-dasharray="{_DASH}"' if facing_before is Facing.BACKWARD else ""

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from twistdance.cli import main
 from twistdance.codec import parse
 from twistdance.scheduler import DancePlan, Schedule, schedule_search
@@ -258,6 +260,12 @@ def test_svg_empty_schedule_fixed_output():
     assert svg.rstrip().endswith("</svg>")
     assert "dancer" not in svg  # zero lanes
     assert svg == svg_timeline(Schedule((), True, None))
+
+
+def test_svg_with_steps_requires_plan():
+    bare = Schedule(_witness().steps, True, None)
+    with pytest.raises(ValueError, match="needs its plan"):
+        svg_timeline(bare)
 
 
 def test_svg_trefoil_witness_structure():

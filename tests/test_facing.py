@@ -113,6 +113,12 @@ def test_forward_rule_is_matching_with_all_forward(t, k):
     assert forward_rule_ok(t, k) == matching_check(t, f, k)
 
 
+@given(parity_vectors(6), st.integers(1, 13))
+def test_forward_rule_passes_exactly_when_the_least_matching_solution_is_all_forward(t, k):
+    solved = matching_solve(t, k)
+    assert forward_rule_ok(t, k) == (solved is not None and not any(solved))
+
+
 def test_matching_check_examples():
     assert matching_check((1, 1, 0), (F, B, F), 1)
     assert not matching_check((1, 0), (F, F), 1)

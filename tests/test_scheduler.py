@@ -35,7 +35,7 @@ from twistdance.scheduler import (
     RuleKind,
     Schedule,
     Step,
-    _event_table,
+    _Compiled,
     _lower,
     _stuck,
     _witness as _witness_of,
@@ -127,6 +127,20 @@ def test_designated_is_all_forward_under_the_forward_rule():
 
 
 # ---------------------------------------------------------------- search
+
+
+def test_search_checks_the_points_once(monkeypatch):
+    import twistdance.facing
+    import twistdance.scheduler
+
+    calls = []
+    for module in (twistdance.scheduler, twistdance.facing):
+        def counted(*args, _check=module.check_points):
+            calls.append(args)
+            return _check(*args)
+        monkeypatch.setattr(module, "check_points", counted)
+    assert feasible(schedule_search(DancePlan(parse(BAR_TREFOIL), (0, 4), 4)))
+    assert len(calls) == 1
 
 
 def test_trefoil_two_dancer_witness_is_deterministic():
@@ -375,9 +389,9 @@ def test_80_event_tail_plan_is_refuted_before_the_search():
 
 
 def _stuck_in_relaxation(plan):
-    table, slot_count = _event_table(plan.diagram, plan.crossing_rule)
-    lowered, _ = _lower(table, routes_of(plan))
-    return _stuck(lowered, slot_count)
+    compiled = _Compiled(plan.diagram, plan.crossing_rule)
+    lowered, _ = _lower(compiled.table, routes_of(plan))
+    return _stuck(lowered, compiled.slot_count)
 
 
 def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
