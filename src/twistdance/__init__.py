@@ -50,7 +50,7 @@ from .scheduler import (
     verify_schedule,
 )
 from .solver import SolveReport, SurveyRow, min_dancers, survey
-from .timeline import TimelineStyle, svg_timeline
+from .timeline import svg_timeline
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "Step",
     "Strand",
     "SurveyRow",
-    "TimelineStyle",
     "TwistBar",
     "UnpairedCrossing",
     "VirtualPass",

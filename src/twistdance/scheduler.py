@@ -36,9 +36,10 @@ a virtual pass, a twist bar, any step under unrestricted) is never blocked
 and only raises balances, so it can be moved to the front of any completion:
 a state is feasible exactly when the state after any of its safe moves is.
 The search therefore remembers dead states by the state reached after every
-safe move has run, and once one safe move from a state has failed it tries
-no further dancer there.  Only dead states are pruned, so the witness stays
-the lexicographically least one.
+safe move has run, named by how many consuming steps each dancer has taken,
+and once one safe move from a state has failed it tries no further dancer
+there.  Only dead states are pruned, so the witness stays the
+lexicographically least one.
 
 ``schedule_search``, ``min_dancers`` and ``survey`` share one compiled path:
 the diagram is compiled once under the crossing rule into twist-bar prefix
@@ -248,19 +249,20 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     the 1 counts the root, the only state entered.
 
     Otherwise a depth-first search runs.  Balances are pure functions of the
-    position vector, so a set of dead vectors, each read as one mixed-radix
-    int, is a sound memo.  The witness, when one exists, is the
-    lexicographically least feasible dancer-id sequence.
+    position vector, so a set of dead states is a sound memo.  The witness,
+    when one exists, is the lexicographically least feasible dancer-id
+    sequence.
 
     Steps with ``delta >= 0`` are safe: never blocked, and they only raise
     balances, so a state is feasible exactly when the state after any one of
     its safe moves is.  Two uses follow.  The memo key is the state reached
-    after all safe moves: each dancer contributes the position where it next
-    waits at a consuming step (the route end counting as one), so a safe move
-    leaves the key alone and a consuming move adds its precomputed jump.  And
-    once the subtree under a safe move fails, the state is dead, so no later
-    dancer is tried there.  ``states_explored`` counts the states the reduced
-    search enters.
+    after all safe moves, named by each dancer's count of consuming steps
+    taken and read as one mixed-radix int: a dancer that has taken c waits
+    at its (c+1)-th consuming step, the route end counting as one.  A safe
+    move leaves the key alone and a consuming move adds the dancer's stride.
+    And once the subtree under a safe move fails, the state is dead, so no
+    later dancer is tried there.  ``states_explored`` counts the states the
+    reduced search enters.
     """
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
     if not matching_check(compiled.parities(plan.points), plan.designated, plan.k):
@@ -303,30 +305,19 @@ class _Compiled:
 
 def _lower(
     table: list[tuple[int, int]], routes: list[tuple[int, ...]]
-) -> tuple[list[list[tuple[int, int, int]]], int]:
-    """Lower each route through the event table to ``(slot, delta, key
-    jump)`` steps, ``(0, -1, 0)`` ending each, and return them with the
-    root's memo key."""
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Lower each route through the event table to ``(slot, delta)`` steps,
+    ``(0, -1)`` ending each, and return them with each dancer's memo
+    stride: the product, over earlier dancers, of their consuming steps
+    plus one, the never-running route end counting as one."""
+    lowered = [[table[e] for e in route] + [(0, -1)] for route in routes]
     stride = [1]
-    for route in routes[:-1]:
-        stride.append(stride[-1] * (len(route) + 1))
-    lowered = []  # lowered[d][p] = (slot, delta, what running step p adds to key)
-    key = 0  # sum over dancers of stride[d] * the position where d next waits
-    for d, route in enumerate(routes):
-        steps = [(0, -1, 0)]
-        wait = len(route)  # first consuming position after p; the route end is one
-        for p in range(len(route) - 1, -1, -1):
-            slot, delta = table[route[p]]
-            steps.append((slot, delta, (wait - p) * stride[d] if delta < 0 else 0))
-            if delta < 0:
-                wait = p
-        steps.reverse()
-        lowered.append(steps)
-        key += wait * stride[d]
-    return lowered, key
+    for steps in lowered[:-1]:
+        stride.append(stride[-1] * sum(delta < 0 for _, delta in steps))
+    return lowered, stride
 
 
-def _stuck(lowered: list[list[tuple[int, int, int]]], slot_count: int) -> bool:
+def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
     """Relaxed reachability over lowered routes.
 
     Every dancer runs as far as it can.  A deposit always runs and marks its
@@ -350,7 +341,7 @@ def _stuck(lowered: list[list[tuple[int, int, int]]], slot_count: int) -> bool:
         d = work.pop()
         steps, p = lowered[d], at[d]
         while True:
-            slot, delta, _ = steps[p]
+            slot, delta = steps[p]
             if delta > 0:
                 reached[slot] = True
                 if slot in waiting:
@@ -375,7 +366,7 @@ def _moves(
     if total == 0:
         return []
 
-    lowered, key = _lower(table, routes)
+    lowered, stride = _lower(table, routes)
     if slot_count and _stuck(lowered, slot_count):  # no slot: nothing ever waits
         return Infeasible(InfeasibleReason.DEADLOCK, 1)
 
@@ -385,16 +376,18 @@ def _moves(
     moves: list[int] = []
     resume = [0]  # per depth: next dancer id to try at this state
     explored = 1
+    key = 0  # mixed-radix count of the consuming steps each dancer has taken
 
     while True:
         d = resume[-1]
         while d < n:
-            slot, delta, step = lowered[d][positions[d]]
+            slot, delta = lowered[d][positions[d]]
             # a safe move leaves key alone, and key is not dead while dancers are tried here
-            if delta >= 0 or (balance[slot] > 0 and key + step not in dead):
+            if delta >= 0 or (balance[slot] > 0 and key + stride[d] not in dead):
                 balance[slot] += delta
                 positions[d] += 1
-                key += step
+                if delta < 0:
+                    key += stride[d]
                 explored += 1
                 resume[-1] = d + 1
                 moves.append(d)
@@ -410,10 +403,11 @@ def _moves(
                 return Infeasible(InfeasibleReason.DEADLOCK, explored)
             d = moves.pop()
             positions[d] -= 1
-            slot, delta, step = lowered[d][positions[d]]
+            slot, delta = lowered[d][positions[d]]
             balance[slot] -= delta
-            key -= step
-            if delta >= 0:  # a safe move failed, so its state is dead too
+            if delta < 0:
+                key -= stride[d]
+            else:  # a safe move failed, so its state is dead too
                 resume[-1] = n
 
 

@@ -42,9 +42,11 @@ class SolveReport:
 
     ``plan``/``schedule`` hold the first feasible hit in lexicographic
     (n, k, placement) order, or None when the bounds were exhausted.
-    ``n_searched`` and ``k_searched`` are the inclusive ranges actually
-    examined; ``placements_tried`` counts every (n, k, placement)
-    combination evaluated.
+    ``n_searched`` and ``k_searched`` are ``(1, n_max)`` and ``(1, k_max)``
+    when the bounds were exhausted, and ``(1, n)`` and ``(1, k)`` of the hit
+    otherwise, although every k up to ``k_max`` was examined at each smaller
+    n; ``placements_tried`` counts every (n, k, placement) combination
+    evaluated.
     """
 
     plan: DancePlan | None

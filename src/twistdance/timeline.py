@@ -8,28 +8,22 @@ runs for identical inputs so it can be golden-file tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codec import token
 from .scheduler import Facing, Schedule
 
-__all__ = ["TimelineStyle", "svg_timeline"]
+__all__ = ["svg_timeline"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _DASH = "6,4"  # backward-facing stroke pattern; forward is solid
+# layout, in SVG user units
+_LANE_HEIGHT = 44
+_STEP_WIDTH = 46
+_MARGIN = 16
+_LABEL_WIDTH = 72
+_FONT_SIZE = 12
 
 
-@dataclass(frozen=True)
-class TimelineStyle:
-    lane_height: int = 44
-    step_width: int = 46
-    margin: int = 16
-    label_width: int = 72
-    font_size: int = 12
-    dancer_palette: tuple[str, ...] = _PALETTE
-
-
-def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> str:
+def svg_timeline(schedule: Schedule) -> str:
     """Render a schedule as an SVG timeline string.
 
     As in ``trace_to_json``, a schedule with steps needs its plan, which
@@ -41,8 +35,8 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
     lanes = plan.n if plan is not None else 0
 
     total = len(schedule.steps)
-    width = 2 * style.margin + style.label_width + max(total, 1) * style.step_width
-    height = 2 * style.margin + lanes * style.lane_height
+    width = 2 * _MARGIN + _LABEL_WIDTH + max(total, 1) * _STEP_WIDTH
+    height = 2 * _MARGIN + lanes * _LANE_HEIGHT
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -51,10 +45,10 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
     ]
 
     def x_at(t: int) -> int:
-        return style.margin + style.label_width + t * style.step_width + style.step_width // 2
+        return _MARGIN + _LABEL_WIDTH + t * _STEP_WIDTH + _STEP_WIDTH // 2
 
     def y_at(d: int) -> int:
-        return style.margin + d * style.lane_height + style.lane_height // 2
+        return _MARGIN + d * _LANE_HEIGHT + _LANE_HEIGHT // 2
 
     labels: dict[int, str] = {}  # event index -> its label, computed once
     by_lane: list[list[tuple[int, str, Facing]]] = [[] for _ in range(lanes)]
@@ -66,15 +60,15 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
             by_lane[step.dancer].append((x_at(t), labels[idx], step.facing_after))
 
     for d, mine in enumerate(by_lane):
-        color = style.dancer_palette[d % len(style.dancer_palette)]
+        color = _PALETTE[d % len(_PALETTE)]
         cy = y_at(d)
         out.append(
-            f'<text x="{style.margin}" y="{cy + style.font_size // 2}" '
-            f'font-family="monospace" font-size="{style.font_size}" '
+            f'<text x="{_MARGIN}" y="{cy + _FONT_SIZE // 2}" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{color}">dancer {d}</text>'
         )
         facing_before = plan.designated[d]
-        prev_x = style.margin + style.label_width
+        prev_x = _MARGIN + _LABEL_WIDTH
         for x, _, facing_after in mine:
             dash = f' stroke-dasharray="{_DASH}"' if facing_before is Facing.BACKWARD else ""
             out.append(
@@ -87,7 +81,7 @@ def svg_timeline(schedule: Schedule, style: TimelineStyle = TimelineStyle()) -> 
             out.append(f'<circle cx="{x}" cy="{cy}" r="4" fill="{color}"/>')
             out.append(
                 f'<text x="{x}" y="{cy - 8}" text-anchor="middle" '
-                f'font-family="monospace" font-size="{style.font_size}" '
+                f'font-family="monospace" font-size="{_FONT_SIZE}" '
                 f'fill="#333333">{label}</text>'
             )
 

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twistdance.cli import main
 from twistdance.codec import parse
 from twistdance.scheduler import DancePlan, Schedule, schedule_search
-from twistdance.timeline import TimelineStyle, svg_timeline
+from twistdance.timeline import svg_timeline
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -286,12 +290,6 @@ def test_svg_deterministic():
     assert a == b
 
 
-def test_svg_custom_style():
-    style = TimelineStyle(lane_height=20, step_width=20)
-    svg = svg_timeline(_witness(), style)
-    assert 'height="' in svg and svg != svg_timeline(_witness())
-
-
 # ------------------------------------------------------- thin-shell check
 
 
@@ -328,3 +326,31 @@ def test_cli_crossing_rule_variants(capsys):
         ["dance", "--diagram", TREFOIL, "--points", "0", "--k", "1",
          "--crossing", "unrestricted"]
     ) == 0
+
+
+# ------------------------------------------------------- module entry point
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["validate", "O1+ U1+"], 0, "O1+ U1+"),
+        (["dance", "--diagram", TREFOIL, "--points", "0", "--k", "1"], 1, "INFEASIBLE(Deadlock)"),
+        (["dance", "--diagram", TREFOIL, "--points", "0,x", "--k", "1"], 2, ""),
+    ],
+    ids=["validate", "deadlock", "bad-points"],
+)
+def test_module_entry_point_exits_with_the_command_code(argv, code, out):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistdance", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.strip() == out
+    assert ("usage error" in proc.stderr) == (code == 2)

@@ -385,6 +385,25 @@ def test_80_event_tail_plan_is_refuted_before_the_search():
     assert result.states_explored == 1
 
 
+def test_search_state_counts_on_deep_deadlocks(monkeypatch):
+    import twistdance.scheduler
+
+    # with the relaxation off, the memo alone bounds these searches; a memo key
+    # that merged distinct states, or split one, would change the counts
+    monkeypatch.setattr(twistdance.scheduler, "_stuck", lambda lowered, slot_count: False)
+    d = parse(TAIL_DIAGRAM)
+    result = schedule_search(DancePlan(d, TAIL_POINTS, 4))
+    assert result == Infeasible(InfeasibleReason.DEADLOCK, 5778)
+    d = parse(TAIL_80_DIAGRAM)
+    dual = DancePlan(
+        retrograde(d),
+        retrograde_points(d, TAIL_80_POINTS),
+        4,
+        crossing_rule=CrossingRule.UNDER_FIRST,
+    )
+    assert schedule_search(dual) == Infeasible(InfeasibleReason.DEADLOCK, 365571)
+
+
 # ------------------------------------------------------------- relaxation
 
 
