@@ -19,17 +19,43 @@ forward, so past plan construction the dance rule is read only through
 (see ``facing``) and are checked before any search, so an infeasible verdict
 distinguishes a facing mismatch from a scheduling deadlock.
 
-Before searching, ``schedule_search`` runs a relaxation that is linear in
-total route length: every dancer runs as far as it can while a consuming
-step needs only some deposit of its crossing reached by anyone, and spends
-nothing.  It over-approximates every real schedule, so a dancer stuck in it
-proves Deadlock without a search, and ``states_explored`` is then 1, the
-root.
+Past the facing gate, Deadlock does not depend on the lap count: a plan
+deadlocks at k exactly when ``_stuck``, a relaxation that lets a consuming
+step run once some deposit of its crossing has been reached by anyone and
+spends nothing, holds on its n arcs alone (k = 1).  The proof has three
+parts.  Write arc a for the path from point a to point a + 1, so that at
+lap count k dancer a walks arcs a, a + 1, ..., a + k - 1 (mod n).
 
-Otherwise ``schedule_search`` runs a depth-first search over the vector of
-per-dancer route positions, memoizing states proven dead.  Successors are
-tried in dancer-id order, so a feasible plan yields the lexicographically
-least witness interleaving.
+(a) At k = 1 the relaxation is exact.  The arcs partition the cycle, so
+each event is walked once, and each classical crossing has one deposit and
+one consumer.  The order in which the relaxation runs the steps is a real
+schedule: a consuming step comes after the one deposit of its crossing,
+which nobody else can spend.  So if nobody is stuck, the plan is feasible.
+
+(b) ``_stuck`` answers the same at k as at 1.  Let R be the slots reached
+at k = 1, and run the relaxation at k against R.  Dancer a walks arc a
+exactly as at k = 1.  If it completes arc a, it walks arc a + 1 exactly as
+dancer a + 1 did at k = 1, and so on.  Every deposit it makes was made at
+k = 1, so R is closed under the run at k and the slots reached at k lie in
+R.  They also contain R, since each dancer's first arc is its arc at k = 1.
+So the reached set is R at every k: a dancer whose first arc is stuck at
+k = 1 stays stuck, and if no arc is stuck every dancer completes all k of
+its arcs.
+
+(c) Feasible at 1 implies feasible at k.  Replay a 1-lap schedule k times:
+in phase j the move that dancer a made is made by dancer a - j (mod n),
+who walks arc a as its j-th arc.  Each phase walks every event once, so it
+starts and ends with every balance 0 and repeats the 1-lap balances
+exactly.
+
+A dancer stuck in the relaxation is stuck in every real schedule (see
+``_stuck``), so Deadlock(k) iff stuck(k) iff stuck(1) iff Deadlock(1).
+``_Compiled.decide`` therefore decides Deadlock with one linear pass over
+the arcs, whatever k is, and answers ``Infeasible(DEADLOCK, 1)``, the 1
+counting the root.  Only a feasible plan is searched, for its witness: a
+depth-first search over the vector of per-dancer route positions,
+memoizing states proven dead.  Successors are tried in dancer-id order, so
+it yields the lexicographically least witness interleaving.
 
 A safe move (an over pass under over-first, an under pass under under-first,
 a virtual pass, a twist bar, any step under unrestricted) is never blocked
@@ -44,8 +70,8 @@ lexicographically least one.
 ``schedule_search``, ``min_dancers`` and ``survey`` share one compiled path:
 the diagram is compiled once under the crossing rule into twist-bar prefix
 parities and a ``(slot, delta)`` event table, then each placement is decided
-from its path parities, its routes and the search, which reads only the
-routes and the table, never the facings.
+from its path parities and its arcs, never from the facings past the gate,
+and only a feasible placement's routes are built and searched.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -185,11 +211,10 @@ class Infeasible:
     interleaving deadlocks.
 
     ``states_explored`` counts the states a deadlocked search entered, the
-    root included: for ``schedule_search`` the states of its safe-move
-    reduced search, usually far fewer than the reachable position vectors,
-    and 1 (the root alone) when its relaxation refuted the plan before any
-    search; for ``oracle_schedule`` its own brute-force nodes.  It is 0 for
-    a facing-parity failure.
+    root included.  A Deadlock from ``schedule_search`` always has 1, the
+    root alone, since the relaxation decides it before any search (see the
+    module docstring); ``oracle_schedule`` reports its own brute-force nodes.
+    It is 0 for a facing-parity failure.
     """
 
     reason: InfeasibleReason
@@ -236,22 +261,22 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     The facing gate runs first: a plan whose path parities refuse its
     designated facings is ``Infeasible(FACING_PARITY, 0)`` without a search.
 
-    Routes are lowered once to ``(slot, delta)`` steps: the rule's consuming
-    strand of a classical crossing is -1 (it spends a held permission), the
-    other strand +1 (it deposits one), and virtual passes, twist bars and all
-    steps under the unrestricted rule are ``(0, 0)``.  A step runs only when
-    ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0, so the ``(0, -1)``
-    that ends each route never runs.
+    Arcs and routes are lowered to ``(slot, delta)`` steps: the rule's
+    consuming strand of a classical crossing is -1 (it spends a held
+    permission), the other strand +1 (it deposits one), and virtual passes,
+    twist bars and all steps under the unrestricted rule are ``(0, 0)``.  A
+    step runs only when ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0,
+    so the ``(0, -1)`` that ends each arc or route never runs.
 
-    Before any search, a relaxation runs every dancer as far as it can while
-    consuming steps spend nothing (see ``_stuck``).  A dancer stuck there is
-    stuck in every interleaving, so the plan is ``Infeasible(DEADLOCK, 1)``:
-    the 1 counts the root, the only state entered.
+    Next the relaxation runs on the n arcs at k = 1 (see ``_stuck``).  It
+    decides Deadlock at every lap count (see the module docstring), so a
+    dancer stuck there makes the plan ``Infeasible(DEADLOCK, 1)``: the 1
+    counts the root, the only state entered.
 
-    Otherwise a depth-first search runs.  Balances are pure functions of the
-    position vector, so a set of dead states is a sound memo.  The witness,
-    when one exists, is the lexicographically least feasible dancer-id
-    sequence.
+    Otherwise the plan is feasible, and a depth-first search runs only to
+    build the witness, the lexicographically least feasible dancer-id
+    sequence.  Balances are pure functions of the position vector, so a set
+    of dead states is a sound memo.
 
     Steps with ``delta >= 0`` are safe: never blocked, and they only raise
     balances, so a state is feasible exactly when the state after any one of
@@ -294,27 +319,41 @@ class _Compiled:
         """The path parities of checked points."""
         return _parities(self.prefix, points)
 
+    def deadlocked(self, points: tuple[int, ...]) -> bool:
+        """Whether checked points deadlock past the facing gate, at every lap
+        count: ``_stuck`` on their n arcs, each lowered through the event
+        table and ended with ``(0, -1)``.  Linear in m whatever k is (see the
+        module docstring); with no slot nothing ever waits."""
+        return bool(self.slot_count) and _stuck(
+            _lower(self.table, _arcs(self.m, points)), self.slot_count
+        )
+
+    def search(
+        self, points: tuple[int, ...], k: int
+    ) -> tuple[list[tuple[int, ...]], Union[list[int], Infeasible]]:
+        """The routes of checked points at lap count k and the search's moves
+        through them (see ``_moves``), for points that are not
+        ``deadlocked``."""
+        routes = _routes(_arcs(self.m, points), k)
+        return routes, _moves(routes, self.table, self.slot_count)
+
     def decide(
         self, points: tuple[int, ...], k: int
     ) -> tuple[list[tuple[int, ...]], Union[list[int], Infeasible]]:
-        """The routes of checked points at lap count k, and the search's
-        verdict on them (see ``_moves``); the facings never enter."""
-        routes = _routes(_arcs(self.m, points), k)
-        return routes, _moves(routes, self.table, self.slot_count)
+        """The routes of checked points at lap count k and their verdict:
+        the witness moves, or the Deadlock with no routes built.  The facings
+        never enter."""
+        if self.deadlocked(points):
+            return [], Infeasible(InfeasibleReason.DEADLOCK, 1)
+        return self.search(points, k)
 
 
 def _lower(
     table: list[tuple[int, int]], routes: list[tuple[int, ...]]
-) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Lower each route through the event table to ``(slot, delta)`` steps,
-    ``(0, -1)`` ending each, and return them with each dancer's memo
-    stride: the product, over earlier dancers, of their consuming steps
-    plus one, the never-running route end counting as one."""
-    lowered = [[table[e] for e in route] + [(0, -1)] for route in routes]
-    stride = [1]
-    for steps in lowered[:-1]:
-        stride.append(stride[-1] * sum(delta < 0 for _, delta in steps))
-    return lowered, stride
+) -> list[list[tuple[int, int]]]:
+    """Lower each route or arc through the event table to ``(slot, delta)``
+    steps, ``(0, -1)`` ending each."""
+    return [[table[e] for e in route] + [(0, -1)] for route in routes]
 
 
 def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
@@ -328,10 +367,10 @@ def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
     In a real schedule a consuming step needs a positive balance, so some
     deposit of its slot comes first.  Hence no real schedule takes a dancer
     past the point where the relaxation stops it: True (some dancer waits
-    short of its route end) proves Deadlock.  Asking a dancer's j-th
-    consumption of a slot for j deposits would refute nothing more: between
-    two of its consumptions of a slot a dancer walks the whole cycle, so it
-    passes that slot's deposit once itself.
+    short of its route end) proves Deadlock.  On the n arcs (k = 1) False
+    proves feasibility at every lap count as well, so the test is exact
+    there (see the module docstring), and ``_Compiled.deadlocked`` runs it
+    only on the arcs.
     """
     reached = [False] * (slot_count + 1)  # slot 0 is never reached
     waiting: dict[int, list[int]] = {}  # slot -> dancers waiting on it
@@ -358,17 +397,22 @@ def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
 def _moves(
     routes: list[tuple[int, ...]], table: list[tuple[int, int]], slot_count: int
 ) -> Union[list[int], Infeasible]:
-    """The search proper: the lexicographically least dancer-id sequence
-    that completes every route, or the Deadlock.  It reads only the routes
-    and the event table, never facings."""
+    """The witness search: the lexicographically least dancer-id sequence
+    that completes every route.  It reads only the routes and the event
+    table, never facings, and runs only on routes that ``_stuck`` passes on
+    their arcs, which are feasible; its Deadlock, with the states it
+    entered, is reached only with the relaxation disabled."""
     n = len(routes)
     total = sum(len(r) for r in routes)
     if total == 0:
         return []
 
-    lowered, stride = _lower(table, routes)
-    if slot_count and _stuck(lowered, slot_count):  # no slot: nothing ever waits
-        return Infeasible(InfeasibleReason.DEADLOCK, 1)
+    lowered = _lower(table, routes)
+    # dancer d's memo stride: the product, over earlier dancers, of their
+    # consuming steps plus one, the never-running route end counting as one
+    stride = [1]
+    for steps in lowered[:-1]:
+        stride.append(stride[-1] * sum(delta < 0 for _, delta in steps))
 
     positions = [0] * n
     balance = [0] * (slot_count + 1)  # slot -> deposits minus consumptions

@@ -2,17 +2,19 @@
 
 ``min_dancers`` finds the least dancer count (then lap count, then
 placement) that makes a fixed diagram danceable within the given bounds;
-``survey`` tabulates every placement at one (n, k).  Feasibility is not
-assumed monotone in n or k, so bounds are exhausted rather than pruned.
-Iteration orders are fixed, making both results deterministic.
+``survey`` tabulates every placement at one (n, k).  Feasibility is
+constant in k past the facing gate (see ``scheduler``), still not monotone
+in n, so the n bound is exhausted rather than pruned.  Iteration orders are
+fixed, making both results deterministic.
 
 Each call compiles its diagram once through the scheduler's compiled path,
 the one ``schedule_search`` applies to a single plan.  The forward gate is
 the matching gate, the forward rule being the matching rule with every point
-designated forward.  Past the gate the search never reads the facings, so a
-placement is decided once and all its gate-passing facing rows share that
-verdict.  Only the first feasible placement of ``min_dancers`` gets a
-witness schedule.
+designated forward.  Past the gate Deadlock is decided by one linear pass
+over a placement's arcs that reads neither the facings nor k, so a
+placement is decided at most once per n and all its gate-passing facing
+rows share that verdict.  Nothing is searched except the witness of the
+first feasible placement of ``min_dancers``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .model import Diagram, _check_bound
 from .scheduler import (
     CrossingRule,
     DancePlan,
-    Infeasible,
     InfeasibleReason,
     RuleKind,
     Schedule,
@@ -101,15 +102,18 @@ def min_dancers(
     compiled = _Compiled(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
+        deadlocked: dict[tuple[int, ...], bool] = {}  # placement -> its verdict at every k
         for k in range(1, k_max + 1):
             for placement in combinations(range(gaps), n):
                 tried += 1
                 designated = _designated(compiled.parities(placement), k, rule)
                 if designated is None:
                     continue
-                routes, moves = compiled.decide(placement, k)
-                if isinstance(moves, Infeasible):
+                if placement not in deadlocked:
+                    deadlocked[placement] = compiled.deadlocked(placement)
+                if deadlocked[placement]:
                     continue
+                routes, moves = compiled.search(placement, k)
                 facings = designated if rule is RuleKind.MATCHING else None
                 plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
                 return SolveReport(plan, _witness(plan, routes, moves), (1, n), (1, k), tried)
@@ -133,8 +137,9 @@ def survey(
     at the facing gate, so the exhaustive view matters).  Rows whose facings
     the placement's path parities refuse are recorded as ``FACING_PARITY``
     without a search.  Past the gate the verdict depends on the placement
-    alone, so each placement is decided at most once and every gate-passing
-    facing row shares that verdict.  ``n`` and ``k`` must be ints >= 1, and
+    alone, so each placement is decided at most once, by the scheduler's
+    linear deadlock test with no search, and every gate-passing facing row
+    shares that verdict.  ``n`` and ``k`` must be ints >= 1, and
     ``n`` may not exceed the diagram's gap count; otherwise ``ValueError``.
     """
     gaps = diagram.gap_count
@@ -143,8 +148,9 @@ def survey(
     compiled = _Compiled(diagram, crossing_rule)
 
     def verdict(placement: tuple[int, ...]) -> tuple[bool, InfeasibleReason | None]:
-        _, moves = compiled.decide(placement, k)
-        return (False, moves.reason) if isinstance(moves, Infeasible) else (True, None)
+        if compiled.deadlocked(placement):
+            return False, InfeasibleReason.DEADLOCK
+        return True, None
 
     refused = (False, InfeasibleReason.FACING_PARITY)
     every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))

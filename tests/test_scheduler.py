@@ -1,5 +1,4 @@
 import random
-import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -404,18 +403,34 @@ def test_search_state_counts_on_deep_deadlocks(monkeypatch):
     assert schedule_search(dual) == Infeasible(InfeasibleReason.DEADLOCK, 365571)
 
 
+def test_deadlocks_are_decided_without_building_routes(monkeypatch):
+    import twistdance.scheduler
+
+    def no_routes(arcs, k):
+        raise AssertionError("a deadlock needs no routes")
+
+    monkeypatch.setattr(twistdance.scheduler, "_routes", no_routes)
+    d = parse(TAIL_80_DIAGRAM)
+    dual = DancePlan(
+        retrograde(d),
+        retrograde_points(d, TAIL_80_POINTS),
+        4,
+        crossing_rule=CrossingRule.UNDER_FIRST,
+    )
+    for plan in (DancePlan(d, TAIL_80_POINTS, 4), dual):
+        assert schedule_search(plan) == Infeasible(InfeasibleReason.DEADLOCK, 1)
+
+
 # ------------------------------------------------------------- relaxation
 
 
 def _stuck_in_relaxation(plan):
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
-    lowered, _ = _lower(compiled.table, routes_of(plan))
-    return _stuck(lowered, compiled.slot_count)
+    return _stuck(_lower(compiled.table, routes_of(plan)), compiled.slot_count)
 
 
 def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
     checked = Counter()
-    passed_yet_deadlocked = []
     rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
     for d in diagram_corpus(91, 4, max_events=10):
         for points in all_placements(d, n_max=3):
@@ -430,17 +445,11 @@ def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
                 slow = _unreduced_search(plan)
                 if not feasible(slow) and slow.reason is InfeasibleReason.FACING_PARITY:
                     continue
-                stuck = _stuck_in_relaxation(plan)
-                if feasible(slow):
-                    assert not stuck, (serialize(d), points, k, rule, f)
-                    checked["feasible"] += 1
-                elif stuck:
-                    checked["refuted"] += 1
-                else:
-                    passed_yet_deadlocked.append((serialize(d), points, k, rule, f))
-    # that the relaxation refutes every deadlock is an open conjecture, not a contract
-    for plan in passed_yet_deadlocked:
-        warnings.warn(f"passes the relaxation yet deadlocks: {plan}")
+                # the relaxation is exact: it refutes every deadlock and nothing else
+                assert _stuck_in_relaxation(plan) != feasible(slow), (
+                    serialize(d), points, k, rule, f
+                )
+                checked["feasible" if feasible(slow) else "refuted"] += 1
     assert min(checked.values()) >= 500, checked
 
 
@@ -457,6 +466,73 @@ def test_a_dancer_stuck_in_the_relaxation_proves_deadlock(geometry, rule):
     if _stuck_in_relaxation(plan):
         result = oracle_schedule(plan)
         assert not feasible(result) and result.reason is InfeasibleReason.DEADLOCK
+
+
+# ------------------------------------------------------- lap-count theorem
+
+
+def _phase_witness(plan):
+    """The 1-lap moves replayed k times: in phase j the move of dancer a is
+    made by dancer a - j (mod n), who walks arc a as its j-th arc."""
+    _, moves = _Compiled(plan.diagram, plan.crossing_rule).search(plan.points, 1)
+    assert not isinstance(moves, Infeasible), plan
+    phases = [(a - j) % plan.n for j in range(plan.k) for a in moves]
+    return _witness_of(plan, routes_of(plan), phases)
+
+
+def _gated_plan(geometry, rule):
+    d, points, k = geometry
+    assume(k * len(d.events) <= ORACLE_STEP_LIMIT)
+    facings = matching_solve(parity_vector(d, points), k)
+    assume(facings is not None)
+    return DancePlan(d, points, k, RuleKind.MATCHING, facings, rule)
+
+
+@given(
+    plan_geometries(max_events=8, n_max=4, k_max=4),
+    st.sampled_from((CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)),
+)
+def test_past_the_gate_deadlock_is_the_relaxation_on_the_arcs(geometry, rule):
+    plan = _gated_plan(geometry, rule)
+    result = oracle_schedule(plan)
+    assert feasible(result) or result.reason is InfeasibleReason.DEADLOCK
+    assert (not feasible(result)) == _stuck_in_relaxation(replace(plan, k=1))
+
+
+@given(
+    plan_geometries(max_events=8, n_max=4, k_max=4),
+    st.sampled_from((CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)),
+)
+def test_the_phase_witness_is_a_schedule_of_every_feasible_plan(geometry, rule):
+    plan = _gated_plan(geometry, rule)
+    assume(feasible(oracle_schedule(plan)))
+    assert verify_schedule(_phase_witness(plan)) == []
+
+
+def test_every_deadlock_at_a_higher_lap_count_is_a_deadlock_of_its_one_lap_plan():
+    # a 1-lap plan has m steps, so the oracle covers it for every diagram of
+    # at most 16 events, whatever k the deadlock was found at
+    checked = 0
+    for d in diagram_corpus(101, 40, max_events=16):
+        for points in all_placements(d, n_max=2):
+            t = parity_vector(d, points)
+            one_lap = matching_solve(t, 1)
+            if one_lap is None:
+                continue
+            deadlocked = {
+                rule
+                for k, rule in product((2, 3), CrossingRule)
+                if (facings := matching_solve(t, k)) is not None
+                and not feasible(
+                    schedule_search(DancePlan(d, points, k, RuleKind.MATCHING, facings, rule))
+                )
+            }
+            for rule in deadlocked:
+                plan = DancePlan(d, points, 1, RuleKind.MATCHING, one_lap, rule)
+                slow = oracle_schedule(plan)
+                assert not feasible(slow) and slow.reason is InfeasibleReason.DEADLOCK, plan
+                checked += 1
+    assert checked >= 1000, checked
 
 
 # ------------------------------------------------------------- retrograde

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -184,6 +185,58 @@ def test_survey_enumerated_facings_match_direct_search():
                         assert row.reason is (result.reason if not row.feasible else None)
                         reasons.add(row.reason)
     assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
+
+
+def test_survey_builds_no_routes(monkeypatch):
+    import twistdance.scheduler
+
+    cases = [
+        (d, rule, n, k)
+        for d in diagram_corpus(43, 8, max_events=10)
+        for rule in CrossingRule
+        for n in range(1, min(3, d.gap_count) + 1)
+        for k in (1, 2, 3)
+    ]
+
+    def rows():
+        return [
+            survey(d, RuleKind.MATCHING, rule, n, k, enumerate_facings=True)
+            for d, rule, n, k in cases
+        ]
+
+    expected = rows()
+
+    def no_routes(arcs, k):
+        raise AssertionError("a survey verdict needs no routes")
+
+    monkeypatch.setattr(twistdance.scheduler, "_routes", no_routes)
+    assert rows() == expected
+    assert {row.reason for table in expected for row in table} == {
+        None,
+        InfeasibleReason.FACING_PARITY,
+        InfeasibleReason.DEADLOCK,
+    }
+
+
+def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
+    import twistdance.scheduler
+
+    calls = 0
+    stuck = twistdance.scheduler._stuck
+
+    def counted(lowered, slot_count):
+        nonlocal calls
+        calls += 1
+        return stuck(lowered, slot_count)
+
+    monkeypatch.setattr(twistdance.scheduler, "_stuck", counted)
+    for d in diagram_corpus(47, 20, max_events=10):
+        n_max = min(3, d.gap_count)
+        placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+        for rule, crossing in product(RuleKind, CrossingRule):
+            calls = 0
+            min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
+            assert calls <= placements, (d, rule, crossing)
 
 
 def test_min_dancers_refuses_a_bool_bound():
