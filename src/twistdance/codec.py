@@ -18,7 +18,14 @@ space separated, so ``parse(serialize(d)) == d`` for every valid diagram and
 
 ``parse`` accepts ``str`` or raw ``bytes`` and never raises anything other
 than :class:`LexError` or a ``model.DiagramError``; spans are byte offsets
-into the (UTF-8 encoded) input.
+into the (UTF-8 encoded) input.  A ``str`` is encoded with
+``surrogateescape``, so a command-line argument's undecodable bytes are
+lexed as the bytes they were.  The lexer keeps no spans: one ``findall``
+yields each run's groups, and a span is found only for the error raised.
+
+``trace_to_json`` formats each step from one fixed template, reading the
+event from a token table built once per call, one token per event; a
+canonical token matches ``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
 """
 
 from __future__ import annotations
@@ -62,8 +69,14 @@ class LexError(ValueError):
         self.span = span
 
 
-_RUN_RE = re.compile(rb"[^ \t\n,]+")  # a maximal run of non-separator bytes
-_TOKEN_RE = re.compile(rb"([OU])([1-9][0-9]*)([+-]?)|V([1-9][0-9]*)|T([1-9][0-9]*)?")
+# One match per maximal run of non-separator bytes: a token, or else the whole
+# run in the last group.  ``findall`` reads an unmatched group as b"".
+_LEX_RE = re.compile(
+    rb"(?:([OU])([1-9][0-9]*)([+-]?)|V([1-9][0-9]*)|T([1-9][0-9]*)?)(?![^ \t\n,])"
+    rb"|([^ \t\n,]+)"
+)
+_STRAND = {b"O": Strand.OVER, b"U": Strand.UNDER}
+_SIGN = {b"": CrossingSign.POSITIVE, b"+": CrossingSign.POSITIVE, b"-": CrossingSign.NEGATIVE}
 
 
 def parse(text: str | bytes) -> Diagram:
@@ -71,45 +84,55 @@ def parse(text: str | bytes) -> Diagram:
 
     Raises LexError for unrecognized tokens and the model's DiagramError
     subclasses (annotated with the offending token's span) for structural
-    violations.
+    violations.  A ``str`` is encoded with ``surrogateescape``, so the
+    undecodable bytes of a command-line argument come back as themselves;
+    a lone surrogate that no byte maps to is a LexError.
     """
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    try:
+        data = text.encode("utf-8", "surrogateescape") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as err:
+        start = len(text[: err.start].encode("utf-8", "surrogateescape"))
+        raise LexError(
+            f"unencodable character {text[err.start]!r}",
+            SourceSpan(start, start + 3),  # a surrogate's three bytes in UTF-8 form
+        ) from None
     events: list[Event] = []
-    spans: list[SourceSpan] = []
     next_auto_bar = 1
-    for found in _RUN_RE.finditer(data):
-        run, (i, j) = found.group(), found.span()
-        m = _TOKEN_RE.fullmatch(run)
-        if m is None:
-            raise LexError(f"unrecognized token {run!r}", SourceSpan(i, j))
+    for at, (strand, digits, sign, virtual, bar, bad) in enumerate(_LEX_RE.findall(data)):
+        if bad:
+            raise LexError(f"unrecognized token {bad!r}", _span(data, at))
         try:
-            ident = int(m.group(2) or m.group(4) or m.group(5) or b"0")
+            if strand:
+                events.append(ClassicalPass(int(digits), _STRAND[strand], _SIGN[sign]))
+            elif virtual:
+                events.append(VirtualPass(int(virtual)))
+            elif bar:
+                events.append(TwistBar(int(bar)))
+            else:
+                events.append(TwistBar(next_auto_bar))
+                next_auto_bar += 1
         except ValueError:  # more digits than the interpreter's int-string limit
-            raise LexError(f"id too long in token {run[:12]!r}...", SourceSpan(i, j)) from None
-        if m.group(1) is not None:
-            strand = Strand.OVER if m.group(1) == b"O" else Strand.UNDER
-            sign = CrossingSign.NEGATIVE if m.group(3) == b"-" else CrossingSign.POSITIVE
-            events.append(ClassicalPass(ident, strand, sign))
-        elif m.group(4) is not None:
-            events.append(VirtualPass(ident))
-        elif m.group(5) is not None:
-            events.append(TwistBar(ident))
-        else:
-            events.append(TwistBar(next_auto_bar))
-            next_auto_bar += 1
-        spans.append(SourceSpan(i, j))
+            span = _span(data, at)
+            run = data[span.byte_start : span.byte_end]
+            raise LexError(f"id too long in token {run[:12]!r}...", span) from None
     try:
         return validate(events)
     except DiagramError as err:
         if err.event_index is not None:
-            err.span = spans[err.event_index]
+            err.span = _span(data, err.event_index)
         raise
+
+
+def _span(data: bytes, at: int) -> SourceSpan:
+    """The span of the run at token position ``at``, found by lexing again:
+    spans are needed only on the way out with an error."""
+    return SourceSpan(*list(_LEX_RE.finditer(data))[at].span())
 
 
 def token(event: Event) -> str:
     """Canonical token for one event (explicit sign and bar id)."""
     if isinstance(event, ClassicalPass):
-        return f"{event.strand.value}{event.crossing_id}{event.sign.value}"
+        return f"{event.strand._value_}{event.crossing_id}{event.sign._value_}"
     if isinstance(event, VirtualPass):
         return f"V{event.crossing_id}"
     return f"T{event.bar_id}"
@@ -120,6 +143,16 @@ def serialize(diagram: Diagram) -> str:
     return " ".join(token(ev) for ev in diagram.events)
 
 
+def _tokens(diagram: Diagram) -> list[str]:
+    """The canonical token of every event, in event order: the token table
+    that the JSON trace and the SVG timeline index by ``event_index``."""
+    return [token(ev) for ev in diagram.events]
+
+
+_STEP = '{"t":%d,"dancer":%d,"event_index":%d,"event":"%s","facing":"%s"}'
+_FACING_NAMES = ("forward", "backward")
+
+
 def trace_to_json(schedule: "Schedule") -> str:
     """Serialize a schedule as a compact JSON trace.
 
@@ -127,30 +160,23 @@ def trace_to_json(schedule: "Schedule") -> str:
     dancer's facing after executing the step.  The ``plan`` object is
     omitted for bare schedules that carry none.  A non-empty step list
     requires a plan (the diagram supplies the event tokens).
+
+    Each step is formatted from one fixed template, reading its event from
+    the diagram's token table; canonical tokens match ``[OUVT][0-9]+[+-]?``,
+    so they never need JSON escaping.  ``json.dumps`` writes the rest.
     """
-    if schedule.steps and schedule.plan is None:
+    plan = schedule.plan
+    if schedule.steps and plan is None:
         raise ValueError("a schedule with steps needs its plan to name events")
-    steps = []
-    for t, step in enumerate(schedule.steps):
-        ev = schedule.plan.diagram.events[step.event_index]
-        steps.append(
-            {
-                "t": t,
-                "dancer": step.dancer,
-                "event_index": step.event_index,
-                "event": token(ev),
-                "facing": step.facing_after.name.lower(),
-            }
-        )
-    payload: dict = {"steps": steps, "feasible": schedule.feasible}
-    if schedule.plan is not None:
-        plan = schedule.plan
-        plan_obj: dict = {
-            "points": list(plan.points),
-            "k": plan.k,
-            "rule": plan.rule.value,
-        }
+    tail: dict = {"feasible": schedule.feasible}
+    if plan is not None:
+        plan_obj: dict = {"points": list(plan.points), "k": plan.k, "rule": plan.rule.value}
         if plan.facings is not None:
-            plan_obj["facings"] = [f.name.lower() for f in plan.facings]
-        payload["plan"] = plan_obj
-    return json.dumps(payload, separators=(",", ":"))
+            plan_obj["facings"] = [_FACING_NAMES[f] for f in plan.facings]
+        tail["plan"] = plan_obj
+    tokens = _tokens(plan.diagram) if schedule.steps else []
+    steps = ",".join([
+        _STEP % (t, s.dancer, s.event_index, tokens[s.event_index], _FACING_NAMES[s.facing_after])
+        for t, s in enumerate(schedule.steps)
+    ])
+    return '{"steps":[' + steps + "]," + json.dumps(tail, separators=(",", ":"))[1:]

@@ -34,7 +34,7 @@ class Facing(IntEnum):
     BACKWARD = 1
 
     def flipped(self) -> "Facing":
-        return Facing(1 - self.value)
+        return _FLIPPED[self]
 
     @property
     def letter(self) -> str:
@@ -48,6 +48,9 @@ class Facing(IntEnum):
         if cleaned in ("B", "BACKWARD"):
             return cls.BACKWARD
         raise ValueError(f"facing must be F or B, got {text!r}")
+
+
+_FLIPPED = (Facing.BACKWARD, Facing.FORWARD)  # indexed by the facing bit
 
 
 def parity_vector(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:

@@ -140,62 +140,73 @@ def validate(events: Iterable[Event]) -> Diagram:
     The sequence is preserved verbatim.  Raises the subclass of
     :class:`DiagramError` for the first violated check, in the order:
     DuplicateStrand, UnpairedCrossing, SignMismatch, DuplicateBar.
+
+    One pass notes the first event at which each check fails, and the
+    checks are then raised in that order.  A crossing's third pass always
+    repeats a strand, so DuplicateStrand is the first pass whose strand its
+    crossing has shown before.
     """
     evs = tuple(events)
-
-    seen_strand: set[tuple[int, Strand]] = set()
-    for i, ev in enumerate(evs):
-        if isinstance(ev, ClassicalPass):
-            key = (ev.crossing_id, ev.strand)
-            if key in seen_strand:
-                raise DuplicateStrand(
-                    f"crossing {ev.crossing_id} passed twice on the "
-                    f"{ev.strand.name.lower()} strand",
-                    i,
-                )
-            seen_strand.add(key)
-
+    first_pass: dict[int, ClassicalPass] = {}  # classical id -> its first pass
     classical_count: dict[int, int] = {}
     virtual_count: dict[int, int] = {}
+    first_at: dict[tuple[type, int], int] = {}  # (kind, crossing id) -> first index
+    bars: set[int] = set()
+    repeated_strand = thrice_virtual = mismatch = repeated_bar = None
     for i, ev in enumerate(evs):
         if isinstance(ev, ClassicalPass):
-            classical_count[ev.crossing_id] = classical_count.get(ev.crossing_id, 0) + 1
+            c = ev.crossing_id
+            seen = classical_count.get(c, 0)
+            classical_count[c] = seen + 1
+            if not seen:
+                first_pass[c] = ev
+                first_at[ClassicalPass, c] = i
+                continue
+            first = first_pass[c]
+            if repeated_strand is None and (seen > 1 or ev.strand is first.strand):
+                repeated_strand = i
+            if mismatch is None and ev.sign is not first.sign:
+                mismatch = i
         elif isinstance(ev, VirtualPass):
-            virtual_count[ev.crossing_id] = virtual_count.get(ev.crossing_id, 0) + 1
-            if virtual_count[ev.crossing_id] > 2:
-                raise UnpairedCrossing(
-                    f"virtual crossing {ev.crossing_id} appears more than twice", i
-                )
-    for i, ev in enumerate(evs):
-        if isinstance(ev, ClassicalPass) and classical_count[ev.crossing_id] != 2:
-            raise UnpairedCrossing(
-                f"classical crossing {ev.crossing_id} appears only once", i
-            )
-        if isinstance(ev, VirtualPass) and virtual_count[ev.crossing_id] != 2:
-            raise UnpairedCrossing(
-                f"virtual crossing {ev.crossing_id} appears only once", i
-            )
+            c = ev.crossing_id
+            seen = virtual_count.get(c, 0)
+            virtual_count[c] = seen + 1
+            if not seen:
+                first_at[VirtualPass, c] = i
+            elif seen == 2 and thrice_virtual is None:
+                thrice_virtual = i
+        elif isinstance(ev, TwistBar):
+            if ev.bar_id in bars and repeated_bar is None:
+                repeated_bar = i
+            bars.add(ev.bar_id)
 
-    first_sign: dict[int, CrossingSign] = {}
-    for i, ev in enumerate(evs):
-        if isinstance(ev, ClassicalPass):
-            if ev.crossing_id in first_sign:
-                if ev.sign is not first_sign[ev.crossing_id]:
-                    raise SignMismatch(
-                        f"crossing {ev.crossing_id} has one pass signed "
-                        f"{first_sign[ev.crossing_id].value} and one signed {ev.sign.value}",
-                        i,
-                    )
-            else:
-                first_sign[ev.crossing_id] = ev.sign
-
-    seen_bars: set[int] = set()
-    for i, ev in enumerate(evs):
-        if isinstance(ev, TwistBar):
-            if ev.bar_id in seen_bars:
-                raise DuplicateBar(f"twist bar {ev.bar_id} appears twice", i)
-            seen_bars.add(ev.bar_id)
-
+    if repeated_strand is not None:
+        ev = evs[repeated_strand]
+        raise DuplicateStrand(
+            f"crossing {ev.crossing_id} passed twice on the {ev.strand.name.lower()} strand",
+            repeated_strand,
+        )
+    if thrice_virtual is not None:
+        raise UnpairedCrossing(
+            f"virtual crossing {evs[thrice_virtual].crossing_id} appears more than twice",
+            thrice_virtual,
+        )
+    # past the two checks above every crossing has at most two passes
+    once = [i for (kind, c), i in first_at.items()
+            if (classical_count if kind is ClassicalPass else virtual_count)[c] == 1]
+    if once:
+        i = min(once)
+        kind = "classical" if isinstance(evs[i], ClassicalPass) else "virtual"
+        raise UnpairedCrossing(f"{kind} crossing {evs[i].crossing_id} appears only once", i)
+    if mismatch is not None:
+        ev = evs[mismatch]
+        raise SignMismatch(
+            f"crossing {ev.crossing_id} has one pass signed "
+            f"{first_pass[ev.crossing_id].sign.value} and one signed {ev.sign.value}",
+            mismatch,
+        )
+    if repeated_bar is not None:
+        raise DuplicateBar(f"twist bar {evs[repeated_bar].bar_id} appears twice", repeated_bar)
     return Diagram(evs)
 
 

@@ -13,7 +13,8 @@ the matching gate, the forward rule being the matching rule with every point
 designated forward.  Past the gate Deadlock is decided by one linear pass
 over a placement's arcs that reads neither the facings nor k, so a
 placement is decided at most once per n and all its gate-passing facing
-rows share that verdict.  Nothing is searched except the witness of the
+rows share that verdict.  Its path parities do not depend on k either, so
+``min_dancers`` reads them once per n as well.  Nothing is searched except the witness of the
 first feasible placement of ``min_dancers``.
 """
 
@@ -102,11 +103,15 @@ def min_dancers(
     compiled = _Compiled(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
-        deadlocked: dict[tuple[int, ...], bool] = {}  # placement -> its verdict at every k
+        # placement -> its path parities, and its verdict past the gate; neither depends on k
+        parities: dict[tuple[int, ...], tuple[int, ...]] = {}
+        deadlocked: dict[tuple[int, ...], bool] = {}
         for k in range(1, k_max + 1):
             for placement in combinations(range(gaps), n):
                 tried += 1
-                designated = _designated(compiled.parities(placement), k, rule)
+                if placement not in parities:
+                    parities[placement] = compiled.parities(placement)
+                designated = _designated(parities[placement], k, rule)
                 if designated is None:
                     continue
                 if placement not in deadlocked:

@@ -4,11 +4,16 @@ One horizontal lane per dancer, x position equal to the linearization index.
 Forward-facing travel is drawn solid, backward-facing travel dashed; colors
 distinguish dancers.  Output is plain SVG 1.1 text, byte-identical across
 runs for identical inputs so it can be golden-file tested.
+
+Labels come from the diagram's token table, built once per call.  Each
+lane's constant fragments (its colour, its y position and the dash pattern)
+are formatted once, so a step adds one line segment and one dot-and-label
+entry, each joined from those fragments and the step's x position.
 """
 
 from __future__ import annotations
 
-from .codec import token
+from .codec import _tokens
 from .scheduler import Facing, Schedule
 
 __all__ = ["svg_timeline"]
@@ -44,46 +49,42 @@ def svg_timeline(schedule: Schedule) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
 
-    def x_at(t: int) -> int:
-        return _MARGIN + _LABEL_WIDTH + t * _STEP_WIDTH + _STEP_WIDTH // 2
-
-    def y_at(d: int) -> int:
-        return _MARGIN + d * _LANE_HEIGHT + _LANE_HEIGHT // 2
-
-    labels: dict[int, str] = {}  # event index -> its label, computed once
-    by_lane: list[list[tuple[int, str, Facing]]] = [[] for _ in range(lanes)]
-    for t, step in enumerate(schedule.steps):
+    labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if schedule.steps else []
+    by_lane: list[list[tuple[str, str, Facing]]] = [[] for _ in range(lanes)]
+    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2  # x position of step t, written once
+    for step in schedule.steps:
         if 0 <= step.dancer < lanes:
-            idx = step.event_index
-            if idx not in labels:
-                labels[idx] = token(plan.diagram.events[idx]).rstrip("+-")
-            by_lane[step.dancer].append((x_at(t), labels[idx], step.facing_after))
+            by_lane[step.dancer].append((str(step_x), labels[step.event_index], step.facing_after))
+        step_x += _STEP_WIDTH
 
     for d, mine in enumerate(by_lane):
         color = _PALETTE[d % len(_PALETTE)]
-        cy = y_at(d)
+        cy = _MARGIN + d * _LANE_HEIGHT + _LANE_HEIGHT // 2
         out.append(
             f'<text x="{_MARGIN}" y="{cy + _FONT_SIZE // 2}" '
             f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{color}">dancer {d}</text>'
         )
+        # the lane's constant fragments: a segment's middle and its end, solid
+        # after a forward facing and dashed after a backward one (indexed by
+        # the facing bit), and a dot's middle and the start of its label
+        line_mid = f'" y1="{cy}" x2="'
+        line_end = tuple(
+            f'" y2="{cy}" stroke="{color}" stroke-width="2"{dash}/>'
+            for dash in ("", f' stroke-dasharray="{_DASH}"')
+        )
+        dot_mid = f'" cy="{cy}" r="4" fill="{color}"/>\n<text x="'
+        label_start = (
+            f'" y="{cy - 8}" text-anchor="middle" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" fill="#333333">'
+        )
         facing_before = plan.designated[d]
-        prev_x = _MARGIN + _LABEL_WIDTH
+        prev_x = str(_MARGIN + _LABEL_WIDTH)
         for x, _, facing_after in mine:
-            dash = f' stroke-dasharray="{_DASH}"' if facing_before is Facing.BACKWARD else ""
-            out.append(
-                f'<line x1="{prev_x}" y1="{cy}" x2="{x}" y2="{cy}" '
-                f'stroke="{color}" stroke-width="2"{dash}/>'
-            )
+            out.append(f'<line x1="{prev_x}{line_mid}{x}{line_end[facing_before]}')
             facing_before = facing_after
             prev_x = x
-        for x, label, _ in mine:
-            out.append(f'<circle cx="{x}" cy="{cy}" r="4" fill="{color}"/>')
-            out.append(
-                f'<text x="{x}" y="{cy - 8}" text-anchor="middle" '
-                f'font-family="monospace" font-size="{_FONT_SIZE}" '
-                f'fill="#333333">{label}</text>'
-            )
+        out += [f'<circle cx="{x}{dot_mid}{x}{label_start}{label}</text>' for x, label, _ in mine]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -354,3 +354,16 @@ def test_module_entry_point_exits_with_the_command_code(argv, code, out):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.strip() == out
     assert ("usage error" in proc.stderr) == (code == 2)
+
+
+def test_an_undecodable_argument_byte_is_a_lex_error():
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistdance", "validate", b"O1+ \xff"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(b"LexError at bytes 4..5"), proc.stderr
+    assert b"Traceback" not in proc.stderr

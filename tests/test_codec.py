@@ -72,6 +72,19 @@ def test_overlong_id_is_a_lex_error(head):
     assert exc.value.span == SourceSpan(6, 5007)
 
 
+def test_a_lone_surrogate_is_a_lex_error():
+    with pytest.raises(LexError) as exc:
+        parse("O1+ U1+ \ud800")
+    assert exc.value.span == SourceSpan(8, 11)
+
+
+def test_an_escaped_byte_is_lexed_as_that_byte():
+    # a command-line argument carries an undecodable byte as a surrogate escape
+    with pytest.raises(LexError, match=r"b'\\xff'") as exc:
+        parse("O1+ \udcff U1+")
+    assert exc.value.span == SourceSpan(4, 5)
+
+
 @pytest.mark.parametrize("bad", ["O0+", "O01+", "T0", "V0", "o1+", "O1++", "O1 +"])
 def test_grammar_rejections(bad):
     with pytest.raises((LexError, DiagramError)):
@@ -114,6 +127,14 @@ def test_serialize_parse_is_canonicalizing(d):
 def test_parse_never_panics(data):
     try:
         parse(data)
+    except (LexError, DiagramError):
+        pass
+
+
+@given(st.text(st.sampled_from("OUVT019+- ,\xff") | st.integers(0xD800, 0xDFFF).map(chr), max_size=12))
+def test_parse_never_panics_on_text_with_surrogates(text):
+    try:
+        parse(text)
     except (LexError, DiagramError):
         pass
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -185,3 +187,81 @@ def test_validation_is_total(events):
     else:
         assert isinstance(d, Diagram)
         assert d.events == tuple(events)
+
+
+def _four_pass_validate(events):
+    """The checks one at a time, each over the whole sequence, in the
+    documented order: the reference the one-pass ``validate`` must match."""
+    evs = tuple(events)
+    seen_strand = set()
+    for i, ev in enumerate(evs):
+        if isinstance(ev, ClassicalPass):
+            if (ev.crossing_id, ev.strand) in seen_strand:
+                raise DuplicateStrand(
+                    f"crossing {ev.crossing_id} passed twice on the "
+                    f"{ev.strand.name.lower()} strand",
+                    i,
+                )
+            seen_strand.add((ev.crossing_id, ev.strand))
+    classical, virtual = {}, {}
+    for i, ev in enumerate(evs):
+        if isinstance(ev, ClassicalPass):
+            classical[ev.crossing_id] = classical.get(ev.crossing_id, 0) + 1
+        elif isinstance(ev, VirtualPass):
+            virtual[ev.crossing_id] = virtual.get(ev.crossing_id, 0) + 1
+            if virtual[ev.crossing_id] > 2:
+                raise UnpairedCrossing(
+                    f"virtual crossing {ev.crossing_id} appears more than twice", i
+                )
+    for i, ev in enumerate(evs):
+        if isinstance(ev, ClassicalPass) and classical[ev.crossing_id] != 2:
+            raise UnpairedCrossing(f"classical crossing {ev.crossing_id} appears only once", i)
+        if isinstance(ev, VirtualPass) and virtual[ev.crossing_id] != 2:
+            raise UnpairedCrossing(f"virtual crossing {ev.crossing_id} appears only once", i)
+    first_sign = {}
+    for i, ev in enumerate(evs):
+        if isinstance(ev, ClassicalPass):
+            sign = first_sign.setdefault(ev.crossing_id, ev.sign)
+            if ev.sign is not sign:
+                raise SignMismatch(
+                    f"crossing {ev.crossing_id} has one pass signed "
+                    f"{sign.value} and one signed {ev.sign.value}",
+                    i,
+                )
+    bars = set()
+    for i, ev in enumerate(evs):
+        if isinstance(ev, TwistBar):
+            if ev.bar_id in bars:
+                raise DuplicateBar(f"twist bar {ev.bar_id} appears twice", i)
+            bars.add(ev.bar_id)
+    return Diagram(evs)
+
+
+def _outcome(check, events):
+    try:
+        return check(events)
+    except DiagramError as err:
+        return type(err), err.event_index, str(err)
+
+
+@st.composite
+def _spliced(draw):
+    """A valid sequence, maybe with a pass or two re-signed, and maybe with a
+    few events cut out and a few arbitrary ones put in their place, so that
+    each check, and none, gets to fail."""
+    events = list(draw(diagrams(max_events=10)).events)
+    signed = [i for i, ev in enumerate(events) if isinstance(ev, ClassicalPass)]
+    for i in draw(st.sets(st.sampled_from(signed), max_size=2)) if signed else ():
+        events[i] = replace(events[i], sign=NEG if events[i].sign is POS else POS)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(events)))
+        events[at : at + draw(st.integers(0, 2))] = draw(arbitrary_events(max_size=2))
+    return events
+
+
+_BARS_ONLY = st.lists(st.builds(TwistBar, st.integers(1, 3)), max_size=6)  # repeats any id
+
+
+@given(arbitrary_events(max_size=12) | _spliced() | _BARS_ONLY)
+def test_validate_raises_what_the_four_checks_raise_in_turn(events):
+    assert _outcome(validate, events) == _outcome(_four_pass_validate, events)

@@ -572,6 +572,72 @@ def test_retrograde_duality_on_corpus():
     assert disagreements == []
 
 
+# ------------------------------------------- metamorphic relations beyond the oracle
+
+
+def _plans_of(d):
+    """Plans of n <= 2 dancers and k <= 3 laps on d: forward, and with the
+    least matching facings when the parities admit any."""
+    for points in all_placements(d, n_max=2):
+        for k in (1, 2, 3):
+            yield points, k, RuleKind.FORWARD, None
+            facings = matching_solve(parity_vector(d, points), k)
+            if facings is not None:
+                yield points, k, RuleKind.MATCHING, facings
+
+
+def test_rotation_keeps_the_verdict_and_shifts_the_witness():
+    rng = random.Random(61)
+    beyond = 0
+    for i, d in enumerate(diagram_corpus(61, 24, max_events=12)):
+        m = len(d.events)
+        if m < 2:
+            continue
+        r = rng.randrange(1, m)
+        rotated = Diagram(d.events[r:] + d.events[:r])
+        crossing_rule = list(CrossingRule)[i % 3]
+        for points, k, rule, facings in _plans_of(d):
+            shifted = tuple((p - r) % m for p in points)
+            result = schedule_search(DancePlan(d, points, k, rule, facings, crossing_rule))
+            image = schedule_search(DancePlan(rotated, shifted, k, rule, facings, crossing_rule))
+            beyond += k * m > ORACLE_STEP_LIMIT
+            if not feasible(result):
+                assert image == result, (d, r, points, k, rule)
+                continue
+            assert feasible(image), (d, r, points, k, rule)
+            assert image.steps == tuple(
+                replace(s, event_index=(s.event_index - r) % m) for s in result.steps
+            ), (d, r, points, k, rule)
+    assert beyond > 1000
+
+
+def test_relabelling_crossing_ids_keeps_the_verdict_and_the_witness():
+    rng = random.Random(67)
+    beyond = 0
+    for i, d in enumerate(diagram_corpus(67, 24, max_events=12)):
+        classical = sorted({ev.crossing_id for ev in d.events if isinstance(ev, ClassicalPass)})
+        virtual = sorted({ev.crossing_id for ev in d.events if isinstance(ev, VirtualPass)})
+        to_classical = dict(zip(classical, rng.sample(classical, len(classical))))
+        to_virtual = dict(zip(virtual, rng.sample(virtual, len(virtual))))
+        relabelled = Diagram(
+            tuple(
+                replace(ev, crossing_id=to_classical[ev.crossing_id])
+                if isinstance(ev, ClassicalPass)
+                else VirtualPass(to_virtual[ev.crossing_id])
+                if isinstance(ev, VirtualPass)
+                else ev
+                for ev in d.events
+            )
+        )
+        crossing_rule = list(CrossingRule)[i % 3]
+        for points, k, rule, facings in _plans_of(d):
+            result = schedule_search(DancePlan(d, points, k, rule, facings, crossing_rule))
+            image = schedule_search(DancePlan(relabelled, points, k, rule, facings, crossing_rule))
+            beyond += k * len(d.events) > ORACLE_STEP_LIMIT
+            assert _outcome(image) == _outcome(result), (d, relabelled, points, k, rule)
+    assert beyond > 1000
+
+
 # ------------------------------------------------------- crossing rules
 
 

@@ -239,6 +239,29 @@ def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
             assert calls <= placements, (d, rule, crossing)
 
 
+def test_min_dancers_reads_each_placements_parities_once_per_dancer_count(monkeypatch):
+    import twistdance.scheduler
+
+    calls = 0
+    parities = twistdance.scheduler._parities
+
+    def counted(prefix, pts):
+        nonlocal calls
+        calls += 1
+        return parities(prefix, pts)
+
+    monkeypatch.setattr(twistdance.scheduler, "_parities", counted)
+    for d in diagram_corpus(47, 20, max_events=10):
+        n_max = min(3, d.gap_count)
+        placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+        for rule, crossing in product(RuleKind, CrossingRule):
+            calls = 0
+            report = min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
+            assert calls <= placements, (d, rule, crossing)
+            if not report.feasible:
+                assert calls == placements, (d, rule, crossing)
+
+
 def test_min_dancers_refuses_a_bool_bound():
     d = parse(TREFOIL)
     with pytest.raises(ValueError):
