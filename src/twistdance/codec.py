@@ -102,19 +102,20 @@ def parse(text: str | bytes) -> Diagram:
         if bad:
             raise LexError(f"unrecognized token {bad!r}", _span(data, at))
         try:
-            if strand:
-                events.append(ClassicalPass(int(digits), _STRAND[strand], _SIGN[sign]))
-            elif virtual:
-                events.append(VirtualPass(int(virtual)))
-            elif bar:
-                events.append(TwistBar(int(bar)))
-            else:
-                events.append(TwistBar(next_auto_bar))
-                next_auto_bar += 1
+            ident = int(digits or virtual or bar or b"0")
         except ValueError:  # more digits than the interpreter's int-string limit
             span = _span(data, at)
             run = data[span.byte_start : span.byte_end]
             raise LexError(f"id too long in token {run[:12]!r}...", span) from None
+        if strand:
+            events.append(ClassicalPass(ident, _STRAND[strand], _SIGN[sign]))
+        elif virtual:
+            events.append(VirtualPass(ident))
+        elif bar:
+            events.append(TwistBar(ident))
+        else:
+            events.append(TwistBar(next_auto_bar))
+            next_auto_bar += 1
     try:
         return validate(events)
     except DiagramError as err:
@@ -131,7 +132,7 @@ def _span(data: bytes, at: int) -> SourceSpan:
 
 def token(event: Event) -> str:
     """Canonical token for one event (explicit sign and bar id)."""
-    if isinstance(event, ClassicalPass):
+    if isinstance(event, ClassicalPass):  # ``_value_``: ``.value`` is a property call per read
         return f"{event.strand._value_}{event.crossing_id}{event.sign._value_}"
     if isinstance(event, VirtualPass):
         return f"V{event.crossing_id}"

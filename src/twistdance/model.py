@@ -147,7 +147,6 @@ def validate(events: Iterable[Event]) -> Diagram:
     crossing has shown before.
     """
     evs = tuple(events)
-    first_pass: dict[int, ClassicalPass] = {}  # classical id -> its first pass
     classical_count: dict[int, int] = {}
     virtual_count: dict[int, int] = {}
     first_at: dict[tuple[type, int], int] = {}  # (kind, crossing id) -> first index
@@ -159,10 +158,9 @@ def validate(events: Iterable[Event]) -> Diagram:
             seen = classical_count.get(c, 0)
             classical_count[c] = seen + 1
             if not seen:
-                first_pass[c] = ev
                 first_at[ClassicalPass, c] = i
                 continue
-            first = first_pass[c]
+            first = evs[first_at[ClassicalPass, c]]
             if repeated_strand is None and (seen > 1 or ev.strand is first.strand):
                 repeated_strand = i
             if mismatch is None and ev.sign is not first.sign:
@@ -200,9 +198,10 @@ def validate(events: Iterable[Event]) -> Diagram:
         raise UnpairedCrossing(f"{kind} crossing {evs[i].crossing_id} appears only once", i)
     if mismatch is not None:
         ev = evs[mismatch]
+        first = evs[first_at[ClassicalPass, ev.crossing_id]]
         raise SignMismatch(
             f"crossing {ev.crossing_id} has one pass signed "
-            f"{first_pass[ev.crossing_id].sign.value} and one signed {ev.sign.value}",
+            f"{first.sign.value} and one signed {ev.sign.value}",
             mismatch,
         )
     if repeated_bar is not None:

@@ -51,7 +51,7 @@ def svg_timeline(schedule: Schedule) -> str:
 
     labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if schedule.steps else []
     by_lane: list[list[tuple[str, str, Facing]]] = [[] for _ in range(lanes)]
-    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2  # x position of step t, written once
+    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2  # each step's x, made text once
     for step in schedule.steps:
         if 0 <= step.dancer < lanes:
             by_lane[step.dancer].append((str(step_x), labels[step.event_index], step.facing_after))
@@ -65,14 +65,14 @@ def svg_timeline(schedule: Schedule) -> str:
             f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{color}">dancer {d}</text>'
         )
+        if not mine:
+            continue
         # the lane's constant fragments: a segment's middle and its end, solid
         # after a forward facing and dashed after a backward one (indexed by
         # the facing bit), and a dot's middle and the start of its label
         line_mid = f'" y1="{cy}" x2="'
-        line_end = tuple(
-            f'" y2="{cy}" stroke="{color}" stroke-width="2"{dash}/>'
-            for dash in ("", f' stroke-dasharray="{_DASH}"')
-        )
+        stroke = f'" y2="{cy}" stroke="{color}" stroke-width="2"'
+        line_end = (f"{stroke}/>", f'{stroke} stroke-dasharray="{_DASH}"/>')
         dot_mid = f'" cy="{cy}" r="4" fill="{color}"/>\n<text x="'
         label_start = (
             f'" y="{cy - 8}" text-anchor="middle" '
