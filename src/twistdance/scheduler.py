@@ -177,7 +177,7 @@ class DancePlan:
         return self.facings if self.facings is not None else (Facing.FORWARD,) * self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One linearized move: a dancer executes the event at ``event_index``.
 
@@ -314,6 +314,7 @@ class _Compiled:
             for ev in diagram.events
         ]
         self.slot_count = len(slots)
+        self.table2 = self.table * 2  # an arc's steps are one slice, wrapping or not
 
     def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """The path parities of checked points."""
@@ -323,10 +324,15 @@ class _Compiled:
         """Whether checked points deadlock past the facing gate, at every lap
         count: ``_stuck`` on their n arcs, each lowered through the event
         table and ended with ``(0, -1)``.  Linear in m whatever k is (see the
-        module docstring); with no slot nothing ever waits."""
-        return bool(self.slot_count) and _stuck(
-            _lower(self.table, _arcs(self.m, points)), self.slot_count
-        )
+        module docstring); with no slot nothing ever waits.  The arc from a
+        to the next point b is read off the doubled table as one slice, as
+        ``_arcs`` would index it."""
+        if not self.slot_count:
+            return False
+        m, table2 = self.m, self.table2
+        ends = (*points[1:], points[0])
+        lowered = [table2[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        return _stuck(lowered, self.slot_count)
 
     def search(
         self, points: tuple[int, ...], k: int

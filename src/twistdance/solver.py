@@ -10,12 +10,15 @@ fixed, making both results deterministic.
 Each call compiles its diagram once through the scheduler's compiled path,
 the one ``schedule_search`` applies to a single plan.  The forward gate is
 the matching gate, the forward rule being the matching rule with every point
-designated forward.  Past the gate Deadlock is decided by one linear pass
+designated forward.  At a fixed (n, k) the gate reads a placement only
+through its path parities t, of which there are at most 2**n, so each call
+decides the gate once per distinct t and shares the answer with every
+placement that has it.  Past the gate Deadlock is decided by one linear pass
 over a placement's arcs that reads neither the facings nor k, so a
 placement is decided at most once per n and all its gate-passing facing
 rows share that verdict.  Its path parities do not depend on k either, so
-``min_dancers`` reads them once per n as well.  Nothing is searched except the witness of the
-first feasible placement of ``min_dancers``.
+``min_dancers`` reads them once per n as well.  Nothing is searched except
+the witness of the first feasible placement of ``min_dancers``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class SolveReport:
         return self.plan is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyRow:
     placement: tuple[int, ...]
     facings: tuple[Facing, ...] | None
@@ -107,11 +110,15 @@ def min_dancers(
         parities: dict[tuple[int, ...], tuple[int, ...]] = {}
         deadlocked: dict[tuple[int, ...], bool] = {}
         for k in range(1, k_max + 1):
+            gate: dict[tuple[int, ...], tuple[Facing, ...] | None] = {}  # t -> _designated(t, k, rule)
             for placement in combinations(range(gaps), n):
                 tried += 1
                 if placement not in parities:
                     parities[placement] = compiled.parities(placement)
-                designated = _designated(parities[placement], k, rule)
+                t = parities[placement]
+                if t not in gate:
+                    gate[t] = _designated(t, k, rule)
+                designated = gate[t]
                 if designated is None:
                     continue
                 if placement not in deadlocked:
@@ -141,11 +148,15 @@ def survey(
     gets its own row instead (distinct facings over one placement can differ
     at the facing gate, so the exhaustive view matters).  Rows whose facings
     the placement's path parities refuse are recorded as ``FACING_PARITY``
-    without a search.  Past the gate the verdict depends on the placement
-    alone, so each placement is decided at most once, by the scheduler's
-    linear deadlock test with no search, and every gate-passing facing row
-    shares that verdict.  ``n`` and ``k`` must be ints >= 1, and
-    ``n`` may not exceed the diagram's gap count; otherwise ``ValueError``.
+    without a search.  The gate is decided once per distinct parity vector:
+    which of the 2**n assignments pass, or the solved assignment, is shared
+    by every placement with the same path parities, and the 2**n assignments
+    are built only when they are enumerated.  Past the gate the verdict
+    depends on the placement alone, so each placement is decided at most
+    once, by the scheduler's linear deadlock test with no search, and every
+    gate-passing facing row shares that verdict.  ``n`` and ``k`` must be
+    ints >= 1, and ``n`` may not exceed the diagram's gap count; otherwise
+    ``ValueError``.
     """
     gaps = diagram.gap_count
     _check_bound("n", n, gaps)
@@ -158,19 +169,32 @@ def survey(
         return True, None
 
     refused = (False, InfeasibleReason.FACING_PARITY)
-    every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
     rows: list[SurveyRow] = []
+    if rule is RuleKind.MATCHING and enumerate_facings:
+        every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
+        # t -> whether each every_facing row passes the gate, or None when none does
+        passes: dict[tuple[int, ...], list[bool] | None] = {}
+        for placement in combinations(range(gaps), n):
+            t = compiled.parities(placement)
+            if t not in passes:
+                solutions = _matching_solutions(t, k)
+                passes[t] = [facings in solutions for facings in every_facing] if solutions else None
+            flags = passes[t]
+            if flags is None:
+                rows += [SurveyRow(placement, facings, *refused) for facings in every_facing]
+            else:
+                shared = verdict(placement)
+                rows += [
+                    SurveyRow(placement, facings, *(shared if ok else refused))
+                    for facings, ok in zip(every_facing, flags)
+                ]
+        return rows
+    gate: dict[tuple[int, ...], tuple[Facing, ...] | None] = {}  # t -> _designated(t, k, rule)
     for placement in combinations(range(gaps), n):
         t = compiled.parities(placement)
-        if rule is RuleKind.MATCHING and enumerate_facings:
-            passing = _matching_solutions(t, k)
-            shared = verdict(placement) if passing else refused
-            rows += [
-                SurveyRow(placement, facings, *(shared if facings in passing else refused))
-                for facings in every_facing
-            ]
-            continue
-        designated = _designated(t, k, rule)
+        if t not in gate:
+            gate[t] = _designated(t, k, rule)
+        designated = gate[t]
         if designated is None:
             rows.append(SurveyRow(placement, None, *refused))
         else:

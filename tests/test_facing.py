@@ -168,3 +168,14 @@ def test_parity_vector_counts_the_bars_on_each_path(geometry, r):
 @given(parity_vectors(), st.integers(1, 8))
 def test_matching_solutions_are_the_assignments_matching_check_accepts(t, k):
     assert _matching_solutions(t, k) == set(brute_solutions(t, k))
+
+
+@given(parity_vectors(6), st.integers(1, 19), st.data())
+def test_the_facing_gate_has_period_2n_in_k(t, k, data):
+    # a window of k + 2n parities adds two whole traversals, an even flip,
+    # and the endpoint map i -> (i + k) mod n is unchanged
+    f = tuple(data.draw(st.lists(st.sampled_from((F, B)), min_size=len(t), max_size=len(t))))
+    later = k + 2 * len(t)
+    assert matching_check(t, f, later) == matching_check(t, f, k)
+    assert matching_solve(t, later) == matching_solve(t, k)
+    assert forward_rule_ok(t, later) == forward_rule_ok(t, k)

@@ -23,6 +23,7 @@ from twistdance.model import (
     Strand,
     TwistBar,
     VirtualPass,
+    _arcs,
 )
 from twistdance.scheduler import (
     CrossingRule,
@@ -451,6 +452,25 @@ def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
                 )
                 checked["feasible" if feasible(slow) else "refuted"] += 1
     assert min(checked.values()) >= 500, checked
+
+
+def test_deadlocked_is_the_relaxation_on_the_lowered_arcs():
+    # every cyclic order of each point set, so arcs that wrap past the last
+    # event, such as those of (m - 1, 0), are sliced off the doubled table too
+    seen = Counter()
+    for d in [parse(""), *diagram_corpus(53, 30, max_events=10)]:
+        m = len(d.events)
+        for rule in CrossingRule:
+            compiled = _Compiled(d, rule)
+            for placement in all_placements(d, n_max=3):
+                for r in range(len(placement)):
+                    points = placement[r:] + placement[:r]
+                    lowered = _lower(compiled.table, _arcs(m, points))
+                    expected = _stuck(lowered, compiled.slot_count)
+                    assert compiled.deadlocked(points) == expected, (serialize(d), points, rule)
+                    seen[expected, len(points) == 1, points[0] > points[-1]] += 1
+    assert all(seen[stuck, single, False] for stuck in (False, True) for single in (False, True))
+    assert seen[True, False, True] and seen[False, False, True]
 
 
 @given(

@@ -1,23 +1,34 @@
+import pickle
+from collections import Counter
+from copy import deepcopy
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistdance.codec import parse
 from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
 from twistdance.scheduler import (
+    ORACLE_STEP_LIMIT,
     CrossingRule,
     DancePlan,
     Infeasible,
     InfeasibleReason,
     RuleKind,
     Schedule,
+    Step,
+    retrograde,
+    retrograde_points,
     schedule_search,
     verify_schedule,
 )
-from twistdance.solver import min_dancers, survey
+from twistdance.solver import SurveyRow, min_dancers, survey
 
 from corpus import all_placements, diagram_corpus
+from strategies import diagrams
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -366,3 +377,135 @@ def test_min_dancers_matches_a_loop_of_direct_searches():
                 assert report.schedule.plan == plan
             outcomes.add((rule, report.feasible))
     assert len(outcomes) == 4
+
+
+def test_survey_builds_facing_tuples_only_when_it_enumerates(monkeypatch):
+    import twistdance.solver
+
+    # one placement of 16 points: enumerating would make 2**16 facing tuples
+    d = parse(" ".join([f"O{i}+" for i in range(1, 9)] + [f"U{i}+" for i in range(1, 9)]))
+    cases = [(RuleKind.FORWARD, 16), (RuleKind.MATCHING, 16), (RuleKind.MATCHING, 2)]
+    expected = [survey(d, rule, CrossingRule.OVER_FIRST, n, 1) for rule, n in cases]
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("facing tuples are built only to enumerate them")
+
+    monkeypatch.setattr(twistdance.solver, "product", no_product)
+    assert [survey(d, rule, CrossingRule.OVER_FIRST, n, 1) for rule, n in cases] == expected
+    with pytest.raises(AssertionError):
+        survey(d, RuleKind.MATCHING, CrossingRule.OVER_FIRST, 2, 1, enumerate_facings=True)
+
+
+def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
+    step = Step(1, 2, 3, Facing.BACKWARD)
+    rows = [
+        SurveyRow((0, 2), (Facing.FORWARD, Facing.BACKWARD), False, InfeasibleReason.DEADLOCK),
+        SurveyRow((1,), None, True, None),
+    ]
+    for value in (step, *rows):
+        assert not hasattr(value, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(value)), deepcopy(value), replace(value)):
+            assert copied == value and hash(copied) == hash(value)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, fields(value)[0].name, None)
+    assert replace(step, dancer=0) == Step(0, 2, 3, Facing.BACKWARD)
+    assert replace(rows[0], feasible=True, reason=None) == SurveyRow(
+        (0, 2), (Facing.FORWARD, Facing.BACKWARD), True, None
+    )
+
+
+def _counting(monkeypatch, name):
+    """Count the calls the solver makes to one of its facing helpers."""
+    import twistdance.solver
+
+    calls = []
+    helper = getattr(twistdance.solver, name)
+
+    def counted(t, k):
+        calls.append((t, k))
+        return helper(t, k)
+
+    monkeypatch.setattr(twistdance.solver, name, counted)
+    return calls
+
+
+def test_survey_decides_the_gate_once_per_parity_vector(monkeypatch):
+    solutions = _counting(monkeypatch, "_matching_solutions")
+    solved = _counting(monkeypatch, "matching_solve")
+    shared = 0
+    for d in diagram_corpus(73, 20, max_events=10):
+        for n in range(1, min(3, d.gap_count) + 1):
+            placements = list(combinations(range(d.gap_count), n))
+            vectors = {parity_vector(d, p) for p in placements}
+            shared += len(vectors) < len(placements)
+            for k, crossing in product((1, 2, 3), CrossingRule):
+                solutions.clear()
+                survey(d, RuleKind.MATCHING, crossing, n, k, enumerate_facings=True)
+                assert sorted(solutions) == sorted((t, k) for t in vectors)
+                for rule in RuleKind:
+                    solved.clear()
+                    survey(d, rule, crossing, n, k)
+                    assert sorted(solved) == sorted((t, k) for t in vectors)
+    assert shared >= 20, shared
+
+
+def test_min_dancers_decides_the_gate_once_per_parity_vector_and_lap_count(monkeypatch):
+    solved = _counting(monkeypatch, "matching_solve")
+    shared = 0
+    for d in diagram_corpus(47, 20, max_events=10):
+        n_max, k_max = min(3, d.gap_count), 3
+        vectors = [
+            {parity_vector(d, p) for p in combinations(range(d.gap_count), n)}
+            for n in range(1, n_max + 1)
+        ]
+        gates = k_max * sum(len(v) for v in vectors)
+        shared += gates < k_max * sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+        for rule, crossing in product(RuleKind, CrossingRule):
+            solved.clear()
+            report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
+            assert len(solved) == len(set(solved)) <= gates, (d, rule, crossing)
+            if not report.feasible:
+                assert len(solved) == gates, (d, rule, crossing)
+    assert shared >= 10, shared
+
+
+@given(diagrams(max_events=8), st.sampled_from(CrossingRule), st.data())
+def test_an_enumerated_row_is_refused_exactly_when_the_gate_refuses_its_facings(d, crossing, data):
+    n = data.draw(st.integers(1, min(3, d.gap_count)))
+    k = data.draw(st.integers(1, 2 * n + 1))
+    rows = survey(d, RuleKind.MATCHING, crossing, n, k, enumerate_facings=True)
+    assert len(rows) == comb(d.gap_count, n) * 2**n
+    for row in rows:
+        gate = matching_check(parity_vector(d, row.placement), row.facings, k)
+        assert (row.reason is InfeasibleReason.FACING_PARITY) == (not gate)
+        assert row.feasible <= gate
+
+
+def test_survey_retrograde_duality_beyond_the_oracle():
+    # over-first rows on D are under-first rows on retrograde(D): gap g goes
+    # to (m - g) mod m, and each facing moves with its point
+    mirror = {
+        CrossingRule.OVER_FIRST: CrossingRule.UNDER_FIRST,
+        CrossingRule.UNDER_FIRST: CrossingRule.OVER_FIRST,
+    }
+    beyond = Counter()
+    for d in diagram_corpus(71, 8, max_events=12):
+        m = len(d.events)
+        if m == 0:
+            continue
+        rd = retrograde(d)
+        for n, k, crossing in product(range(1, min(3, m) + 1), (1, 2, 3, 4), mirror):
+            rows = survey(d, RuleKind.MATCHING, crossing, n, k, enumerate_facings=True)
+            dual = {
+                (row.placement, row.facings): (row.feasible, row.reason)
+                for row in survey(rd, RuleKind.MATCHING, mirror[crossing], n, k, enumerate_facings=True)
+            }
+            assert len(dual) == len(rows)
+            for row in rows:
+                points = retrograde_points(d, row.placement)
+                at = dict(zip(row.placement, row.facings))
+                facings = tuple(at[(m - q) % m] for q in points)
+                assert dual[points, facings] == (row.feasible, row.reason), (d, row, k, crossing)
+                if k * m > ORACLE_STEP_LIMIT:
+                    beyond[row.reason] += 1
+    assert sum(beyond.values()) > 1000 and len(beyond) == 3, beyond
