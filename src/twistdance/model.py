@@ -247,6 +247,13 @@ def _check_bound(name: str, value: int, most: int | None = None) -> None:
         raise ValueError(f"{name} must be in 1..{most}, got {value}")
 
 
+def _check_member(name: str, value: object, kind: type[Enum]) -> None:
+    """Refuse a value that is not a member of the enum ``kind`` (such as
+    its string value) with ``ValueError``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def path_event_indices(diagram: Diagram, points: Iterable[int]) -> list[tuple[int, ...]]:
     """Event indices of each path, in path order.
 

@@ -50,9 +50,9 @@ exactly.
 
 A dancer stuck in the relaxation is stuck in every real schedule (see
 ``_stuck``), so Deadlock(k) iff stuck(k) iff stuck(1) iff Deadlock(1).
-``_Compiled.decide`` therefore decides Deadlock with one linear pass over
-the arcs, whatever k is, and answers ``Infeasible(DEADLOCK, 1)``, the 1
-counting the root.  Only a feasible plan is searched, for its witness: a
+``_Compiled.deadlocked`` therefore decides Deadlock with one linear pass
+over the arcs, whatever k is, answered as ``Infeasible(DEADLOCK, 1)``, the
+1 counting the root.  Only a feasible plan is searched, for its witness: a
 depth-first search over the vector of per-dancer route positions,
 memoizing states proven dead.  Successors are tried in dancer-id order, so
 it yields the lexicographically least witness interleaving.
@@ -67,11 +67,11 @@ and once one safe move from a state has failed it tries no further dancer
 there.  Only dead states are pruned, so the witness stays the
 lexicographically least one.
 
-``schedule_search``, ``min_dancers`` and ``survey`` share one compiled path:
-the diagram is compiled once under the crossing rule into twist-bar prefix
-parities and a ``(slot, delta)`` event table, then each placement is decided
-from its path parities and its arcs, never from the facings past the gate,
-and only a feasible placement's routes are built and searched.
+``schedule_search``, ``min_dancers`` and ``survey`` compile the diagram once
+under the crossing rule and ask each placement the same three questions in
+order: the facing gate on its path ``parities``, ``deadlocked`` on its arcs
+(never on the facings or k), and, for a feasible plan only, its
+``witness``, the one place where routes are built and searched.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -94,6 +94,7 @@ from .model import (
     TwistBar,
     _arcs,
     _check_bound,
+    _check_member,
     check_points,
 )
 
@@ -136,8 +137,9 @@ class InfeasibleReason(Enum):
 class DancePlan:
     """A diagram with placement, lap count, dance rule and crossing rule.
 
-    ``k`` must be an ``int`` >= 1 (a ``bool`` is refused) and the points
-    ints accepted by ``check_points``; otherwise ``ValueError``.
+    ``k`` must be an ``int`` >= 1 (a ``bool`` is refused), the points ints
+    accepted by ``check_points``, and both rules members of their enums;
+    otherwise ``ValueError``.
     ``facings`` designates one facing per initial point and is required
     exactly when the rule is matching; ``designated`` reads the forward
     rule as every point designated forward.
@@ -153,6 +155,8 @@ class DancePlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", check_points(self.diagram, self.points))
         _check_bound("lap count", self.k)
+        _check_member("rule", self.rule, RuleKind)
+        _check_member("crossing_rule", self.crossing_rule, CrossingRule)
         if self.rule is RuleKind.MATCHING:
             if self.facings is None:
                 raise ValueError("matching rule needs facings, one per initial point")
@@ -233,11 +237,8 @@ _CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: St
 
 def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n)."""
-    return _routes(_arcs(len(plan.diagram.events), plan.points), plan.k)
-
-
-def _routes(arcs: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
-    n = len(arcs)
+    arcs = _arcs(len(plan.diagram.events), plan.points)
+    n, k = len(arcs), plan.k
     return [tuple(chain.from_iterable(arcs[(i + lap) % n] for lap in range(k))) for i in range(n)]
 
 
@@ -273,10 +274,10 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     dancer stuck there makes the plan ``Infeasible(DEADLOCK, 1)``: the 1
     counts the root, the only state entered.
 
-    Otherwise the plan is feasible, and a depth-first search runs only to
-    build the witness, the lexicographically least feasible dancer-id
-    sequence.  Balances are pure functions of the position vector, so a set
-    of dead states is a sound memo.
+    Otherwise the plan is feasible, and ``_Compiled.witness`` searches depth
+    first only to build the witness, the lexicographically least feasible
+    dancer-id sequence.  Balances are pure functions of the position vector,
+    so a set of dead states is a sound memo.
 
     Steps with ``delta >= 0`` are safe: never blocked, and they only raise
     balances, so a state is feasible exactly when the state after any one of
@@ -292,29 +293,30 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
     if not matching_check(compiled.parities(plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
-    routes, moves = compiled.decide(plan.points, plan.k)
-    return moves if isinstance(moves, Infeasible) else _witness(plan, routes, moves)
+    if compiled.deadlocked(plan.points):
+        return Infeasible(InfeasibleReason.DEADLOCK, 1)
+    return compiled.witness(plan)
 
 
 class _Compiled:
     """A diagram compiled once under a crossing rule and applied to any
     number of its placements: its twist-bar prefix parities (see ``facing``)
     and each event's ``(slot, delta)`` (see ``schedule_search``), with the
-    slot count.  ``schedule_search`` applies it to one plan, the solver to
-    every placement it tries."""
+    slot count.  Every caller asks ``parities`` (for the facing gate), then
+    ``deadlocked``, then the ``witness`` of a plan that passed both."""
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
         self.m = len(diagram.events)
         self.prefix = _bar_prefix(diagram)
         consumer = _CONSUMER.get(crossing_rule)
         slots: dict[int, int] = {}  # classical crossing id -> balance slot
+        # doubled, so an arc's steps are one slice, wrapping or not; routes index below m
         self.table = [
             (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
             if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
             for ev in diagram.events
-        ]
+        ] * 2
         self.slot_count = len(slots)
-        self.table2 = self.table * 2  # an arc's steps are one slice, wrapping or not
 
     def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """The path parities of checked points."""
@@ -329,29 +331,17 @@ class _Compiled:
         ``_arcs`` would index it."""
         if not self.slot_count:
             return False
-        m, table2 = self.m, self.table2
+        m, table = self.m, self.table
         ends = (*points[1:], points[0])
-        lowered = [table2[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
         return _stuck(lowered, self.slot_count)
 
-    def search(
-        self, points: tuple[int, ...], k: int
-    ) -> tuple[list[tuple[int, ...]], Union[list[int], Infeasible]]:
-        """The routes of checked points at lap count k and the search's moves
-        through them (see ``_moves``), for points that are not
-        ``deadlocked``."""
-        routes = _routes(_arcs(self.m, points), k)
-        return routes, _moves(routes, self.table, self.slot_count)
-
-    def decide(
-        self, points: tuple[int, ...], k: int
-    ) -> tuple[list[tuple[int, ...]], Union[list[int], Infeasible]]:
-        """The routes of checked points at lap count k and their verdict:
-        the witness moves, or the Deadlock with no routes built.  The facings
-        never enter."""
-        if self.deadlocked(points):
-            return [], Infeasible(InfeasibleReason.DEADLOCK, 1)
-        return self.search(points, k)
+    def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
+        """The lex-least witness of a plan of this diagram and crossing rule,
+        searched by ``_moves``; Deadlock only if the plan is ``deadlocked``."""
+        routes = routes_of(plan)
+        moves = _moves(routes, self.table, self.slot_count)
+        return moves if isinstance(moves, Infeasible) else _witness(plan, routes, moves)
 
 
 def _lower(

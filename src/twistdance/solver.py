@@ -7,18 +7,19 @@ constant in k past the facing gate (see ``scheduler``), still not monotone
 in n, so the n bound is exhausted rather than pruned.  Iteration orders are
 fixed, making both results deterministic.
 
-Each call compiles its diagram once through the scheduler's compiled path,
-the one ``schedule_search`` applies to a single plan.  The forward gate is
-the matching gate, the forward rule being the matching rule with every point
-designated forward.  At a fixed (n, k) the gate reads a placement only
-through its path parities t, of which there are at most 2**n, so each call
-decides the gate once per distinct t and shares the answer with every
-placement that has it.  Past the gate Deadlock is decided by one linear pass
-over a placement's arcs that reads neither the facings nor k, so a
-placement is decided at most once per n and all its gate-passing facing
-rows share that verdict.  Its path parities do not depend on k either, so
-``min_dancers`` reads them once per n as well.  Nothing is searched except
-the witness of the first feasible placement of ``min_dancers``.
+Each call compiles its diagram once and asks each placement what
+``schedule_search`` asks of one plan, in the same order: the facing gate on
+its path parities, then ``deadlocked``, then, for the minimum of
+``min_dancers`` only, its ``witness``.  The forward gate is the matching
+gate, the forward rule being the matching rule with every point designated
+forward.  At a fixed (n, k) the gate reads a placement only through its
+path parities t, of which there are at most 2**n, so each call decides the
+gate once per distinct t and shares the answer with every placement that
+has it.  Past the gate Deadlock is decided by one linear pass over a
+placement's arcs that reads neither the facings nor k, so a placement is
+decided at most once per n and all its gate-passing facing rows share that
+verdict.  Its path parities do not depend on k either, so ``min_dancers``
+reads them once per n as well.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .facing import Facing, _matching_solutions, matching_solve
-from .model import Diagram, _check_bound
+from .model import Diagram, _check_bound, _check_member
 from .scheduler import (
     CrossingRule,
     DancePlan,
@@ -35,7 +36,6 @@ from .scheduler import (
     RuleKind,
     Schedule,
     _Compiled,
-    _witness,
 )
 
 __all__ = ["SolveReport", "SurveyRow", "min_dancers", "survey"]
@@ -96,13 +96,16 @@ def min_dancers(
     Placements are the size-n gap subsets in ascending tuple order (each
     cyclic placement enumerated once, canonicalized by its starting index).
     Under the matching rule the facings of each candidate come from
-    ``matching_solve``.  ``k_max`` and ``n_max`` must be ints >= 1, and
-    ``n_max`` may not exceed the diagram's gap count; otherwise
-    ``ValueError``.  Only the first feasible placement gets a witness.
+    ``matching_solve``.  ``k_max`` and ``n_max`` must be ints >= 1, ``n_max``
+    may not exceed the diagram's gap count, and the two rules must be
+    members of their enums; otherwise ``ValueError``.  Only the first
+    feasible placement gets a witness.
     """
     gaps = diagram.gap_count
     _check_bound("n_max", n_max, gaps)
     _check_bound("k_max", k_max)
+    _check_member("rule", rule, RuleKind)
+    _check_member("crossing_rule", crossing_rule, CrossingRule)
     compiled = _Compiled(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
@@ -125,10 +128,9 @@ def min_dancers(
                     deadlocked[placement] = compiled.deadlocked(placement)
                 if deadlocked[placement]:
                     continue
-                routes, moves = compiled.search(placement, k)
                 facings = designated if rule is RuleKind.MATCHING else None
                 plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
-                return SolveReport(plan, _witness(plan, routes, moves), (1, n), (1, k), tried)
+                return SolveReport(plan, compiled.witness(plan), (1, n), (1, k), tried)
     return SolveReport(None, None, (1, n_max), (1, k_max), tried)
 
 
@@ -148,56 +150,48 @@ def survey(
     gets its own row instead (distinct facings over one placement can differ
     at the facing gate, so the exhaustive view matters).  Rows whose facings
     the placement's path parities refuse are recorded as ``FACING_PARITY``
-    without a search.  The gate is decided once per distinct parity vector:
-    which of the 2**n assignments pass, or the solved assignment, is shared
-    by every placement with the same path parities, and the 2**n assignments
-    are built only when they are enumerated.  Past the gate the verdict
-    depends on the placement alone, so each placement is decided at most
-    once, by the scheduler's linear deadlock test with no search, and every
-    gate-passing facing row shares that verdict.  ``n`` and ``k`` must be
-    ints >= 1, and ``n`` may not exceed the diagram's gap count; otherwise
+    without a search.  The gate is decided once per distinct parity vector
+    t: the rows of a placement with parities t, as facings and whether the
+    gate passes them, are shared by every placement with the same t, and
+    the 2**n assignments are built only when they are enumerated.  Past the
+    gate the verdict depends on the placement alone, so each placement with
+    a passing row is decided once, by the scheduler's linear deadlock test
+    with no search, and every passing row shares that verdict.  ``n`` and
+    ``k`` must be ints >= 1, ``n`` may not exceed the diagram's gap count,
+    and the two rules must be members of their enums; otherwise
     ``ValueError``.
     """
     gaps = diagram.gap_count
     _check_bound("n", n, gaps)
     _check_bound("k", k)
+    _check_member("rule", rule, RuleKind)
+    _check_member("crossing_rule", crossing_rule, CrossingRule)
     compiled = _Compiled(diagram, crossing_rule)
-
-    def verdict(placement: tuple[int, ...]) -> tuple[bool, InfeasibleReason | None]:
-        if compiled.deadlocked(placement):
-            return False, InfeasibleReason.DEADLOCK
-        return True, None
-
-    refused = (False, InfeasibleReason.FACING_PARITY)
-    rows: list[SurveyRow] = []
+    every_facing: list[tuple[Facing, ...]] | None = None
     if rule is RuleKind.MATCHING and enumerate_facings:
         every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
-        # t -> whether each every_facing row passes the gate, or None when none does
-        passes: dict[tuple[int, ...], list[bool] | None] = {}
-        for placement in combinations(range(gaps), n):
-            t = compiled.parities(placement)
-            if t not in passes:
-                solutions = _matching_solutions(t, k)
-                passes[t] = [facings in solutions for facings in every_facing] if solutions else None
-            flags = passes[t]
-            if flags is None:
-                rows += [SurveyRow(placement, facings, *refused) for facings in every_facing]
-            else:
-                shared = verdict(placement)
-                rows += [
-                    SurveyRow(placement, facings, *(shared if ok else refused))
-                    for facings, ok in zip(every_facing, flags)
-                ]
-        return rows
-    gate: dict[tuple[int, ...], tuple[Facing, ...] | None] = {}  # t -> _designated(t, k, rule)
+    # t -> the rows of a placement with path parities t, as (facings, gate
+    # passes) pairs, and whether any of them passes
+    templates: dict[
+        tuple[int, ...], tuple[list[tuple[tuple[Facing, ...] | None, bool]], bool]
+    ] = {}
+    refused = (False, InfeasibleReason.FACING_PARITY)
+    rows: list[SurveyRow] = []
     for placement in combinations(range(gaps), n):
         t = compiled.parities(placement)
-        if t not in gate:
-            gate[t] = _designated(t, k, rule)
-        designated = gate[t]
-        if designated is None:
-            rows.append(SurveyRow(placement, None, *refused))
-        else:
-            facings = designated if rule is RuleKind.MATCHING else None
-            rows.append(SurveyRow(placement, facings, *verdict(placement)))
+        if t not in templates:
+            if every_facing is not None:
+                solutions = _matching_solutions(t, k)
+                template = [(facings, facings in solutions) for facings in every_facing]
+            else:
+                designated = _designated(t, k, rule)
+                facings = designated if rule is RuleKind.MATCHING else None
+                template = [(facings, designated is not None)]
+            templates[t] = template, any(ok for _, ok in template)
+        template, any_passes = templates[t]
+        deadlocked = any_passes and compiled.deadlocked(placement)
+        shared = (False, InfeasibleReason.DEADLOCK) if deadlocked else (True, None)
+        rows += [
+            SurveyRow(placement, facings, *(shared if ok else refused)) for facings, ok in template
+        ]
     return rows

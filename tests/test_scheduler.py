@@ -113,6 +113,19 @@ def test_plan_rejects_a_lap_count_that_is_not_an_int():
             DancePlan(d, (0, 3), k)
 
 
+def test_plan_rejects_rules_that_are_not_enum_members():
+    # "over-first" used to be searched as unrestricted and answer FEASIBLE on
+    # this plan, which deadlocks under over-first
+    d = parse("O1+ U1+")
+    assert schedule_search(DancePlan(d, (1,), 1)) == Infeasible(InfeasibleReason.DEADLOCK, 1)
+    for crossing in ("over-first", "unrestricted", None, RuleKind.FORWARD):
+        with pytest.raises(ValueError, match="^crossing_rule must be a CrossingRule"):
+            DancePlan(d, (1,), 1, crossing_rule=crossing)
+    for rule in ("forward", "matching", None, CrossingRule.OVER_FIRST):
+        with pytest.raises(ValueError, match="^rule must be a RuleKind"):
+            DancePlan(d, (1,), 1, rule=rule)
+
+
 def test_plan_rejects_points_that_are_not_ints():
     d = parse(TREFOIL)
     for points in ((0.0,), ("0",), (True,), (0, 3.0), (False, 3)):
@@ -407,10 +420,10 @@ def test_search_state_counts_on_deep_deadlocks(monkeypatch):
 def test_deadlocks_are_decided_without_building_routes(monkeypatch):
     import twistdance.scheduler
 
-    def no_routes(arcs, k):
+    def no_routes(plan):
         raise AssertionError("a deadlock needs no routes")
 
-    monkeypatch.setattr(twistdance.scheduler, "_routes", no_routes)
+    monkeypatch.setattr(twistdance.scheduler, "routes_of", no_routes)
     d = parse(TAIL_80_DIAGRAM)
     dual = DancePlan(
         retrograde(d),
@@ -494,8 +507,9 @@ def test_a_dancer_stuck_in_the_relaxation_proves_deadlock(geometry, rule):
 def _phase_witness(plan):
     """The 1-lap moves replayed k times: in phase j the move of dancer a is
     made by dancer a - j (mod n), who walks arc a as its j-th arc."""
-    _, moves = _Compiled(plan.diagram, plan.crossing_rule).search(plan.points, 1)
-    assert not isinstance(moves, Infeasible), plan
+    one_lap = _Compiled(plan.diagram, plan.crossing_rule).witness(replace(plan, k=1))
+    assert not isinstance(one_lap, Infeasible), plan
+    moves = [step.dancer for step in one_lap.steps]
     phases = [(a - j) % plan.n for j in range(plan.k) for a in moves]
     return _witness_of(plan, routes_of(plan), phases)
 

@@ -217,10 +217,10 @@ def test_survey_builds_no_routes(monkeypatch):
 
     expected = rows()
 
-    def no_routes(arcs, k):
+    def no_routes(plan):
         raise AssertionError("a survey verdict needs no routes")
 
-    monkeypatch.setattr(twistdance.scheduler, "_routes", no_routes)
+    monkeypatch.setattr(twistdance.scheduler, "routes_of", no_routes)
     assert rows() == expected
     assert {row.reason for table in expected for row in table} == {
         None,
@@ -279,6 +279,26 @@ def test_min_dancers_refuses_a_bool_bound():
         min_dancers(d, k_max=True, n_max=1)
     with pytest.raises(ValueError):
         min_dancers(d, k_max=1, n_max=True)
+
+
+def test_min_dancers_and_survey_refuse_rules_that_are_not_enum_members():
+    # a string crossing rule used to be searched as unrestricted, and a
+    # string dance rule read as forward
+    d = parse("O1+ U1+")
+    bad = [
+        ("rule", "forward", CrossingRule.OVER_FIRST),
+        ("rule", "matching", CrossingRule.OVER_FIRST),
+        ("rule", CrossingRule.OVER_FIRST, CrossingRule.OVER_FIRST),
+        ("crossing_rule", RuleKind.FORWARD, "over-first"),
+        ("crossing_rule", RuleKind.MATCHING, None),
+        ("crossing_rule", RuleKind.FORWARD, RuleKind.FORWARD),
+    ]
+    for name, rule, crossing in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            min_dancers(d, rule, crossing, k_max=1, n_max=1)
+        for enumerate_facings in (False, True):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                survey(d, rule, crossing, 1, 1, enumerate_facings=enumerate_facings)
 
 
 def test_survey_refuses_a_fractional_k():
@@ -358,6 +378,55 @@ def _least_feasible(d, rule, crossing, k_max, n_max):
                 if isinstance(result, Schedule):
                     return plan, result, tried
     return None, None, tried
+
+
+def test_survey_modes_agree_beyond_the_oracle():
+    # the solved-facings row is the enumerated row with those facings, and the
+    # forward row has the verdict of the all-forward enumerated row
+    seen = Counter()
+    for d in diagram_corpus(137, 30, max_events=9):
+        for rule in CrossingRule:
+            for n in range(1, min(3, d.gap_count) + 1):
+                for k in range(1, 2 * n + 2):
+                    every = {
+                        (row.placement, row.facings): row
+                        for row in survey(d, RuleKind.MATCHING, rule, n, k, enumerate_facings=True)
+                    }
+                    solved = survey(d, RuleKind.MATCHING, rule, n, k)
+                    forward = survey(d, RuleKind.FORWARD, rule, n, k)
+                    for s, f in zip(solved, forward, strict=True):
+                        assert s.placement == f.placement
+                        facings = matching_solve(parity_vector(d, s.placement), k)
+                        if facings is None:
+                            refused = (False, InfeasibleReason.FACING_PARITY)
+                            assert s == SurveyRow(s.placement, None, *refused), (d, rule, k)
+                        else:
+                            assert s == every[s.placement, facings], (d, rule, k)
+                        all_forward = every[f.placement, (Facing.FORWARD,) * n]
+                        assert f.facings is None, (d, rule, k)
+                        assert (f.feasible, f.reason) == (all_forward.feasible, all_forward.reason)
+                        seen[s.reason, f.reason] += 1
+    assert len(seen) >= 5 and sum(seen.values()) > 40_000, seen
+
+
+def test_min_dancers_past_twice_n_max_laps_finds_what_twice_n_max_finds():
+    # the gate has period 2n in k and the verdict past it does not depend on
+    # k, so the least feasible k, if any, is at most 2n; placements_tried and
+    # k_searched still grow with k_max when the bounds are exhausted
+    hits_past_one_lap = 0
+    for d in [parse(BAR_TREFOIL), *diagram_corpus(131, 40, max_events=8)]:
+        n_max = d.gap_count
+        for rule, crossing in product(RuleKind, CrossingRule):
+            base = min_dancers(d, rule, crossing, k_max=2 * n_max, n_max=n_max)
+            hits_past_one_lap += base.feasible and base.plan.k > 1
+            for k_max in (2 * n_max + 1, 3 * n_max + 2, 4 * n_max + 3):
+                report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
+                assert report.plan == base.plan, (d, rule, crossing, k_max)
+                if base.plan is None:
+                    assert report.schedule is None
+                else:
+                    assert report.schedule.steps == base.schedule.steps
+    assert hits_past_one_lap >= 20
 
 
 def test_min_dancers_matches_a_loop_of_direct_searches():
