@@ -13,7 +13,9 @@ comma):
 Bare ``T`` tokens receive sequential bar ids 1, 2, ... in reading order;
 mixing bare and explicit bar ids can therefore collide and is rejected by
 validation.  ``serialize`` always emits explicit signs and bar ids, single
-space separated, so ``parse(serialize(d)) == d`` for every valid diagram and
+space separated, so ``parse(serialize(d)) == d`` for every diagram that
+``model.validate`` accepts (it refuses ids that are not ints >= 1 and
+strands or signs that are not enum members, which have no token) and
 ``serialize(parse(s))`` is a fixed point after one pass.
 
 ``parse`` accepts ``str`` or raw ``bytes`` and never raises anything other
@@ -141,7 +143,7 @@ def token(event: Event) -> str:
 
 def serialize(diagram: Diagram) -> str:
     """Canonical single-space-separated token string; empty diagram -> ''."""
-    return " ".join(token(ev) for ev in diagram.events)
+    return " ".join(_tokens(diagram))
 
 
 def _tokens(diagram: Diagram) -> list[str]:

@@ -86,10 +86,11 @@ class DiagramError(ValueError):
     """An event sequence that is not a valid twisted virtual Gauss code.
 
     ``event_index`` points at the event where the first violation was
-    detected.  Checks run in a fixed order (strand duplication, crossing
-    pairing, sign agreement, bar uniqueness) so every invalid sequence maps
-    to exactly one error class.  ``span`` is attached by the codec when the
-    sequence came from text.
+    detected.  A malformed event (see :func:`validate`) is refused first,
+    with this base class itself; the checks then run in a fixed order
+    (strand duplication, crossing pairing, sign agreement, bar uniqueness)
+    so every invalid sequence maps to exactly one error class.  ``span`` is
+    attached by the codec when the sequence came from text.
     """
 
     def __init__(self, message: str, event_index: int | None = None) -> None:
@@ -137,75 +138,70 @@ class Diagram:
 def validate(events: Iterable[Event]) -> Diagram:
     """Check the structural invariants and wrap the sequence in a Diagram.
 
-    The sequence is preserved verbatim.  Raises the subclass of
-    :class:`DiagramError` for the first violated check, in the order:
-    DuplicateStrand, UnpairedCrossing, SignMismatch, DuplicateBar.
+    The sequence is preserved verbatim.  A malformed event is refused first,
+    with :class:`DiagramError` itself, at the first such index: an object
+    whose type is not exactly ``ClassicalPass``, ``VirtualPass`` or
+    ``TwistBar``, an id that is not an ``int`` >= 1 (a ``bool`` is refused),
+    or a strand or sign that is not a ``Strand`` or ``CrossingSign`` member.
+    Otherwise raises the subclass of :class:`DiagramError` for the first
+    violated check, in the order: DuplicateStrand, UnpairedCrossing (a
+    virtual crossing seen three times, then a crossing seen once),
+    SignMismatch, DuplicateBar; each at the first index where it fails.
 
-    One pass notes the first event at which each check fails, and the
-    checks are then raised in that order.  A crossing's third pass always
-    repeats a strand, so DuplicateStrand is the first pass whose strand its
-    crossing has shown before.
+    One pass groups the indices of each classical crossing, virtual crossing
+    and bar; each group then names its first failure as a (check, index)
+    pair, the checks numbered in the order above, and the least is raised.
     """
     evs = tuple(events)
-    classical_count: dict[int, int] = {}
-    virtual_count: dict[int, int] = {}
-    first_at: dict[tuple[type, int], int] = {}  # (kind, crossing id) -> first index
-    bars: set[int] = set()
-    repeated_strand = thrice_virtual = mismatch = repeated_bar = None
+    groups: dict[type, dict[int, list[int]]] = {ClassicalPass: {}, VirtualPass: {}, TwistBar: {}}
     for i, ev in enumerate(evs):
-        if isinstance(ev, ClassicalPass):
-            c = ev.crossing_id
-            seen = classical_count.get(c, 0)
-            classical_count[c] = seen + 1
-            if not seen:
-                first_at[ClassicalPass, c] = i
-                continue
-            first = evs[first_at[ClassicalPass, c]]
-            if repeated_strand is None and (seen > 1 or ev.strand is first.strand):
-                repeated_strand = i
-            if mismatch is None and ev.sign is not first.sign:
-                mismatch = i
-        elif isinstance(ev, VirtualPass):
-            c = ev.crossing_id
-            seen = virtual_count.get(c, 0)
-            virtual_count[c] = seen + 1
-            if not seen:
-                first_at[VirtualPass, c] = i
-            elif seen == 2 and thrice_virtual is None:
-                thrice_virtual = i
-        elif isinstance(ev, TwistBar):
-            if ev.bar_id in bars and repeated_bar is None:
-                repeated_bar = i
-            bars.add(ev.bar_id)
+        kind = type(ev)
+        if kind is ClassicalPass:
+            ident = ev.crossing_id
+            if type(ev.strand) is not Strand or type(ev.sign) is not CrossingSign:
+                ident = None  # refused with the malformed ids below
+        elif kind is VirtualPass:
+            ident = ev.crossing_id
+        elif kind is TwistBar:
+            ident = ev.bar_id
+        else:
+            raise DiagramError(f"not an event: {ev!r}", i)
+        if type(ident) is not int or ident < 1:
+            raise DiagramError(
+                f"malformed event {ev!r}: ids are ints >= 1, "
+                "strands and signs are Strand and CrossingSign members",
+                i,
+            )
+        groups[kind].setdefault(ident, []).append(i)
 
-    if repeated_strand is not None:
-        ev = evs[repeated_strand]
-        raise DuplicateStrand(
-            f"crossing {ev.crossing_id} passed twice on the {ev.strand.name.lower()} strand",
-            repeated_strand,
-        )
-    if thrice_virtual is not None:
-        raise UnpairedCrossing(
-            f"virtual crossing {evs[thrice_virtual].crossing_id} appears more than twice",
-            thrice_virtual,
-        )
-    # past the two checks above every crossing has at most two passes
-    once = [i for (kind, c), i in first_at.items()
-            if (classical_count if kind is ClassicalPass else virtual_count)[c] == 1]
-    if once:
-        i = min(once)
-        kind = "classical" if isinstance(evs[i], ClassicalPass) else "virtual"
-        raise UnpairedCrossing(f"{kind} crossing {evs[i].crossing_id} appears only once", i)
-    if mismatch is not None:
-        ev = evs[mismatch]
-        first = evs[first_at[ClassicalPass, ev.crossing_id]]
-        raise SignMismatch(
-            f"crossing {ev.crossing_id} has one pass signed "
-            f"{first.sign.value} and one signed {ev.sign.value}",
-            mismatch,
-        )
-    if repeated_bar is not None:
-        raise DuplicateBar(f"twist bar {evs[repeated_bar].bar_id} appears twice", repeated_bar)
+    failures: list[tuple[int, int, type[DiagramError], str]] = []  # (check, index, class, message)
+    fail = failures.append  # at most once per group
+    for kind, by_id in groups.items():
+        for ident, at in by_id.items():
+            if kind is TwistBar:
+                if len(at) > 1:
+                    fail((4, at[1], DuplicateBar, f"twist bar {ident} appears twice"))
+            elif len(at) == 1:
+                name = "classical" if kind is ClassicalPass else "virtual"
+                fail((2, at[0], UnpairedCrossing, f"{name} crossing {ident} appears only once"))
+            elif kind is VirtualPass:
+                if len(at) > 2:
+                    fail((1, at[2], UnpairedCrossing,
+                          f"virtual crossing {ident} appears more than twice"))
+            else:
+                first, second = evs[at[0]], evs[at[1]]
+                # a crossing has two strands, so its third pass repeats one
+                again = at[1] if second.strand is first.strand else at[2] if len(at) > 2 else None
+                if again is not None:
+                    strand = evs[again].strand.name.lower()
+                    fail((0, again, DuplicateStrand,
+                          f"crossing {ident} passed twice on the {strand} strand"))
+                elif second.sign is not first.sign:
+                    signs = f"{first.sign.value} and one signed {second.sign.value}"
+                    fail((3, at[1], SignMismatch, f"crossing {ident} has one pass signed {signs}"))
+    if failures:
+        _, i, error, message = min(failures)  # groups share no index, so no two pairs tie
+        raise error(message, i)
     return Diagram(evs)
 
 

@@ -59,5 +59,27 @@ def arbitrary_events(max_size: int = 8):
     return st.lists(st.one_of(classical, virtual, bar), max_size=max_size)
 
 
+@st.composite
+def loose_events(draw, max_events: int = 8):
+    """A valid sequence, maybe with a few events cut out and a few loose ones
+    put in their place: ids from -1, 0, 1, 2, 3 and ``True``, strands and
+    signs as members or as their string values, and now and then an object
+    that is no event at all."""
+    ident = st.sampled_from((-1, 0, 1, 2, 3, True))
+    classical = st.builds(
+        ClassicalPass,
+        ident,
+        st.sampled_from((*Strand, *(s.value for s in Strand))),
+        st.sampled_from((*CrossingSign, *(s.value for s in CrossingSign))),
+    )
+    virtual, bar = st.builds(VirtualPass, ident), st.builds(TwistBar, ident)
+    loose = st.one_of(classical, virtual, bar, st.sampled_from((None, 1, "V1", Strand.OVER)))
+    events = list(draw(diagrams(max_events)).events)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(events)))
+        events[at : at + draw(st.integers(0, 2))] = draw(st.lists(loose, min_size=1, max_size=3))
+    return events
+
+
 def parity_vectors(n_max: int = 5):
     return st.lists(st.integers(0, 1), min_size=1, max_size=n_max).map(tuple)

@@ -14,11 +14,12 @@ from twistdance.model import (
     Strand,
     TwistBar,
     VirtualPass,
+    validate,
 )
 from twistdance.scheduler import DancePlan, RuleKind, Schedule, routes_of, schedule_search
 from twistdance.facing import Facing
 
-from strategies import diagrams
+from strategies import diagrams, loose_events
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 
@@ -115,6 +116,16 @@ def test_serialize_examples():
 @given(diagrams())
 def test_roundtrip(d):
     assert parse(serialize(d)) == d
+
+
+@given(loose_events())
+def test_every_diagram_validate_accepts_survives_a_round_trip(events):
+    try:
+        d = validate(events)
+    except DiagramError as err:
+        assert 0 <= err.event_index < len(events)
+    else:
+        assert parse(serialize(d)) == d
 
 
 @given(diagrams())

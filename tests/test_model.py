@@ -97,6 +97,29 @@ def test_virtual_and_classical_ids_are_separate_namespaces():
     assert len(d.events) == 4
 
 
+@pytest.mark.parametrize(
+    "events, at",
+    [
+        ([1, "x"], 0),
+        ([None], 0),
+        ([ClassicalPass(1, U, POS), ClassicalPass(True, O, POS)], 1),
+        ([VirtualPass(True), VirtualPass(1)], 0),
+        ([TwistBar(0)], 0),
+        ([VirtualPass(-1), VirtualPass(-1)], 0),
+        ([TwistBar(1.0)], 0),
+        ([ClassicalPass(1, "O"), ClassicalPass(1, U)], 0),
+        ([ClassicalPass(1, O), ClassicalPass(1, U, "+")], 1),
+        # malformed outranks an earlier structural failure
+        ([ClassicalPass(1, O, POS), ClassicalPass(1, O, POS), TwistBar(0)], 2),
+    ],
+)
+def test_malformed_events_are_refused_first_with_the_base_class(events, at):
+    with pytest.raises(DiagramError) as exc:
+        validate(events)
+    assert type(exc.value) is DiagramError
+    assert exc.value.event_index == at
+
+
 def test_paths_of_trefoil_two_points():
     d = validate(TREFOIL)
     a, b = paths_of(d, (0, 3))
