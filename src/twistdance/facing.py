@@ -5,6 +5,34 @@ once a placement is fixed all facing questions reduce to XORs of per-path
 twist-bar parities.  The dance rules then have closed-form predicates
 instead of step-by-step simulation; the scheduler's property tests tie the
 two views together.
+
+Write t for the path parities of an n-placement, T = sum(t) mod 2 for the
+diagram's total twist-bar parity (the same for every placement), and W(i)
+for ``window_parity(t, i, k)``, the XOR of the k consecutive path parities
+from path i on.  Let g = gcd(n, k).
+
+Fact 1 (matching).  ``matching_solve(t, k)`` is None iff (k/g)*T is odd;
+otherwise the rule admits exactly 2**g facing assignments, the
+``_matching_solutions(t, k)``.  Proof: the endpoint map i -> (i + k) mod n
+splits the indices into g orbits, the orbit of i being the indices
+congruent to i mod g, each of n/g indices.  An assignment f passes iff
+f[i + k] = f[i] XOR W(i) for every i.  Along the orbit of i these n/g
+equations fix every f[j] from f[i], and going once round the orbit they
+return to f[i] iff the XOR of its n/g windows is 0.  Those windows are
+consecutive: together they cover (n/g)*k = (k/g)*n consecutive paths,
+which is k/g whole traversals of the cycle, so their XOR telescopes to
+(k/g)*T mod 2, the same for every orbit.  So if it is odd no assignment
+passes, and if it is even each orbit has exactly two assignments, one per
+value of its least index, chosen independently: 2**g in all.
+
+Fact 2 (forward).  ``forward_rule_ok(t, 2n)`` always holds, and
+``forward_rule_ok(t, n)`` holds iff T = 0.  Proof: the forward rule asks
+W(i) = 0 for every i.  A window of n paths is one whole traversal, with
+parity T, and a window of 2n paths is two, with parity 2T = 0 mod 2.
+
+The public functions refuse an empty t, a k that is not an ``int`` >= 1 (a
+``bool`` included) and facings that are not ``Facing`` members with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,7 +43,7 @@ from math import gcd
 from operator import xor
 from typing import Iterable, Sequence
 
-from .model import Diagram, TwistBar, check_points
+from .model import Diagram, TwistBar, _check_bound, check_points
 
 __all__ = [
     "Facing",
@@ -75,15 +103,26 @@ def _parities(prefix: Sequence[int], pts: Sequence[int]) -> tuple[int, ...]:
     return tuple(prefix[a] ^ prefix[b] ^ (total if b <= a else 0) for a, b in zip(pts, ends))
 
 
-def window_parity(t: Sequence[int], i: int, k: int) -> int:
-    """Net facing flip over the k paths starting at path i, wrapping cyclically.
+def _check_laps(t: Sequence[int], k: int) -> int:
+    """``len(t)``, refusing an empty t or a k that is not an ``int`` >= 1
+    with ``ValueError``."""
+    _check_bound("k", k)
+    if not len(t):
+        raise ValueError("need at least one path parity")
+    return len(t)
 
-    Whole traversals of the vector contribute its total parity; only the
-    remainder is summed term by term.
-    """
+
+def window_parity(t: Sequence[int], i: int, k: int) -> int:
+    """Net facing flip over the k paths starting at path i, wrapping cyclically."""
+    _check_laps(t, k)
+    return _window_parity(t, i, k)
+
+
+def _window_parity(t: Sequence[int], i: int, k: int) -> int:
+    """``window_parity`` of checked arguments.  Whole traversals of the
+    vector contribute its total parity; only the remainder is summed term
+    by term."""
     n = len(t)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
     full, rem = divmod(k, n)
     parity = (full * sum(t)) % 2
     for j in range(rem):
@@ -104,11 +143,13 @@ def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:
     Only the endpoint constrains a dancer; initial points passed mid-route
     impose nothing.
     """
-    n = len(t)
+    n = _check_laps(t, k)
     if len(f) != n:
         raise ValueError(f"facing assignment has length {len(f)}, expected {n}")
+    if not all(isinstance(x, Facing) for x in f):
+        raise ValueError(f"facings must be Facing values, got {tuple(f)!r}")
     return all(
-        (f[i].value ^ window_parity(t, i, k)) == f[(i + k) % n].value
+        (f[i].value ^ _window_parity(t, i, k)) == f[(i + k) % n].value
         for i in range(n)
     )
 
@@ -116,30 +157,23 @@ def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:
 def matching_solve(t: Sequence[int], k: int) -> tuple[Facing, ...] | None:
     """Find a designated-facing assignment satisfying the matching rule.
 
-    The endpoint map i -> (i + k) mod n splits the indices into gcd(n, k)
-    orbits; an orbit is consistent iff its window parities XOR to zero, and
-    each consistent orbit has exactly two assignments.  Returns the
-    lexicographically least solution (forward < backward, index order), or
-    None when some orbit is inconsistent.
+    By Fact 1 there is none when (k/g)*T is odd, g = gcd(n, k), and that is
+    answered before any orbit is walked.  Otherwise the lexicographically
+    least solution (forward < backward, index order) seeds the least index
+    0..g-1 of each orbit forward and walks the rest of the orbit from it.
     """
-    n = len(t)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    f: list[Facing | None] = [None] * n
-    for start in range(n):
-        if f[start] is not None:
-            continue
-        f[start] = Facing.FORWARD  # seed each orbit's smallest index
+    n = _check_laps(t, k)
+    g = gcd(n, k)
+    if k // g * sum(t) % 2:
+        return None
+    f = [Facing.FORWARD] * n
+    for start in range(g):
         i, bit = start, 0
-        while True:
-            bit ^= window_parity(t, i, k)
+        for _ in range(n // g - 1):
+            bit ^= _window_parity(t, i, k)
             i = (i + k) % n
-            if i == start:
-                if bit:
-                    return None
-                break
             f[i] = Facing(bit)
-    return tuple(f)  # type: ignore[arg-type]
+    return tuple(f)
 
 
 def _matching_solutions(t: Sequence[int], k: int) -> set[tuple[int, ...]]:

@@ -303,10 +303,18 @@ class _Compiled:
     number of its placements: its twist-bar prefix parities (see ``facing``)
     and each event's ``(slot, delta)`` (see ``schedule_search``), with the
     slot count.  Every caller asks ``parities`` (for the facing gate), then
-    ``deadlocked``, then the ``witness`` of a plan that passed both."""
+    ``deadlocked``, then the ``witness`` of a plan that passed both.
+
+    Neither ``parities`` nor ``deadlocked`` reads the facings or k, so each
+    instance answers them once per placement and keeps the answers.  An
+    instance lives for one public call (one ``schedule_search``,
+    ``min_dancers`` or ``survey``), and so does its memo: ``min_dancers``
+    asks about a placement once per call however many lap counts it tries.
+    """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
         self.m = len(diagram.events)
+        self.gaps = diagram.gap_count
         self.prefix = _bar_prefix(diagram)
         consumer = _CONSUMER.get(crossing_rule)
         slots: dict[int, int] = {}  # classical crossing id -> balance slot
@@ -317,10 +325,15 @@ class _Compiled:
             for ev in diagram.events
         ] * 2
         self.slot_count = len(slots)
+        self._parities: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._deadlocked: dict[tuple[int, ...], bool] = {}
 
     def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """The path parities of checked points."""
-        return _parities(self.prefix, points)
+        t = self._parities.get(points)
+        if t is None:
+            t = self._parities[points] = _parities(self.prefix, points)
+        return t
 
     def deadlocked(self, points: tuple[int, ...]) -> bool:
         """Whether checked points deadlock past the facing gate, at every lap
@@ -331,10 +344,13 @@ class _Compiled:
         ``_arcs`` would index it."""
         if not self.slot_count:
             return False
-        m, table = self.m, self.table
-        ends = (*points[1:], points[0])
-        lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
-        return _stuck(lowered, self.slot_count)
+        verdict = self._deadlocked.get(points)
+        if verdict is None:
+            m, table = self.m, self.table
+            ends = (*points[1:], points[0])
+            lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+            verdict = self._deadlocked[points] = _stuck(lowered, self.slot_count)
+        return verdict
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,

@@ -7,25 +7,27 @@ constant in k past the facing gate (see ``scheduler``), still not monotone
 in n, so the n bound is exhausted rather than pruned.  Iteration orders are
 fixed, making both results deterministic.
 
-Each call compiles its diagram once and asks each placement what
-``schedule_search`` asks of one plan, in the same order: the facing gate on
-its path parities, then ``deadlocked``, then, for the minimum of
-``min_dancers`` only, its ``witness``.  The forward gate is the matching
-gate, the forward rule being the matching rule with every point designated
-forward.  At a fixed (n, k) the gate reads a placement only through its
-path parities t, of which there are at most 2**n, so each call decides the
-gate once per distinct t and shares the answer with every placement that
-has it.  Past the gate Deadlock is decided by one linear pass over a
-placement's arcs that reads neither the facings nor k, so a placement is
-decided at most once per n and all its gate-passing facing rows share that
-verdict.  Its path parities do not depend on k either, so ``min_dancers``
-reads them once per n as well.
+Both run one loop, ``_scan``, which yields each n-placement at one (n, k)
+in ascending order with its rows and the verdict they share: ``survey``
+lists those rows, and ``min_dancers`` is the first feasible row of the
+loops at (1, 1), (1, 2), ..., (n_max, k_max), the one placement it searches,
+for its witness.  Each call compiles its diagram once and asks each
+placement what ``schedule_search`` asks of one plan, in the same order: the
+facing gate on its path parities, then ``deadlocked``.  The forward gate is
+the matching gate, the forward rule being the matching rule with every
+point designated forward.  At a fixed (n, k) the gate reads a placement
+only through its path parities t, of which there are at most 2**n, so the
+loop builds a placement's rows once per distinct t.  Neither the parities
+nor Deadlock read the facings or k, and ``_Compiled`` keeps both per
+placement for the one call it lives for, so a call decides each placement
+once, whatever k it tries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Iterator
 
 from .facing import Facing, _matching_solutions, matching_solve
 from .model import Diagram, _check_bound, _check_member
@@ -50,8 +52,9 @@ class SolveReport:
     ``n_searched`` and ``k_searched`` are ``(1, n_max)`` and ``(1, k_max)``
     when the bounds were exhausted, and ``(1, n)`` and ``(1, k)`` of the hit
     otherwise, although every k up to ``k_max`` was examined at each smaller
-    n; ``placements_tried`` counts every (n, k, placement) combination
-    evaluated.
+    n.  The hit is the first feasible row of ``survey`` at (1, 1), (1, 2),
+    ..., (n_max, k_max) in turn, and ``placements_tried`` counts the rows
+    scanned, one per (n, k, placement), the hit included.
     """
 
     plan: DancePlan | None
@@ -73,14 +76,45 @@ class SurveyRow:
     reason: InfeasibleReason | None
 
 
-def _designated(t: tuple[int, ...], k: int, rule: RuleKind) -> tuple[Facing, ...] | None:
-    """The facings a placement with path parities ``t`` is tried with, or
-    None when the parities alone refuse the rule, so the search would answer
-    ``FACING_PARITY`` without running.  The forward gate is the matching
-    gate: ``matching_solve`` seeds every orbit forward, so its least solution
-    is all forward exactly when every window parity is 0."""
-    facings = matching_solve(t, k)
-    return None if rule is RuleKind.FORWARD and facings is not None and any(facings) else facings
+# a survey row before its verdict: the facings it is tried with, and whether
+# the facing gate passes them
+_Row = tuple[tuple[Facing, ...] | None, bool]
+
+
+def _scan(
+    compiled: _Compiled, rule: RuleKind, n: int, k: int, enumerate_facings: bool = False
+) -> Iterator[tuple[tuple[int, ...], list[_Row], bool]]:
+    """Each n-placement of a compiled diagram in ascending tuple order, with
+    its rows at lap count ``k`` as ``(facings, gate passes)`` pairs and
+    whether it deadlocks, the verdict every passing row shares (False when
+    no row passes, the placement then left undecided).
+
+    A placement has one row, with its solved facings under the matching rule
+    and None under the forward rule, or, when ``enumerate_facings`` and the
+    rule is matching, one row per facing assignment.  The rows depend on the
+    placement only through its path parities t, so they are built once per
+    distinct t and shared by every placement that has it.
+    """
+    matching = rule is RuleKind.MATCHING
+    every_facing: list[tuple[Facing, ...]] | None = None
+    if matching and enumerate_facings:
+        every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
+    # t -> the rows of a placement with path parities t, and whether any passes
+    templates: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}
+    for placement in combinations(range(compiled.gaps), n):
+        t = compiled.parities(placement)
+        if t not in templates:
+            if every_facing is not None:  # some row passes iff there is a solution
+                solutions = _matching_solutions(t, k)
+                templates[t] = [(f, f in solutions) for f in every_facing], bool(solutions)
+            else:
+                # matching_solve seeds every orbit forward, so its least
+                # solution is all forward exactly when the forward gate passes
+                facings = matching_solve(t, k)
+                passes = facings is not None and (matching or not any(facings))
+                templates[t] = [(facings if matching else None, passes)], passes
+        template, any_passes = templates[t]
+        yield placement, template, any_passes and compiled.deadlocked(placement)
 
 
 def min_dancers(
@@ -101,36 +135,20 @@ def min_dancers(
     members of their enums; otherwise ``ValueError``.  Only the first
     feasible placement gets a witness.
     """
-    gaps = diagram.gap_count
-    _check_bound("n_max", n_max, gaps)
+    _check_bound("n_max", n_max, diagram.gap_count)
     _check_bound("k_max", k_max)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
     compiled = _Compiled(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
-        # placement -> its path parities, and its verdict past the gate; neither depends on k
-        parities: dict[tuple[int, ...], tuple[int, ...]] = {}
-        deadlocked: dict[tuple[int, ...], bool] = {}
         for k in range(1, k_max + 1):
-            gate: dict[tuple[int, ...], tuple[Facing, ...] | None] = {}  # t -> _designated(t, k, rule)
-            for placement in combinations(range(gaps), n):
+            # without enumerated facings each placement has one row
+            for placement, [(facings, passes)], deadlocked in _scan(compiled, rule, n, k):
                 tried += 1
-                if placement not in parities:
-                    parities[placement] = compiled.parities(placement)
-                t = parities[placement]
-                if t not in gate:
-                    gate[t] = _designated(t, k, rule)
-                designated = gate[t]
-                if designated is None:
-                    continue
-                if placement not in deadlocked:
-                    deadlocked[placement] = compiled.deadlocked(placement)
-                if deadlocked[placement]:
-                    continue
-                facings = designated if rule is RuleKind.MATCHING else None
-                plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
-                return SolveReport(plan, compiled.witness(plan), (1, n), (1, k), tried)
+                if passes and not deadlocked:
+                    plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
+                    return SolveReport(plan, compiled.witness(plan), (1, n), (1, k), tried)
     return SolveReport(None, None, (1, n_max), (1, k_max), tried)
 
 
@@ -148,50 +166,24 @@ def survey(
     Under the matching rule each placement is tried with its solved facing
     assignment; with ``enumerate_facings`` every one of the 2**n assignments
     gets its own row instead (distinct facings over one placement can differ
-    at the facing gate, so the exhaustive view matters).  Rows whose facings
-    the placement's path parities refuse are recorded as ``FACING_PARITY``
-    without a search.  The gate is decided once per distinct parity vector
-    t: the rows of a placement with parities t, as facings and whether the
-    gate passes them, are shared by every placement with the same t, and
-    the 2**n assignments are built only when they are enumerated.  Past the
-    gate the verdict depends on the placement alone, so each placement with
-    a passing row is decided once, by the scheduler's linear deadlock test
-    with no search, and every passing row shares that verdict.  ``n`` and
-    ``k`` must be ints >= 1, ``n`` may not exceed the diagram's gap count,
-    and the two rules must be members of their enums; otherwise
-    ``ValueError``.
+    at the facing gate, so the exhaustive view matters).  The forward rule
+    does not read ``enumerate_facings``, and its rows' facings are None.
+    Rows whose facings the placement's path parities refuse are recorded as
+    ``FACING_PARITY``; the other rows of a placement share its verdict, from
+    the scheduler's linear deadlock test with no search.  The 2**n
+    assignments are built only when they are enumerated.  ``n`` and ``k``
+    must be ints >= 1, ``n`` may not exceed the diagram's gap count, and the
+    two rules must be members of their enums; otherwise ``ValueError``.
     """
-    gaps = diagram.gap_count
-    _check_bound("n", n, gaps)
+    _check_bound("n", n, diagram.gap_count)
     _check_bound("k", k)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
-    compiled = _Compiled(diagram, crossing_rule)
-    every_facing: list[tuple[Facing, ...]] | None = None
-    if rule is RuleKind.MATCHING and enumerate_facings:
-        every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
-    # t -> the rows of a placement with path parities t, as (facings, gate
-    # passes) pairs, and whether any of them passes
-    templates: dict[
-        tuple[int, ...], tuple[list[tuple[tuple[Facing, ...] | None, bool]], bool]
-    ] = {}
     refused = (False, InfeasibleReason.FACING_PARITY)
-    rows: list[SurveyRow] = []
-    for placement in combinations(range(gaps), n):
-        t = compiled.parities(placement)
-        if t not in templates:
-            if every_facing is not None:
-                solutions = _matching_solutions(t, k)
-                template = [(facings, facings in solutions) for facings in every_facing]
-            else:
-                designated = _designated(t, k, rule)
-                facings = designated if rule is RuleKind.MATCHING else None
-                template = [(facings, designated is not None)]
-            templates[t] = template, any(ok for _, ok in template)
-        template, any_passes = templates[t]
-        deadlocked = any_passes and compiled.deadlocked(placement)
-        shared = (False, InfeasibleReason.DEADLOCK) if deadlocked else (True, None)
-        rows += [
-            SurveyRow(placement, facings, *(shared if ok else refused)) for facings, ok in template
-        ]
-    return rows
+    decided = {False: (True, None), True: (False, InfeasibleReason.DEADLOCK)}
+    scan = _scan(_Compiled(diagram, crossing_rule), rule, n, k, enumerate_facings)
+    return [
+        SurveyRow(placement, facings, *(decided[deadlocked] if ok else refused))
+        for placement, template, deadlocked in scan
+        for facings, ok in template
+    ]

@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -179,3 +180,65 @@ def test_the_facing_gate_has_period_2n_in_k(t, k, data):
     assert matching_check(t, f, later) == matching_check(t, f, k)
     assert matching_solve(t, later) == matching_solve(t, k)
     assert forward_rule_ok(t, later) == forward_rule_ok(t, k)
+
+
+def test_the_facing_functions_refuse_an_empty_vector_or_a_k_that_is_not_a_count():
+    # an empty t used to pass forward_rule_ok and matching_check, whose loops
+    # never reached window_parity's check; True was read as k = 1, and a float
+    # k raised TypeError
+    calls = [
+        lambda t, k: window_parity(t, 0, k),
+        forward_rule_ok,
+        lambda t, k: matching_check(t, (F,) * len(t), k),
+        matching_solve,
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call((), 1)
+        for k in (0, -1, True, False, 1.0, 2.5, "1", None):
+            with pytest.raises(ValueError):
+                call((0, 1), k)
+
+
+def test_matching_check_refuses_facings_that_are_not_facing_members():
+    # plain ints, letters and None used to raise AttributeError or pass
+    for f in (("F", "F"), (0, 0), (F, 1), (None, B)):
+        with pytest.raises(ValueError, match="Facing"):
+            matching_check((0, 1), f, 1)
+
+
+def test_facts_1_and_2_hold_for_every_vector_of_at_most_eight_paths():
+    # Fact 1: matching_solve(t, k) is None iff (k/g)*T is odd, g = gcd(n, k),
+    # and otherwise there are 2**g solutions; Fact 2: the forward gate passes
+    # at k = 2n, and at k = n iff T = 0 (proofs in the facing docstring)
+    pairs = 0
+    for n in range(1, 9):
+        for t in product((0, 1), repeat=n):
+            total = sum(t) % 2
+            assert forward_rule_ok(t, 2 * n), t
+            assert forward_rule_ok(t, n) == (total == 0), t
+            for k in range(1, 3 * n + 3):
+                pairs += 1
+                g = gcd(n, k)
+                solved = matching_solve(t, k)
+                assert (solved is None) == (k // g * total % 2 == 1), (t, k)
+                if solved is not None:
+                    assert matching_check(t, solved, k), (t, k)
+                    solutions = _matching_solutions(t, k)
+                    assert len(solutions) == 2**g, (t, k)
+                    if n <= 4:
+                        assert solutions == set(brute_solutions(t, k)), (t, k)
+    assert pairs == 11_778
+
+
+def test_matching_solve_refuses_before_it_walks_an_orbit(monkeypatch):
+    import twistdance.facing
+
+    def no_walk(t, i, k):
+        raise AssertionError("a refusal reads no window")
+
+    monkeypatch.setattr(twistdance.facing, "_window_parity", no_walk)
+    assert matching_solve((1, 0), 1) is None
+    assert matching_solve((1, 0, 0), 3) is None
+    assert matching_solve((0, 1, 1, 1), 6) is None
+    assert matching_solve((1,), 2) == (F,)  # one orbit of one index: no walk

@@ -578,3 +578,32 @@ def test_survey_retrograde_duality_beyond_the_oracle():
                 if k * m > ORACLE_STEP_LIMIT:
                     beyond[row.reason] += 1
     assert sum(beyond.values()) > 1000 and len(beyond) == 3, beyond
+
+
+def _survey_rows(d, rule, crossing, k_max, n_max):
+    """Every (k, row) of the surveys ``min_dancers`` scans, in its order."""
+    for n in range(1, n_max + 1):
+        for k in range(1, k_max + 1):
+            for row in survey(d, rule, crossing, n, k):
+                yield k, row
+
+
+def test_min_dancers_is_the_first_feasible_survey_row():
+    outcomes = Counter()
+    for d in [parse(BAR_TREFOIL), *diagram_corpus(89, 30, max_events=8)]:
+        n_max = min(3, d.gap_count)
+        for rule, crossing, k_max in product(RuleKind, CrossingRule, (1, 3)):
+            report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
+            scanned = 0
+            for k, row in _survey_rows(d, rule, crossing, k_max, n_max):
+                scanned += 1
+                if row.feasible:
+                    assert report.plan.points == row.placement, (d, rule, crossing, k_max)
+                    assert (report.plan.k, report.plan.facings) == (k, row.facings)
+                    break
+            else:
+                assert not report.feasible, (d, rule, crossing, k_max)
+                assert (report.n_searched, report.k_searched) == ((1, n_max), (1, k_max))
+            assert report.placements_tried == scanned, (d, rule, crossing, k_max)
+            outcomes[rule, report.feasible] += 1
+    assert len(outcomes) == 4, outcomes
