@@ -49,7 +49,7 @@ from .scheduler import (
     schedule_search,
     verify_schedule,
 )
-from .solver import SolveReport, SurveyRow, min_dancers, survey
+from .solver import SURVEY_ROW_LIMIT, SolveReport, SurveyRow, min_dancers, survey
 from .timeline import svg_timeline
 
 __version__ = "0.1.0"
@@ -72,6 +72,7 @@ __all__ = [
     "LexError",
     "ORACLE_STEP_LIMIT",
     "RuleKind",
+    "SURVEY_ROW_LIMIT",
     "Schedule",
     "SignMismatch",
     "SolveReport",

@@ -305,14 +305,15 @@ class _Compiled:
     slot count.  Every caller asks ``parities`` (for the facing gate), then
     ``deadlocked``, then the ``witness`` of a plan that passed both.
 
-    Neither ``parities`` nor ``deadlocked`` reads the facings or k, so each
-    instance answers them once per placement and keeps the answers.  An
-    instance lives for one public call (one ``schedule_search``,
+    Neither ``parities`` nor ``deadlocked`` reads the facings or k, so with
+    ``memo`` an instance answers them once per placement and keeps the
+    answers.  An instance lives for one public call (one ``schedule_search``,
     ``min_dancers`` or ``survey``), and so does its memo: ``min_dancers``
     asks about a placement once per call however many lap counts it tries.
+    ``survey`` asks about each placement once, so it keeps no memo.
     """
 
-    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
+    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule, memo: bool = True) -> None:
         self.m = len(diagram.events)
         self.gaps = diagram.gap_count
         self.prefix = _bar_prefix(diagram)
@@ -325,14 +326,18 @@ class _Compiled:
             for ev in diagram.events
         ] * 2
         self.slot_count = len(slots)
-        self._parities: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._deadlocked: dict[tuple[int, ...], bool] = {}
+        # placement -> its parities and its Deadlock verdict, or None without memo
+        self._parities: dict[tuple[int, ...], tuple[int, ...]] | None = {} if memo else None
+        self._deadlocked: dict[tuple[int, ...], bool] | None = {} if memo else None
 
     def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """The path parities of checked points."""
-        t = self._parities.get(points)
+        memo = self._parities
+        if memo is None:
+            return _parities(self.prefix, points)
+        t = memo.get(points)
         if t is None:
-            t = self._parities[points] = _parities(self.prefix, points)
+            t = memo[points] = _parities(self.prefix, points)
         return t
 
     def deadlocked(self, points: tuple[int, ...]) -> bool:
@@ -344,12 +349,15 @@ class _Compiled:
         ``_arcs`` would index it."""
         if not self.slot_count:
             return False
-        verdict = self._deadlocked.get(points)
+        memo = self._deadlocked
+        verdict = None if memo is None else memo.get(points)
         if verdict is None:
             m, table = self.m, self.table
             ends = (*points[1:], points[0])
             lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
-            verdict = self._deadlocked[points] = _stuck(lowered, self.slot_count)
+            verdict = _stuck(lowered, self.slot_count)
+            if memo is not None:
+                memo[points] = verdict
         return verdict
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:

@@ -18,15 +18,23 @@ the matching gate, the forward rule being the matching rule with every
 point designated forward.  At a fixed (n, k) the gate reads a placement
 only through its path parities t, of which there are at most 2**n, so the
 loop builds a placement's rows once per distinct t.  Neither the parities
-nor Deadlock read the facings or k, and ``_Compiled`` keeps both per
-placement for the one call it lives for, so a call decides each placement
-once, whatever k it tries.
+nor Deadlock read the facings or k, and the ``_Compiled`` of ``min_dancers``
+keeps both per placement for the one call it lives for, so the call decides
+each placement once, whatever k it tries; ``survey`` visits each placement
+once, so its ``_Compiled`` keeps no memo.
+
+``survey`` makes each row with ``object.__new__`` and fills its four fields
+through ``SurveyRow``'s slot descriptors, which is what the frozen
+dataclass ``__init__`` does through ``object.__setattr__`` at about twice
+the cost; the rows are ``SurveyRow``s all the same.  It counts its rows by
+arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Iterator
 
 from .facing import Facing, _matching_solutions, matching_solve
@@ -40,7 +48,13 @@ from .scheduler import (
     _Compiled,
 )
 
-__all__ = ["SolveReport", "SurveyRow", "min_dancers", "survey"]
+__all__ = ["SURVEY_ROW_LIMIT", "SolveReport", "SurveyRow", "min_dancers", "survey"]
+
+SURVEY_ROW_LIMIT = 2**22
+"""The most rows one ``survey`` call builds, about 350 MB of rows at the
+82-87 bytes per row that ``tracemalloc`` reads.  It admits every placement
+and facing assignment of 8 dancers on 16 gaps (3,294,720 rows); a call that
+would build more is refused before it builds any."""
 
 
 @dataclass(frozen=True)
@@ -173,17 +187,38 @@ def survey(
     the scheduler's linear deadlock test with no search.  The 2**n
     assignments are built only when they are enumerated.  ``n`` and ``k``
     must be ints >= 1, ``n`` may not exceed the diagram's gap count, and the
-    two rules must be members of their enums; otherwise ``ValueError``.
+    two rules must be members of their enums; otherwise ``ValueError``.  The
+    rows number C(gaps, n), times 2**n when facings are enumerated under the
+    matching rule; a survey of more than ``SURVEY_ROW_LIMIT`` rows is refused
+    with ``ValueError`` before any row is built.
     """
     _check_bound("n", n, diagram.gap_count)
     _check_bound("k", k)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
+    enumerated = enumerate_facings and rule is RuleKind.MATCHING
+    count = comb(diagram.gap_count, n) * (2**n if enumerated else 1)
+    if count > SURVEY_ROW_LIMIT:
+        raise ValueError(f"a survey of {count} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}")
     refused = (False, InfeasibleReason.FACING_PARITY)
     decided = {False: (True, None), True: (False, InfeasibleReason.DEADLOCK)}
-    scan = _scan(_Compiled(diagram, crossing_rule), rule, n, k, enumerate_facings)
-    return [
-        SurveyRow(placement, facings, *(decided[deadlocked] if ok else refused))
-        for placement, template, deadlocked in scan
-        for facings, ok in template
-    ]
+    # each row filled through the slots, bypassing the frozen __init__ (see above)
+    new = object.__new__
+    set_placement = SurveyRow.placement.__set__
+    set_facings = SurveyRow.facings.__set__
+    set_feasible = SurveyRow.feasible.__set__
+    set_reason = SurveyRow.reason.__set__
+    rows: list[SurveyRow] = []
+    append = rows.append
+    compiled = _Compiled(diagram, crossing_rule, memo=False)
+    for placement, template, deadlocked in _scan(compiled, rule, n, k, enumerate_facings):
+        verdict = decided[deadlocked]
+        for facings, ok in template:
+            feasible, reason = verdict if ok else refused
+            row = new(SurveyRow)
+            set_placement(row, placement)
+            set_facings(row, facings)
+            set_feasible(row, feasible)
+            set_reason(row, reason)
+            append(row)
+    return rows

@@ -25,7 +25,7 @@ from twistdance.scheduler import (
     schedule_search,
     verify_schedule,
 )
-from twistdance.solver import SurveyRow, min_dancers, survey
+from twistdance.solver import SURVEY_ROW_LIMIT, SurveyRow, min_dancers, survey
 
 from corpus import all_placements, diagram_corpus
 from strategies import diagrams
@@ -471,7 +471,30 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
         SurveyRow((0, 2), (Facing.FORWARD, Facing.BACKWARD), False, InfeasibleReason.DEADLOCK),
         SurveyRow((1,), None, True, None),
     ]
-    for value in (step, *rows):
+    # rows as survey builds them, filled through the slots
+    surveyed = [
+        row
+        for rule, enumerate_facings in [
+            (RuleKind.FORWARD, False),
+            (RuleKind.MATCHING, False),
+            (RuleKind.MATCHING, True),
+        ]
+        for row in survey(
+            parse(BAR_TREFOIL), rule, CrossingRule.OVER_FIRST, 3, 2,
+            enumerate_facings=enumerate_facings,
+        )
+    ]
+    assert {row.reason for row in surveyed} == {
+        None,
+        InfeasibleReason.FACING_PARITY,
+        InfeasibleReason.DEADLOCK,
+    }
+    assert {row.facings is None for row in surveyed} == {False, True}
+    for row in surveyed:
+        assert type(row) is SurveyRow
+        built = SurveyRow(row.placement, row.facings, row.feasible, row.reason)
+        assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
+    for value in (step, *rows, *surveyed):
         assert not hasattr(value, "__dict__")
         for copied in (pickle.loads(pickle.dumps(value)), deepcopy(value), replace(value)):
             assert copied == value and hash(copied) == hash(value)
@@ -607,3 +630,72 @@ def test_min_dancers_is_the_first_feasible_survey_row():
             assert report.placements_tried == scanned, (d, rule, crossing, k_max)
             outcomes[rule, report.feasible] += 1
     assert len(outcomes) == 4, outcomes
+
+
+def test_survey_keeps_no_memo_but_min_dancers_does(monkeypatch):
+    import twistdance.solver
+
+    made = []
+
+    class Captured(twistdance.solver._Compiled):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(twistdance.solver, "_Compiled", Captured)
+    reasons = set()
+    for d in [parse(BAR_TREFOIL), *diagram_corpus(97, 12, max_events=10)]:
+        n = min(3, d.gap_count)
+        for rule, crossing in product(RuleKind, CrossingRule):
+            for enumerate_facings in (False, True):
+                rows = survey(d, rule, crossing, n, 2, enumerate_facings=enumerate_facings)
+                reasons.update(row.reason for row in rows)
+                [compiled] = made
+                made.clear()
+                assert not compiled._parities and not compiled._deadlocked, (d, rule, crossing)
+    assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
+    # the memo survey leaves empty is the one min_dancers fills
+    min_dancers(parse(BAR_TREFOIL), k_max=2, n_max=3)
+    [compiled] = made
+    assert compiled._parities and compiled._deadlocked
+
+
+def _bars(m):
+    """A diagram of m twist bars and nothing else, so m gaps."""
+    return parse(" ".join(f"T{i}" for i in range(1, m + 1)))
+
+
+def test_survey_refuses_more_rows_than_its_limit_before_building_any(monkeypatch):
+    import twistdance.solver
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a refused survey scans no placement")
+
+    monkeypatch.setattr(twistdance.solver, "_scan", no_scan)
+    rows = comb(24, 12) * 2**12  # 1.1e10 rows
+    with pytest.raises(ValueError, match=f"{rows} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}"):
+        survey(_bars(24), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 12, 1, enumerate_facings=True)
+    # every placement and facing assignment of 8 dancers on 16 gaps is admitted
+    monkeypatch.setattr(twistdance.solver, "_scan", lambda *args: iter(()))
+    assert comb(16, 8) * 2**8 == 3_294_720 <= SURVEY_ROW_LIMIT
+    assert survey(_bars(16), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 8, 1, enumerate_facings=True) == []
+
+
+def test_survey_admits_exactly_its_row_limit(monkeypatch):
+    import twistdance.solver
+
+    d = _bars(7)
+    # rule, enumerate_facings, rows: the forward rule enumerates no facings
+    cases = [
+        (RuleKind.MATCHING, True, comb(7, 3) * 2**3),
+        (RuleKind.MATCHING, False, comb(7, 3)),
+        (RuleKind.FORWARD, True, comb(7, 3)),
+        (RuleKind.FORWARD, False, comb(7, 3)),
+    ]
+    for rule, enumerate_facings, rows in cases:
+        monkeypatch.setattr(twistdance.solver, "SURVEY_ROW_LIMIT", rows)
+        table = survey(d, rule, CrossingRule.OVER_FIRST, 3, 1, enumerate_facings=enumerate_facings)
+        assert len(table) == rows
+        monkeypatch.setattr(twistdance.solver, "SURVEY_ROW_LIMIT", rows - 1)
+        with pytest.raises(ValueError, match=f"^a survey of {rows} rows exceeds SURVEY_ROW_LIMIT = {rows - 1}$"):
+            survey(d, rule, CrossingRule.OVER_FIRST, 3, 1, enumerate_facings=enumerate_facings)
