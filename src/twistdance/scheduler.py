@@ -305,15 +305,13 @@ class _Compiled:
     slot count.  Every caller asks ``parities`` (for the facing gate), then
     ``deadlocked``, then the ``witness`` of a plan that passed both.
 
-    Neither ``parities`` nor ``deadlocked`` reads the facings or k, so with
-    ``memo`` an instance answers them once per placement and keeps the
-    answers.  An instance lives for one public call (one ``schedule_search``,
-    ``min_dancers`` or ``survey``), and so does its memo: ``min_dancers``
-    asks about a placement once per call however many lap counts it tries.
-    ``survey`` asks about each placement once, so it keeps no memo.
+    An instance keeps no answer: ``schedule_search`` and ``survey`` ask
+    about each placement once.  ``min_dancers`` asks again at every lap
+    count, and neither ``parities`` nor ``deadlocked`` reads the facings or
+    k, so it uses ``solver._Remembered``, which keeps both.
     """
 
-    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule, memo: bool = True) -> None:
+    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
         self.m = len(diagram.events)
         self.gaps = diagram.gap_count
         self.prefix = _bar_prefix(diagram)
@@ -326,19 +324,10 @@ class _Compiled:
             for ev in diagram.events
         ] * 2
         self.slot_count = len(slots)
-        # placement -> its parities and its Deadlock verdict, or None without memo
-        self._parities: dict[tuple[int, ...], tuple[int, ...]] | None = {} if memo else None
-        self._deadlocked: dict[tuple[int, ...], bool] | None = {} if memo else None
 
     def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """The path parities of checked points."""
-        memo = self._parities
-        if memo is None:
-            return _parities(self.prefix, points)
-        t = memo.get(points)
-        if t is None:
-            t = memo[points] = _parities(self.prefix, points)
-        return t
+        return _parities(self.prefix, points)
 
     def deadlocked(self, points: tuple[int, ...]) -> bool:
         """Whether checked points deadlock past the facing gate, at every lap
@@ -349,16 +338,10 @@ class _Compiled:
         ``_arcs`` would index it."""
         if not self.slot_count:
             return False
-        memo = self._deadlocked
-        verdict = None if memo is None else memo.get(points)
-        if verdict is None:
-            m, table = self.m, self.table
-            ends = (*points[1:], points[0])
-            lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
-            verdict = _stuck(lowered, self.slot_count)
-            if memo is not None:
-                memo[points] = verdict
-        return verdict
+        m, table = self.m, self.table
+        ends = (*points[1:], points[0])
+        lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        return _stuck(lowered, self.slot_count)
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,

@@ -18,10 +18,10 @@ the matching gate, the forward rule being the matching rule with every
 point designated forward.  At a fixed (n, k) the gate reads a placement
 only through its path parities t, of which there are at most 2**n, so the
 loop builds a placement's rows once per distinct t.  Neither the parities
-nor Deadlock read the facings or k, and the ``_Compiled`` of ``min_dancers``
-keeps both per placement for the one call it lives for, so the call decides
-each placement once, whatever k it tries; ``survey`` visits each placement
-once, so its ``_Compiled`` keeps no memo.
+nor Deadlock read the facings or k, so ``min_dancers`` keeps both per
+placement in a ``_Remembered`` for the one call it lives for and decides
+each placement once, whatever k it tries.  ``survey`` visits each placement
+once and keeps no answer.
 
 ``survey`` makes each row with ``object.__new__`` and fills its four fields
 through ``SurveyRow``'s slot descriptors, which is what the frozen
@@ -51,10 +51,13 @@ from .scheduler import (
 __all__ = ["SURVEY_ROW_LIMIT", "SolveReport", "SurveyRow", "min_dancers", "survey"]
 
 SURVEY_ROW_LIMIT = 2**22
-"""The most rows one ``survey`` call builds, about 350 MB of rows at the
-82-87 bytes per row that ``tracemalloc`` reads.  It admits every placement
-and facing assignment of 8 dancers on 16 gaps (3,294,720 rows); a call that
-would build more is refused before it builds any."""
+"""The most rows one ``survey`` call builds.  It counts rows, not bytes:
+``tracemalloc`` reads about 77 bytes per row when facings are enumerated,
+the 2**n rows of a placement sharing its placement tuple, so about 320 MB
+at the limit, and about 146 bytes per row otherwise, so about 610 MB.  It
+admits every placement and facing assignment of 8 dancers on 16 gaps
+(3,294,720 rows); a call that would build more is refused before it builds
+any."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,31 @@ class SurveyRow:
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
+
+
+class _Remembered(_Compiled):
+    """A ``_Compiled`` that keeps each placement's parities and Deadlock
+    verdict, for ``min_dancers``, which asks about a placement again at
+    every lap count.  A ``functools.cache`` set on an instance's methods
+    would tie the instance into a reference cycle, leaving each call's
+    answers to the cyclic collector."""
+
+    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
+        super().__init__(diagram, crossing_rule)
+        self._parities: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._deadlocked: dict[tuple[int, ...], bool] = {}
+
+    def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
+        t = self._parities.get(points)
+        if t is None:
+            t = self._parities[points] = _Compiled.parities(self, points)
+        return t
+
+    def deadlocked(self, points: tuple[int, ...]) -> bool:
+        verdict = self._deadlocked.get(points)
+        if verdict is None:
+            verdict = self._deadlocked[points] = _Compiled.deadlocked(self, points)
+        return verdict
 
 
 def _scan(
@@ -153,7 +181,7 @@ def min_dancers(
     _check_bound("k_max", k_max)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
-    compiled = _Compiled(diagram, crossing_rule)
+    compiled = _Remembered(diagram, crossing_rule)
     tried = 0
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
@@ -210,7 +238,7 @@ def survey(
     set_reason = SurveyRow.reason.__set__
     rows: list[SurveyRow] = []
     append = rows.append
-    compiled = _Compiled(diagram, crossing_rule, memo=False)
+    compiled = _Compiled(diagram, crossing_rule)
     for placement, template, deadlocked in _scan(compiled, rule, n, k, enumerate_facings):
         verdict = decided[deadlocked]
         for facings, ok in template:

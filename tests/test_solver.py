@@ -20,6 +20,7 @@ from twistdance.scheduler import (
     RuleKind,
     Schedule,
     Step,
+    _Compiled,
     retrograde,
     retrograde_points,
     schedule_search,
@@ -490,6 +491,10 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
         InfeasibleReason.DEADLOCK,
     }
     assert {row.facings is None for row in surveyed} == {False, True}
+    # survey sets these four slots and runs no __init__, so the declaration
+    # may grow no field and no __post_init__ without survey following it
+    assert [f.name for f in fields(SurveyRow)] == ["placement", "facings", "feasible", "reason"]
+    assert not hasattr(SurveyRow, "__post_init__")
     for row in surveyed:
         assert type(row) is SurveyRow
         built = SurveyRow(row.placement, row.facings, row.feasible, row.reason)
@@ -632,29 +637,31 @@ def test_min_dancers_is_the_first_feasible_survey_row():
     assert len(outcomes) == 4, outcomes
 
 
-def test_survey_keeps_no_memo_but_min_dancers_does(monkeypatch):
-    import twistdance.solver
-
+def test_survey_keeps_no_answer_but_min_dancers_does(monkeypatch):
     made = []
+    init = _Compiled.__init__
 
-    class Captured(twistdance.solver._Compiled):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
 
-    monkeypatch.setattr(twistdance.solver, "_Compiled", Captured)
     reasons = set()
     for d in [parse(BAR_TREFOIL), *diagram_corpus(97, 12, max_events=10)]:
         n = min(3, d.gap_count)
         for rule, crossing in product(RuleKind, CrossingRule):
+            fresh = vars(_Compiled(d, crossing))
+            monkeypatch.setattr(_Compiled, "__init__", recorded)
             for enumerate_facings in (False, True):
                 rows = survey(d, rule, crossing, n, 2, enumerate_facings=enumerate_facings)
                 reasons.update(row.reason for row in rows)
                 [compiled] = made
                 made.clear()
-                assert not compiled._parities and not compiled._deadlocked, (d, rule, crossing)
+                # survey's instance holds what compiling alone put there
+                assert vars(compiled) == fresh, (d, rule, crossing)
+            monkeypatch.undo()
     assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
-    # the memo survey leaves empty is the one min_dancers fills
+    # min_dancers keeps both answers per placement
+    monkeypatch.setattr(_Compiled, "__init__", recorded)
     min_dancers(parse(BAR_TREFOIL), k_max=2, n_max=3)
     [compiled] = made
     assert compiled._parities and compiled._deadlocked
