@@ -305,10 +305,8 @@ class _Compiled:
     slot count.  Every caller asks ``parities`` (for the facing gate), then
     ``deadlocked``, then the ``witness`` of a plan that passed both.
 
-    An instance keeps no answer: ``schedule_search`` and ``survey`` ask
-    about each placement once.  ``min_dancers`` asks again at every lap
-    count, and neither ``parities`` nor ``deadlocked`` reads the facings or
-    k, so it uses ``solver._Remembered``, which keeps both.
+    An instance keeps no answer: ``schedule_search``, ``survey`` and
+    ``min_dancers`` each ask about a placement at most once.
     """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:

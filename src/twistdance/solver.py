@@ -7,21 +7,31 @@ constant in k past the facing gate (see ``scheduler``), still not monotone
 in n, so the n bound is exhausted rather than pruned.  Iteration orders are
 fixed, making both results deterministic.
 
-Both run one loop, ``_scan``, which yields each n-placement at one (n, k)
-in ascending order with its rows and the verdict they share: ``survey``
-lists those rows, and ``min_dancers`` is the first feasible row of the
-loops at (1, 1), (1, 2), ..., (n_max, k_max), the one placement it searches,
-for its witness.  Each call compiles its diagram once and asks each
-placement what ``schedule_search`` asks of one plan, in the same order: the
-facing gate on its path parities, then ``deadlocked``.  The forward gate is
-the matching gate, the forward rule being the matching rule with every
-point designated forward.  At a fixed (n, k) the gate reads a placement
-only through its path parities t, of which there are at most 2**n, so the
-loop builds a placement's rows once per distinct t.  Neither the parities
-nor Deadlock read the facings or k, so ``min_dancers`` keeps both per
-placement in a ``_Remembered`` for the one call it lives for and decides
-each placement once, whatever k it tries.  ``survey`` visits each placement
-once and keeps no answer.
+Each call compiles its diagram once into a ``_Compiled``, which keeps no
+answer, and asks each placement what ``schedule_search`` asks of one plan,
+in the same order: the facing gate on its path parities, then
+``deadlocked``.  The forward gate is the matching gate, the forward rule
+being the matching rule with every point designated forward; ``_gate`` is
+that test for a placement's one row when facings are not enumerated.  At a
+fixed (n, k) the gate reads a placement only through its path parities t,
+of which there are at most 2**n.
+
+``survey`` lists the rows of one loop, ``_scan``, which yields each
+n-placement at one (n, k) in ascending order with its rows, built once per
+distinct t, and the verdict they share.
+
+``min_dancers`` returns the first feasible row of the surveys at (1, 1),
+(1, 2), ..., (n_max, k_max), and searches that one placement for its
+witness, but it reads each n-placement once per n.  Deadlock reads neither
+the facings nor k, so at one n the first feasible row is at the least k
+whose gate some placement that does not deadlock passes, and at that k it
+is the first such placement.  So each distinct t is gated at k = 1, 2, ...
+up to its first passing k, which is at most 2n by Facts 1 and 2 (see
+``facing``): the work does not grow with k_max.  ``deadlocked`` is asked
+only of a placement whose k is below the best so far, and a hit at k = 1
+ends the pass.  The rows scanned up to the hit are counted, not built:
+(k - 1) * C(gaps, n) + index + 1 at a hit, k_max * C(gaps, n) at an n
+without one.
 
 ``survey`` makes each row with ``object.__new__`` and fills its four fields
 through ``SurveyRow``'s slot descriptors, which is what the frozen
@@ -68,10 +78,12 @@ class SolveReport:
     (n, k, placement) order, or None when the bounds were exhausted.
     ``n_searched`` and ``k_searched`` are ``(1, n_max)`` and ``(1, k_max)``
     when the bounds were exhausted, and ``(1, n)`` and ``(1, k)`` of the hit
-    otherwise, although every k up to ``k_max`` was examined at each smaller
-    n.  The hit is the first feasible row of ``survey`` at (1, 1), (1, 2),
-    ..., (n_max, k_max) in turn, and ``placements_tried`` counts the rows
-    scanned, one per (n, k, placement), the hit included.
+    otherwise.  The hit is the first feasible row of ``survey`` at (1, 1),
+    (1, 2), ..., (n_max, k_max) in turn, and ``placements_tried`` counts the
+    rows scanned, one per (n, k, placement), the hit included.  They are
+    counted, not examined: every k up to ``k_max`` at each smaller n is in
+    the count, although no lap count past 2n is tried (see the module
+    docstring).
     """
 
     plan: DancePlan | None
@@ -98,29 +110,14 @@ class SurveyRow:
 _Row = tuple[tuple[Facing, ...] | None, bool]
 
 
-class _Remembered(_Compiled):
-    """A ``_Compiled`` that keeps each placement's parities and Deadlock
-    verdict, for ``min_dancers``, which asks about a placement again at
-    every lap count.  A ``functools.cache`` set on an instance's methods
-    would tie the instance into a reference cycle, leaving each call's
-    answers to the cyclic collector."""
-
-    def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
-        super().__init__(diagram, crossing_rule)
-        self._parities: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._deadlocked: dict[tuple[int, ...], bool] = {}
-
-    def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
-        t = self._parities.get(points)
-        if t is None:
-            t = self._parities[points] = _Compiled.parities(self, points)
-        return t
-
-    def deadlocked(self, points: tuple[int, ...]) -> bool:
-        verdict = self._deadlocked.get(points)
-        if verdict is None:
-            verdict = self._deadlocked[points] = _Compiled.deadlocked(self, points)
-        return verdict
+def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
+    """The one row of a placement with path parities t at lap count k when
+    facings are not enumerated: its solved facings under the matching rule
+    and None under the forward rule, and whether the facing gate passes.
+    ``matching_solve`` seeds every orbit forward, so its least solution is
+    all forward exactly when the forward gate passes."""
+    facings = matching_solve(t, k)
+    return (facings if matching else None), facings is not None and (matching or not any(facings))
 
 
 def _scan(
@@ -150,11 +147,8 @@ def _scan(
                 solutions = _matching_solutions(t, k)
                 templates[t] = [(f, f in solutions) for f in every_facing], bool(solutions)
             else:
-                # matching_solve seeds every orbit forward, so its least
-                # solution is all forward exactly when the forward gate passes
-                facings = matching_solve(t, k)
-                passes = facings is not None and (matching or not any(facings))
-                templates[t] = [(facings if matching else None, passes)], passes
+                row = _gate(t, k, matching)
+                templates[t] = [row], row[1]
         template, any_passes = templates[t]
         yield placement, template, any_passes and compiled.deadlocked(placement)
 
@@ -175,22 +169,38 @@ def min_dancers(
     ``matching_solve``.  ``k_max`` and ``n_max`` must be ints >= 1, ``n_max``
     may not exceed the diagram's gap count, and the two rules must be
     members of their enums; otherwise ``ValueError``.  Only the first
-    feasible placement gets a witness.
+    feasible placement gets a witness, and the work does not grow with
+    ``k_max``.
     """
     _check_bound("n_max", n_max, diagram.gap_count)
     _check_bound("k_max", k_max)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
-    compiled = _Remembered(diagram, crossing_rule)
+    compiled = _Compiled(diagram, crossing_rule)
+    matching = rule is RuleKind.MATCHING
     tried = 0
     for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            # without enumerated facings each placement has one row
-            for placement, [(facings, passes)], deadlocked in _scan(compiled, rule, n, k):
-                tried += 1
-                if passes and not deadlocked:
-                    plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
-                    return SolveReport(plan, compiled.witness(plan), (1, n), (1, k), tried)
+        # t -> the least k in 1..k_max whose gate passes (k_max + 1 if none)
+        # and that row's facings; every t passes by k = 2n
+        least: dict[tuple[int, ...], tuple[int, tuple[Facing, ...] | None]] = {}
+        # the least (k, index) of a non-deadlocked placement, with its points
+        # and facings; (k_max + 1, -1) if none, which counts every row below
+        best = k_max + 1, -1, (), None
+        for index, placement in enumerate(combinations(range(compiled.gaps), n)):
+            t = compiled.parities(placement)
+            if t not in least:
+                gates = ((k, _gate(t, k, matching)) for k in range(1, k_max + 1))
+                least[t] = next(((k, f) for k, (f, ok) in gates if ok), (k_max + 1, None))
+            k, facings = least[t]
+            if k < best[0] and not compiled.deadlocked(placement):
+                best = k, index, placement, facings
+                if k == 1:
+                    break
+        k, index, placement, facings = best
+        tried += (k - 1) * comb(compiled.gaps, n) + index + 1
+        if k <= k_max:
+            plan = DancePlan(diagram, placement, k, rule, facings, crossing_rule)
+            return SolveReport(plan, compiled.witness(plan), (1, n), (1, k), tried)
     return SolveReport(None, None, (1, n_max), (1, k_max), tried)
 
 

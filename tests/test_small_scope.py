@@ -4,7 +4,7 @@
 default, at most 5, which CI runs.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,16 +14,20 @@ from twistdance.scheduler import (
     CrossingRule,
     DancePlan,
     Infeasible,
+    InfeasibleReason,
     RuleKind,
     oracle_schedule,
     schedule_search,
 )
+from twistdance.solver import min_dancers, survey
 
 from small_scope import small_diagrams
 
 # diagrams and oracle-checked plans of m events, for each m
 DIAGRAMS = {1: 1, 2: 6, 3: 16, 4: 106, 5: 426}
 PLANS = {1: 72, 2: 864, 3: 2_208, 4: 38_160, 5: 139_302}
+# min_dancers reports of m events that exhaust their bounds, of 12 per diagram
+EXHAUSTED = {1: 6, 2: 0, 3: 96, 4: 0, 5: 2_556}
 
 
 @pytest.fixture
@@ -66,3 +70,56 @@ def test_search_agrees_with_the_oracle_on_every_small_diagram(max_events):
                 plans += 1
                 assert _outcome(schedule_search(plan)) == _outcome(oracle_schedule(plan)), plan
         assert plans == PLANS[m], m
+
+
+def _reports(m):
+    """Every ``min_dancers`` report on a diagram of m events: both dance
+    rules, every crossing rule, n_max = m and k_max in {1, 2m + 1}."""
+    for d in small_diagrams(m):
+        for rule, crossing, k_max in product(RuleKind, CrossingRule, (1, 2 * m + 1)):
+            yield d, rule, crossing, k_max, min_dancers(d, rule, crossing, k_max=k_max, n_max=m)
+
+
+def test_min_dancers_is_the_first_feasible_survey_row_on_every_small_diagram(max_events):
+    for m in range(1, max_events + 1):
+        exhausted = 0
+        for d, rule, crossing, k_max, report in _reports(m):
+            case = d, rule, crossing, k_max
+            scanned = 0
+            rows = (
+                (n, k, row)
+                for n in range(1, m + 1)
+                for k in range(1, k_max + 1)
+                for row in survey(d, rule, crossing, n, k)
+            )
+            for n, k, row in rows:
+                scanned += 1
+                if row.feasible:
+                    assert (report.plan.points, report.plan.k) == (row.placement, k), case
+                    assert report.plan.facings == row.facings, case
+                    assert (report.n_searched, report.k_searched) == ((1, n), (1, k)), case
+                    break
+            else:
+                exhausted += 1
+                assert not report.feasible, case
+                assert (report.n_searched, report.k_searched) == ((1, m), (1, k_max)), case
+            assert report.placements_tried == scanned, case
+        assert exhausted == EXHAUSTED[m], m
+
+
+def test_enough_laps_find_the_least_dancer_count_that_does_not_deadlock(max_events):
+    # at k = 2n every row passes the facing gate (Facts 1 and 2 of the facing
+    # module), so the least n with a feasible row there is the least n with a
+    # placement that does not deadlock
+    for m in range(1, max_events + 1):
+        for d, rule, crossing, k_max, report in _reports(m):
+            if k_max < 2 * m:
+                continue
+            least = None
+            # every n, downward, so every row is checked and the least n is kept
+            for n in range(m, 0, -1):
+                rows = survey(d, rule, crossing, n, 2 * n)
+                assert all(row.reason is not InfeasibleReason.FACING_PARITY for row in rows)
+                if any(row.feasible for row in rows):
+                    least = n
+            assert (report.plan.n if report.feasible else None) == least, (d, rule, crossing)

@@ -230,6 +230,19 @@ def test_survey_builds_no_routes(monkeypatch):
     }
 
 
+def _pinned_bounds():
+    """The (diagram, n_max) inputs of the call-count pins: seed 47's corpus at
+    n_max = min(3, gaps), where no report exhausts at k_max = 3, the same
+    diagrams at n_max = 1 and two diagrams that exhaust under over-first."""
+    corpus = diagram_corpus(47, 20, max_events=10)
+    return [
+        *((d, min(3, d.gap_count)) for d in corpus),
+        *((d, 1) for d in corpus),
+        (parse("U1+ O1+ U2+ O2+"), 1),
+        (parse("U1+ O1+ U2+ T1 O2+"), 2),
+    ]
+
+
 def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
     import twistdance.scheduler
 
@@ -263,15 +276,17 @@ def test_min_dancers_reads_each_placements_parities_once_per_dancer_count(monkey
         return parities(prefix, pts)
 
     monkeypatch.setattr(twistdance.scheduler, "_parities", counted)
-    for d in diagram_corpus(47, 20, max_events=10):
-        n_max = min(3, d.gap_count)
+    exhausted = 0
+    for d, n_max in _pinned_bounds():
         placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
         for rule, crossing in product(RuleKind, CrossingRule):
             calls = 0
             report = min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
             assert calls <= placements, (d, rule, crossing)
             if not report.feasible:
+                exhausted += 1
                 assert calls == placements, (d, rule, crossing)
+    assert exhausted >= 10, exhausted
 
 
 def test_min_dancers_refuses_a_bool_bound():
@@ -546,24 +561,60 @@ def test_survey_decides_the_gate_once_per_parity_vector(monkeypatch):
     assert shared >= 20, shared
 
 
+def _gates_until_pass(t, rule, k_max):
+    """The (t, k) gates at k = 1, 2, ... up to the first k whose gate passes
+    under ``rule``, or up to ``k_max``."""
+    matching = rule is RuleKind.MATCHING
+    for k in range(1, k_max + 1):
+        yield t, k
+        if (matching_solve(t, k) is not None) if matching else forward_rule_ok(t, k):
+            return
+
+
 def test_min_dancers_decides_the_gate_once_per_parity_vector_and_lap_count(monkeypatch):
     solved = _counting(monkeypatch, "matching_solve")
-    shared = 0
-    for d in diagram_corpus(47, 20, max_events=10):
-        n_max, k_max = min(3, d.gap_count), 3
-        vectors = [
-            {parity_vector(d, p) for p in combinations(range(d.gap_count), n)}
+    shared = exhausted = 0
+    for d, n_max in _pinned_bounds():
+        k_max = 3
+        vectors = {
+            parity_vector(d, p)
             for n in range(1, n_max + 1)
-        ]
-        gates = k_max * sum(len(v) for v in vectors)
-        shared += gates < k_max * sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+            for p in combinations(range(d.gap_count), n)
+        }
+        shared += len(vectors) < sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+        for rule, crossing in product(RuleKind, CrossingRule):
+            gates = [g for t in vectors for g in _gates_until_pass(t, rule, k_max)]
+            solved.clear()
+            report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
+            assert len(solved) == len(set(solved)), (d, rule, crossing)
+            assert set(solved) <= set(gates), (d, rule, crossing)
+            if not report.feasible:
+                exhausted += 1
+                assert sorted(solved) == sorted(gates), (d, rule, crossing)
+    assert shared >= 10, shared
+    assert exhausted >= 10, exhausted
+
+
+def test_min_dancers_does_not_scale_with_k_max(monkeypatch):
+    # every t passes the gate by k = 2n and the verdict past it does not
+    # depend on k, so no t is gated past 2n; an exhausted report still counts
+    # every row of every lap count up to k_max
+    solved = _counting(monkeypatch, "matching_solve")
+    k_max, exhausted = 1000, 0
+    for d, n_max in _pinned_bounds():
         for rule, crossing in product(RuleKind, CrossingRule):
             solved.clear()
             report = min_dancers(d, rule, crossing, k_max=k_max, n_max=n_max)
-            assert len(solved) == len(set(solved)) <= gates, (d, rule, crossing)
+            for t, gated in Counter(t for t, _ in solved).items():
+                assert gated <= 2 * len(t), (d, rule, crossing, t)
+            base = min_dancers(d, rule, crossing, k_max=2 * n_max, n_max=n_max)
+            assert report.plan == base.plan, (d, rule, crossing)
             if not report.feasible:
-                assert len(solved) == gates, (d, rule, crossing)
-    assert shared >= 10, shared
+                exhausted += 1
+                rows = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+                assert report.placements_tried == k_max * rows, (d, rule, crossing)
+                assert (report.n_searched, report.k_searched) == ((1, n_max), (1, k_max))
+    assert exhausted >= 10, exhausted
 
 
 @given(diagrams(max_events=8), st.sampled_from(CrossingRule), st.data())
@@ -637,7 +688,7 @@ def test_min_dancers_is_the_first_feasible_survey_row():
     assert len(outcomes) == 4, outcomes
 
 
-def test_survey_keeps_no_answer_but_min_dancers_does(monkeypatch):
+def test_survey_and_min_dancers_keep_no_answer(monkeypatch):
     made = []
     init = _Compiled.__init__
 
@@ -646,6 +697,7 @@ def test_survey_keeps_no_answer_but_min_dancers_does(monkeypatch):
         made.append(self)
 
     reasons = set()
+    feasible = set()
     for d in [parse(BAR_TREFOIL), *diagram_corpus(97, 12, max_events=10)]:
         n = min(3, d.gap_count)
         for rule, crossing in product(RuleKind, CrossingRule):
@@ -658,13 +710,15 @@ def test_survey_keeps_no_answer_but_min_dancers_does(monkeypatch):
                 made.clear()
                 # survey's instance holds what compiling alone put there
                 assert vars(compiled) == fresh, (d, rule, crossing)
+            report = min_dancers(d, rule, crossing, k_max=2, n_max=n)
+            feasible.add(report.feasible)
+            [compiled] = made
+            made.clear()
+            # and so does min_dancers'
+            assert vars(compiled) == fresh, (d, rule, crossing)
             monkeypatch.undo()
     assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
-    # min_dancers keeps both answers per placement
-    monkeypatch.setattr(_Compiled, "__init__", recorded)
-    min_dancers(parse(BAR_TREFOIL), k_max=2, n_max=3)
-    [compiled] = made
-    assert compiled._parities and compiled._deadlocked
+    assert feasible == {False, True}
 
 
 def _bars(m):
