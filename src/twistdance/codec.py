@@ -25,9 +25,11 @@ into the (UTF-8 encoded) input.  A ``str`` is encoded with
 lexed as the bytes they were.  The lexer keeps no spans: one ``findall``
 yields each run's groups, and a span is found only for the error raised.
 
-``trace_to_json`` formats each step from one fixed template, reading the
-event from a token table built once per call, one token per event; a
-canonical token matches ``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
+``trace_to_json`` formats each step from the schedule's move columns (see
+``scheduler``), never from ``Step`` objects: one fixed template per step,
+joined with the event's cell, built once per call for each event, and the
+facing's tail.  A canonical token matches ``[OUVT][0-9]+[+-]?`` and so
+needs no JSON escaping.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -152,8 +155,8 @@ def _tokens(diagram: Diagram) -> list[str]:
     return [token(ev) for ev in diagram.events]
 
 
-_STEP = '{"t":%d,"dancer":%d,"event_index":%d,"event":"%s","facing":"%s"}'
 _FACING_NAMES = ("forward", "backward")
+_FACING_TAILS = ('forward"}', 'backward"}')  # by facing bit
 
 
 def trace_to_json(schedule: "Schedule") -> str:
@@ -162,24 +165,29 @@ def trace_to_json(schedule: "Schedule") -> str:
     Logical timestamps are the linearization indices; step facings are the
     dancer's facing after executing the step.  The ``plan`` object is
     omitted for bare schedules that carry none.  A non-empty step list
-    requires a plan (the diagram supplies the event tokens).
+    requires a plan (the diagram supplies the event tokens), and its event
+    indices must lie in ``0..m-1``; otherwise ``ValueError``.
 
-    Each step is formatted from one fixed template, reading its event from
-    the diagram's token table; canonical tokens match ``[OUVT][0-9]+[+-]?``,
-    so they never need JSON escaping.  ``json.dumps`` writes the rest.
+    Each step is formatted from one fixed template, reading its dancer,
+    event index and facing bit from the schedule's columns, which hold ints;
+    an event's cell (its index and token) is formatted once per call, and
+    canonical tokens match ``[OUVT][0-9]+[+-]?``, so they never need JSON
+    escaping.  ``json.dumps`` writes the rest.
     """
+    dancers, events, facings = schedule._columns()
     plan = schedule.plan
-    if schedule.steps and plan is None:
-        raise ValueError("a schedule with steps needs its plan to name events")
     tail: dict = {"feasible": schedule.feasible}
     if plan is not None:
         plan_obj: dict = {"points": list(plan.points), "k": plan.k, "rule": plan.rule.value}
         if plan.facings is not None:
             plan_obj["facings"] = [_FACING_NAMES[f] for f in plan.facings]
         tail["plan"] = plan_obj
-    tokens = _tokens(plan.diagram) if schedule.steps else []
+    cells = (
+        [f'{e},"event":"{tok}","facing":"' for e, tok in enumerate(_tokens(plan.diagram))]
+        if dancers else []
+    )
     steps = ",".join([
-        _STEP % (t, s.dancer, s.event_index, tokens[s.event_index], _FACING_NAMES[s.facing_after])
-        for t, s in enumerate(schedule.steps)
+        f'{{"t":{t},"dancer":{d},"event_index":{cells[e]}{_FACING_TAILS[f]}'
+        for t, d, e, f in zip(count(), dancers, events, facings)
     ])
     return '{"steps":[' + steps + "]," + json.dumps(tail, separators=(",", ":"))[1:]

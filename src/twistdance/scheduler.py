@@ -73,6 +73,14 @@ order: the facing gate on its path ``parities``, ``deadlocked`` on its arcs
 (never on the facings or k), and, for a feasible plan only, its
 ``witness``, the one place where routes are built and searched.
 
+A witness is stored as its move columns, three int sequences with one
+entry per step: the dancer, the event index and the facing bit after the
+step (0 forward, 1 backward).  They are read off the search's dancer
+sequence in one pass, through one iterator per dancer over its route and
+one over the running XOR of its twist-bar flags, with no object per step.
+``Schedule.steps`` is derived from them once, on first read, and the JSON
+trace and the SVG timeline format from the columns without it.
+
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
 the raw prefix; it exists to cross-check the search and is kept deliberately
@@ -83,8 +91,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Union
+from itertools import accumulate, chain, count
+from operator import xor
+from typing import Iterable, Sequence, Union
 
 from .facing import Facing, _bar_prefix, _parities, matching_check
 from .model import (
@@ -202,11 +211,104 @@ class Schedule:
     ``feasible`` is True for constructed witnesses; the CLI also emits
     non-feasible placeholder schedules so infeasible runs still produce a
     trace file.
+
+    A witness from the search holds its move columns (see the module
+    docstring) and no ``Step``: ``steps`` is derived from the columns once,
+    on first read, and then kept.  A schedule built from its steps gets its
+    columns from them whenever they are asked for (``_columns``), so the
+    JSON trace and the SVG timeline read every schedule the same way.
+    Equality, hash, repr, pickling and ``dataclasses.replace`` go through
+    the fields and read ``steps`` as any caller does.
     """
 
     steps: tuple[Step, ...]
     feasible: bool = True
     plan: DancePlan | None = None
+
+    def __getattr__(self, name: str) -> tuple[Step, ...]:
+        # reached only for an attribute not set: ``steps`` of a witness not yet read
+        columns = self.__dict__.get("_move_columns")
+        if name != "steps" or columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = _steps(self.plan.n, *columns)
+        object.__setattr__(self, "steps", steps)
+        return steps
+
+    def _columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """The dancer, event index and facing bit of every step, in order.
+
+        A witness returns its own columns; a schedule built from steps has
+        them read off its steps, refusing with ``ValueError`` steps without
+        a plan to name their events and an event index outside the
+        diagram's ``0..m-1``.  Dancer ids are not checked here.
+        """
+        columns = self.__dict__.get("_move_columns")
+        if columns is not None:
+            return columns
+        steps = self.steps
+        if not steps:
+            return (), (), ()
+        if self.plan is None:
+            raise ValueError("a schedule with steps needs its plan to name events")
+        events = [s.event_index for s in steps]
+        low, high, m = min(events), max(events), len(self.plan.diagram.events)
+        if low < 0 or high >= m:
+            raise ValueError(f"event index {low if low < 0 else high} outside 0..{m - 1}")
+        return [s.dancer for s in steps], events, [s.facing_after for s in steps]
+
+
+_FACINGS = (Facing.FORWARD, Facing.BACKWARD)  # by facing bit
+
+
+def _steps(
+    n: int, dancers: Sequence[int], events: Sequence[int], facings: Sequence[int]
+) -> tuple[Step, ...]:
+    """The ``Step``s of a witness's columns, each route position counted per
+    dancer.  Each step is made with ``object.__new__`` and filled through
+    ``Step``'s slot descriptors, what the frozen ``__init__`` does through
+    ``object.__setattr__`` at about twice the cost."""
+    new = object.__new__
+    set_dancer = Step.dancer.__set__
+    set_position = Step.route_position.__set__
+    set_event = Step.event_index.__set__
+    set_facing = Step.facing_after.__set__
+    positions = map(next, map([count() for _ in range(n)].__getitem__, dancers))
+    steps = []
+    append = steps.append
+    for d, p, e, f in zip(dancers, positions, events, map(_FACINGS.__getitem__, facings)):
+        step = new(Step)
+        set_dancer(step, d)
+        set_position(step, p)
+        set_event(step, e)
+        set_facing(step, f)
+        append(step)
+    return tuple(steps)
+
+
+def _from_moves(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
+    """The witness whose dancer sequence is ``moves``, as its columns: each
+    move takes the next event of its dancer's route and the next value of
+    the running XOR of that route's twist-bar flags, started at the
+    dancer's designated facing."""
+    bars = [isinstance(ev, TwistBar) for ev in plan.diagram.events]
+    walks = [iter(route) for route in routes]
+    turns = [
+        accumulate(map(bars.__getitem__, route), xor, initial=int(start))
+        for route, start in zip(routes, plan.designated)
+    ]
+    for turn in turns:
+        next(turn)  # the start facing itself
+    schedule = object.__new__(Schedule)
+    schedule.__dict__.update(
+        feasible=True,
+        plan=plan,
+        _move_columns=(
+            tuple(moves),
+            tuple(map(next, map(walks.__getitem__, moves))),
+            tuple(map(next, map(turns.__getitem__, moves))),
+        ),
+    )
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -240,20 +342,6 @@ def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     arcs = _arcs(len(plan.diagram.events), plan.points)
     n, k = len(arcs), plan.k
     return [tuple(chain.from_iterable(arcs[(i + lap) % n] for lap in range(k))) for i in range(n)]
-
-
-def _witness(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
-    events = plan.diagram.events
-    facings = list(plan.designated)
-    positions = [0] * len(routes)
-    steps = []
-    for d in moves:
-        idx = routes[d][positions[d]]
-        if isinstance(events[idx], TwistBar):
-            facings[d] = facings[d].flipped()
-        steps.append(Step(d, positions[d], idx, facings[d]))
-        positions[d] += 1
-    return Schedule(tuple(steps), True, plan)
 
 
 def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
@@ -346,7 +434,7 @@ class _Compiled:
         searched by ``_moves``; Deadlock only if the plan is ``deadlocked``."""
         routes = routes_of(plan)
         moves = _moves(routes, self.table, self.slot_count)
-        return moves if isinstance(moves, Infeasible) else _witness(plan, routes, moves)
+        return moves if isinstance(moves, Infeasible) else _from_moves(plan, routes, moves)
 
 
 def _lower(
@@ -523,7 +611,7 @@ def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:
     moves = extend()
     if moves is None:
         return Infeasible(InfeasibleReason.DEADLOCK, nodes)
-    return _witness(plan, routes, moves)
+    return _from_moves(plan, routes, moves)
 
 
 def retrograde(diagram: Diagram) -> Diagram:

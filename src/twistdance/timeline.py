@@ -5,16 +5,18 @@ Forward-facing travel is drawn solid, backward-facing travel dashed; colors
 distinguish dancers.  Output is plain SVG 1.1 text, byte-identical across
 runs for identical inputs so it can be golden-file tested.
 
-Labels come from the diagram's token table, built once per call.  Each
-lane's constant fragments (its colour, its y position and the dash pattern)
-are formatted once, so a step adds one line segment and one dot-and-label
-entry, each joined from those fragments and the step's x position.
+Steps are read from the schedule's move columns (see ``scheduler``), never
+from ``Step`` objects, and labels from the diagram's token table, built
+once per call.  Each lane's constant fragments (its colour, its y position
+and the dash pattern) are formatted once, so a step adds one line segment
+and one dot-and-label entry, each joined from those fragments and the
+step's x position.
 """
 
 from __future__ import annotations
 
 from .codec import _tokens
-from .scheduler import Facing, Schedule
+from .scheduler import Schedule
 
 __all__ = ["svg_timeline"]
 
@@ -32,14 +34,15 @@ def svg_timeline(schedule: Schedule) -> str:
     """Render a schedule as an SVG timeline string.
 
     As in ``trace_to_json``, a schedule with steps needs its plan, which
-    gives the lanes, the start facings and the event labels.
+    gives the lanes, the start facings and the event labels, and its event
+    indices must lie in ``0..m-1``; otherwise ``ValueError``.  A step whose
+    dancer has no lane is left out.
     """
+    dancers, events, facings = schedule._columns()
     plan = schedule.plan
-    if schedule.steps and plan is None:
-        raise ValueError("a schedule with steps needs its plan to name events")
     lanes = plan.n if plan is not None else 0
 
-    total = len(schedule.steps)
+    total = len(dancers)
     width = 2 * _MARGIN + _LABEL_WIDTH + max(total, 1) * _STEP_WIDTH
     height = 2 * _MARGIN + lanes * _LANE_HEIGHT
     out = [
@@ -49,12 +52,12 @@ def svg_timeline(schedule: Schedule) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
 
-    labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if schedule.steps else []
-    by_lane: list[list[tuple[str, str, Facing]]] = [[] for _ in range(lanes)]
+    labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if total else []
+    by_lane: list[list[tuple[str, str, int]]] = [[] for _ in range(lanes)]
     step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2  # each step's x, made text once
-    for step in schedule.steps:
-        if 0 <= step.dancer < lanes:
-            by_lane[step.dancer].append((str(step_x), labels[step.event_index], step.facing_after))
+    for d, e, f in zip(dancers, events, facings):
+        if 0 <= d < lanes:
+            by_lane[d].append((str(step_x), labels[e], f))
         step_x += _STEP_WIDTH
 
     for d, mine in enumerate(by_lane):

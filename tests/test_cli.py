@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from twistdance.cli import main
-from twistdance.codec import parse
-from twistdance.scheduler import DancePlan, Schedule, schedule_search
+from twistdance.codec import parse, trace_to_json
+from twistdance.facing import Facing
+from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, Schedule, Step, schedule_search
 from twistdance.timeline import svg_timeline
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -270,6 +271,37 @@ def test_svg_with_steps_requires_plan():
     bare = Schedule(_witness().steps, True, None)
     with pytest.raises(ValueError, match="needs its plan"):
         svg_timeline(bare)
+
+
+@pytest.mark.parametrize("event_index", [-1, 3, 7])
+def test_output_layers_refuse_an_event_index_outside_the_diagram(event_index):
+    plan = DancePlan(parse("O1+ U1+ T1"), (0,), 1)
+    bad = Schedule((Step(0, 0, event_index, Facing.FORWARD),), True, plan)
+    for render in (trace_to_json, svg_timeline):
+        with pytest.raises(ValueError, match=f"event index {event_index} outside 0..2"):
+            render(bad)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        DancePlan(parse(BAR_TREFOIL), (0, 4), 4),
+        DancePlan(
+            parse(BAR_TREFOIL), (0, 1, 4), 2, RuleKind.MATCHING,
+            (Facing.BACKWARD, Facing.FORWARD, Facing.FORWARD), CrossingRule.OVER_FIRST,
+        ),
+        DancePlan(parse(TREFOIL), (0, 1, 3), 3, crossing_rule=CrossingRule.UNDER_FIRST),
+    ],
+)
+def test_output_layers_format_a_witness_from_its_move_columns(plan):
+    witness = schedule_search(plan)
+    trace, svg = trace_to_json(witness), svg_timeline(witness)
+    assert "steps" not in vars(witness)  # no Step was built for the outputs
+    rebuilt = Schedule(witness.steps, witness.feasible, witness.plan)
+    assert "steps" in vars(witness)  # derived once, on first read, and kept
+    assert witness.steps is witness.steps
+    assert (trace_to_json(rebuilt), svg_timeline(rebuilt)) == (trace, svg)
+    assert trace.count('"t":') == svg.count("<circle ") == len(witness.steps)
 
 
 def test_svg_trefoil_witness_structure():

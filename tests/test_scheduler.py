@@ -38,7 +38,7 @@ from twistdance.scheduler import (
     _Compiled,
     _lower,
     _stuck,
-    _witness as _witness_of,
+    _from_moves,
     oracle_schedule,
     retrograde,
     retrograde_points,
@@ -329,7 +329,7 @@ def _unreduced_search(plan):
             slot, delta = lowered[d][positions[d]]
             balance[slot] -= delta
             key -= stride[d]
-    return _witness_of(plan, routes, moves)
+    return _from_moves(plan, routes, moves)
 
 
 def test_reduced_search_agrees_with_the_unreduced_search_beyond_the_oracle():
@@ -511,7 +511,7 @@ def _phase_witness(plan):
     assert not isinstance(one_lap, Infeasible), plan
     moves = [step.dancer for step in one_lap.steps]
     phases = [(a - j) % plan.n for j in range(plan.k) for a in moves]
-    return _witness_of(plan, routes_of(plan), phases)
+    return _from_moves(plan, routes_of(plan), phases)
 
 
 def _gated_plan(geometry, rule):

@@ -524,6 +524,41 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
     assert replace(rows[0], feasible=True, reason=None) == SurveyRow(
         (0, 2), (Facing.FORWARD, Facing.BACKWARD), True, None
     )
+    # witnesses hold their move columns and derive steps on first read:
+    # each is checked, and copied, once before that read and once after
+    witnesses = [
+        lambda: schedule_search(DancePlan(parse(BAR_TREFOIL), (0, 4), 4)),
+        lambda: schedule_search(
+            DancePlan(
+                parse(BAR_TREFOIL), (0, 1, 4), 2, RuleKind.MATCHING,
+                (Facing.BACKWARD, Facing.FORWARD, Facing.FORWARD),
+            )
+        ),
+        lambda: min_dancers(
+            parse(BAR_TREFOIL), RuleKind.MATCHING, CrossingRule.OVER_FIRST, k_max=4, n_max=3
+        ).schedule,
+    ]
+    for read_first in (False, True):
+        for make in witnesses:
+            witness, twin = make(), make()
+            if read_first:
+                assert len(witness.steps) == len(twin.steps)
+            copies = [pickle.loads(pickle.dumps(witness)), deepcopy(witness)]
+            built = Schedule(
+                tuple(Step(s.dancer, s.route_position, s.event_index, s.facing_after) for s in twin.steps),
+                twin.feasible,
+                twin.plan,
+            )
+            assert Facing.BACKWARD in {s.facing_after for s in built.steps}
+            for value in (witness, *copies):
+                assert type(value) is Schedule
+                assert value == built and hash(value) == hash(built) and repr(value) == repr(built)
+                assert verify_schedule(value) == []
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, "steps", ())
+            assert replace(witness, steps=built.steps) == built
+            assert replace(witness) == built
+            assert replace(witness, steps=built.steps[:-1]) != built
 
 
 def _counting(monkeypatch, name):
