@@ -38,9 +38,8 @@ The public functions refuse an empty t, a k that is not an ``int`` >= 1 (a
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import accumulate, product
+from itertools import product
 from math import gcd
-from operator import xor
 from typing import Iterable, Sequence
 
 from .model import Diagram, TwistBar, _check_bound, check_points
@@ -88,7 +87,10 @@ def parity_vector(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
 
 def _bar_prefix(diagram: Diagram) -> list[int]:
     """``prefix[j]``: the parity of the twist bars among the first j events."""
-    return list(accumulate((isinstance(ev, TwistBar) for ev in diagram.events), xor, initial=0))
+    prefix = [0]
+    for ev in diagram.events:
+        prefix.append(prefix[-1] ^ isinstance(ev, TwistBar))
+    return prefix
 
 
 def _parities(prefix: Sequence[int], pts: Sequence[int]) -> tuple[int, ...]:

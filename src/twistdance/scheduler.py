@@ -76,10 +76,11 @@ order: the facing gate on its path ``parities``, ``deadlocked`` on its arcs
 A witness is stored as its move columns, three int sequences with one
 entry per step: the dancer, the event index and the facing bit after the
 step (0 forward, 1 backward).  They are read off the search's dancer
-sequence in one pass, through one iterator per dancer over its route and
-one over the running XOR of its twist-bar flags, with no object per step.
-``Schedule.steps`` is derived from them once, on first read, and the JSON
-trace and the SVG timeline format from the columns without it.
+sequence in one loop with no object per step: each move takes the next
+event of its dancer's route and XORs that event's twist-bar flag into the
+dancer's facing bit.  ``Schedule.steps`` is derived from them once, on
+first read, and the JSON trace and the SVG timeline format from the
+columns without it.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -91,8 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, count
-from operator import xor
+from itertools import chain, count
 from typing import Iterable, Sequence, Union
 
 from .facing import Facing, _bar_prefix, _parities, matching_check
@@ -213,10 +213,11 @@ class Schedule:
     trace file.
 
     A witness from the search holds its move columns (see the module
-    docstring) and no ``Step``: ``steps`` is derived from the columns once,
-    on first read, and then kept.  A schedule built from its steps gets its
-    columns from them whenever they are asked for (``_columns``), so the
-    JSON trace and the SVG timeline read every schedule the same way.
+    docstring) and no ``Step``: ``steps`` is built from the columns with
+    ``Step``'s own constructor, each route position counted per dancer,
+    once, on first read, and then kept.  A schedule built from its steps
+    gets its columns from them whenever they are asked for (``_columns``),
+    so the JSON trace and the SVG timeline read every schedule the same way.
     Equality, hash, repr, pickling and ``dataclasses.replace`` go through
     the fields and read ``steps`` as any caller does.
     """
@@ -230,7 +231,8 @@ class Schedule:
         columns = self.__dict__.get("_move_columns")
         if name != "steps" or columns is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = _steps(self.plan.n, *columns)
+        positions = [count() for _ in range(self.plan.n)]
+        steps = tuple(Step(d, next(positions[d]), e, Facing(f)) for d, e, f in zip(*columns))
         object.__setattr__(self, "steps", steps)
         return steps
 
@@ -257,56 +259,24 @@ class Schedule:
         return [s.dancer for s in steps], events, [s.facing_after for s in steps]
 
 
-_FACINGS = (Facing.FORWARD, Facing.BACKWARD)  # by facing bit
-
-
-def _steps(
-    n: int, dancers: Sequence[int], events: Sequence[int], facings: Sequence[int]
-) -> tuple[Step, ...]:
-    """The ``Step``s of a witness's columns, each route position counted per
-    dancer.  Each step is made with ``object.__new__`` and filled through
-    ``Step``'s slot descriptors, what the frozen ``__init__`` does through
-    ``object.__setattr__`` at about twice the cost."""
-    new = object.__new__
-    set_dancer = Step.dancer.__set__
-    set_position = Step.route_position.__set__
-    set_event = Step.event_index.__set__
-    set_facing = Step.facing_after.__set__
-    positions = map(next, map([count() for _ in range(n)].__getitem__, dancers))
-    steps = []
-    append = steps.append
-    for d, p, e, f in zip(dancers, positions, events, map(_FACINGS.__getitem__, facings)):
-        step = new(Step)
-        set_dancer(step, d)
-        set_position(step, p)
-        set_event(step, e)
-        set_facing(step, f)
-        append(step)
-    return tuple(steps)
-
-
 def _from_moves(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
     """The witness whose dancer sequence is ``moves``, as its columns: each
-    move takes the next event of its dancer's route and the next value of
-    the running XOR of that route's twist-bar flags, started at the
+    move takes the next event of its dancer's route and XORs that event's
+    twist-bar flag into the dancer's facing bit, which starts at the
     dancer's designated facing."""
     bars = [isinstance(ev, TwistBar) for ev in plan.diagram.events]
     walks = [iter(route) for route in routes]
-    turns = [
-        accumulate(map(bars.__getitem__, route), xor, initial=int(start))
-        for route, start in zip(routes, plan.designated)
-    ]
-    for turn in turns:
-        next(turn)  # the start facing itself
+    bits = [int(f) for f in plan.designated]  # each dancer's facing bit
+    events: list[int] = []
+    facings: list[int] = []
+    for d in moves:
+        e = next(walks[d])
+        bits[d] ^= bars[e]
+        events.append(e)
+        facings.append(bits[d])
     schedule = object.__new__(Schedule)
     schedule.__dict__.update(
-        feasible=True,
-        plan=plan,
-        _move_columns=(
-            tuple(moves),
-            tuple(map(next, map(walks.__getitem__, moves))),
-            tuple(map(next, map(turns.__getitem__, moves))),
-        ),
+        feasible=True, plan=plan, _move_columns=(tuple(moves), tuple(events), tuple(facings))
     )
     return schedule
 

@@ -16,9 +16,11 @@ that test for a placement's one row when facings are not enumerated.  At a
 fixed (n, k) the gate reads a placement only through its path parities t,
 of which there are at most 2**n.
 
-``survey`` lists the rows of one loop, ``_scan``, which yields each
-n-placement at one (n, k) in ascending order with its rows, built once per
-distinct t, and the verdict they share.
+``survey`` walks each n-placement at one (n, k) in ascending order.  The
+rows of a placement depend on it only through its path parities t, so they
+are built once per distinct t, as ``(facings, gate passes)`` templates, and
+every placement that has t shares them and the verdict of its
+``deadlocked``.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
@@ -45,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator
 
 from .facing import Facing, _matching_solutions, matching_solve
 from .model import Diagram, _check_bound, _check_member
@@ -118,39 +119,6 @@ def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
     all forward exactly when the forward gate passes."""
     facings = matching_solve(t, k)
     return (facings if matching else None), facings is not None and (matching or not any(facings))
-
-
-def _scan(
-    compiled: _Compiled, rule: RuleKind, n: int, k: int, enumerate_facings: bool = False
-) -> Iterator[tuple[tuple[int, ...], list[_Row], bool]]:
-    """Each n-placement of a compiled diagram in ascending tuple order, with
-    its rows at lap count ``k`` as ``(facings, gate passes)`` pairs and
-    whether it deadlocks, the verdict every passing row shares (False when
-    no row passes, the placement then left undecided).
-
-    A placement has one row, with its solved facings under the matching rule
-    and None under the forward rule, or, when ``enumerate_facings`` and the
-    rule is matching, one row per facing assignment.  The rows depend on the
-    placement only through its path parities t, so they are built once per
-    distinct t and shared by every placement that has it.
-    """
-    matching = rule is RuleKind.MATCHING
-    every_facing: list[tuple[Facing, ...]] | None = None
-    if matching and enumerate_facings:
-        every_facing = list(product((Facing.FORWARD, Facing.BACKWARD), repeat=n))
-    # t -> the rows of a placement with path parities t, and whether any passes
-    templates: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}
-    for placement in combinations(range(compiled.gaps), n):
-        t = compiled.parities(placement)
-        if t not in templates:
-            if every_facing is not None:  # some row passes iff there is a solution
-                solutions = _matching_solutions(t, k)
-                templates[t] = [(f, f in solutions) for f in every_facing], bool(solutions)
-            else:
-                row = _gate(t, k, matching)
-                templates[t] = [row], row[1]
-        template, any_passes = templates[t]
-        yield placement, template, any_passes and compiled.deadlocked(placement)
 
 
 def min_dancers(
@@ -234,7 +202,8 @@ def survey(
     _check_bound("k", k)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
-    enumerated = enumerate_facings and rule is RuleKind.MATCHING
+    matching = rule is RuleKind.MATCHING
+    enumerated = enumerate_facings and matching
     count = comb(diagram.gap_count, n) * (2**n if enumerated else 1)
     if count > SURVEY_ROW_LIMIT:
         raise ValueError(f"a survey of {count} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}")
@@ -249,8 +218,21 @@ def survey(
     rows: list[SurveyRow] = []
     append = rows.append
     compiled = _Compiled(diagram, crossing_rule)
-    for placement, template, deadlocked in _scan(compiled, rule, n, k, enumerate_facings):
-        verdict = decided[deadlocked]
+    every_facing = list(product(Facing, repeat=n)) if enumerated else None
+    # t -> the rows of a placement with path parities t, and whether any passes
+    templates: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}
+    for placement in combinations(range(compiled.gaps), n):
+        t = compiled.parities(placement)
+        if t not in templates:
+            if every_facing is not None:  # some row passes iff there is a solution
+                solutions = _matching_solutions(t, k)
+                templates[t] = [(f, f in solutions) for f in every_facing], bool(solutions)
+            else:
+                gate = _gate(t, k, matching)
+                templates[t] = [gate], gate[1]
+        template, any_passes = templates[t]
+        # a placement whose rows all fail the gate is not asked ``deadlocked``
+        verdict = decided[any_passes and compiled.deadlocked(placement)]
         for facings, ok in template:
             feasible, reason = verdict if ok else refused
             row = new(SurveyRow)

@@ -9,7 +9,18 @@ import pytest
 from twistdance.cli import main
 from twistdance.codec import parse, trace_to_json
 from twistdance.facing import Facing
-from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, Schedule, Step, schedule_search
+from twistdance.scheduler import (
+    ORACLE_STEP_LIMIT,
+    CrossingRule,
+    DancePlan,
+    RuleKind,
+    Schedule,
+    Step,
+    oracle_schedule,
+    schedule_search,
+    verify_schedule,
+)
+from twistdance.solver import min_dancers
 from twistdance.timeline import svg_timeline
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -294,14 +305,22 @@ def test_output_layers_refuse_an_event_index_outside_the_diagram(event_index):
     ],
 )
 def test_output_layers_format_a_witness_from_its_move_columns(plan):
-    witness = schedule_search(plan)
-    trace, svg = trace_to_json(witness), svg_timeline(witness)
-    assert "steps" not in vars(witness)  # no Step was built for the outputs
-    rebuilt = Schedule(witness.steps, witness.feasible, witness.plan)
-    assert "steps" in vars(witness)  # derived once, on first read, and kept
-    assert witness.steps is witness.steps
-    assert (trace_to_json(rebuilt), svg_timeline(rebuilt)) == (trace, svg)
-    assert trace.count('"t":') == svg.count("<circle ") == len(witness.steps)
+    # every producer of a witness: the search, min_dancers within the plan's
+    # bounds, and the oracle where the plan is within its guard (the 14 steps
+    # of the matching plan)
+    least = min_dancers(plan.diagram, plan.rule, plan.crossing_rule, k_max=plan.k, n_max=plan.n)
+    witnesses = [schedule_search(plan), least.schedule]
+    if len(plan.diagram.events) * plan.k <= ORACLE_STEP_LIMIT:
+        witnesses.append(oracle_schedule(plan))
+    for witness in witnesses:
+        trace, svg = trace_to_json(witness), svg_timeline(witness)
+        assert "steps" not in vars(witness)  # no Step was built for the outputs
+        rebuilt = Schedule(witness.steps, witness.feasible, witness.plan)
+        assert "steps" in vars(witness)  # derived once, on first read, and kept
+        assert witness.steps is witness.steps
+        assert verify_schedule(witness) == []
+        assert (trace_to_json(rebuilt), svg_timeline(rebuilt)) == (trace, svg)
+        assert trace.count('"t":') == svg.count("<circle ") == len(witness.steps)
 
 
 def test_svg_trefoil_witness_structure():

@@ -764,15 +764,16 @@ def _bars(m):
 def test_survey_refuses_more_rows_than_its_limit_before_building_any(monkeypatch):
     import twistdance.solver
 
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a refused survey scans no placement")
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a refused survey compiles nothing and scans no placement")
 
-    monkeypatch.setattr(twistdance.solver, "_scan", no_scan)
+    monkeypatch.setattr(twistdance.solver, "_Compiled", no_compile)
     rows = comb(24, 12) * 2**12  # 1.1e10 rows
     with pytest.raises(ValueError, match=f"{rows} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}"):
         survey(_bars(24), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 12, 1, enumerate_facings=True)
     # every placement and facing assignment of 8 dancers on 16 gaps is admitted
-    monkeypatch.setattr(twistdance.solver, "_scan", lambda *args: iter(()))
+    monkeypatch.undo()
+    monkeypatch.setattr(twistdance.solver, "combinations", lambda *args: iter(()))
     assert comb(16, 8) * 2**8 == 3_294_720 <= SURVEY_ROW_LIMIT
     assert survey(_bars(16), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 8, 1, enumerate_facings=True) == []
 
