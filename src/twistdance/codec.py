@@ -149,10 +149,19 @@ def serialize(diagram: Diagram) -> str:
     return " ".join(_tokens(diagram))
 
 
-def _tokens(diagram: Diagram) -> list[str]:
+def _tokens(diagram: Diagram) -> tuple[str, ...]:
     """The canonical token of every event, in event order: the token table
-    that the JSON trace and the SVG timeline index by ``event_index``."""
-    return [token(ev) for ev in diagram.events]
+    that the JSON trace and the SVG timeline index by ``event_index``.
+
+    It is built once per diagram, on first read, and kept on the diagram,
+    the way a witness keeps its ``steps``; a diagram made by
+    ``dataclasses.replace``, ``retrograde`` or a copy starts without one
+    (see ``model.Diagram``)."""
+    table = diagram.__dict__.get("_token_table")
+    if table is None:
+        table = tuple(token(ev) for ev in diagram.events)
+        object.__setattr__(diagram, "_token_table", table)
+    return table
 
 
 _FACING_NAMES = ("forward", "backward")

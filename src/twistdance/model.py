@@ -125,9 +125,17 @@ class Diagram:
 
     Construct through :func:`validate` or ``codec.parse``; the dataclass
     itself does not re-check invariants.
+
+    The codec keeps the diagram's token table on it once first read (see
+    ``codec._tokens``), outside the fields: equality, hash, repr and
+    ``dataclasses.replace`` read the fields alone, and pickling and copying
+    carry the events alone, so a copy builds its own table when asked.
     """
 
     events: tuple[Event, ...]
+
+    def __getstate__(self) -> dict[str, tuple[Event, ...]]:
+        return {"events": self.events}
 
     @property
     def gap_count(self) -> int:
@@ -208,13 +216,16 @@ def validate(events: Iterable[Event]) -> Diagram:
 def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     """Validate a tuple of initial points: distinct gaps, listed in cyclic order.
 
-    Each point must be an ``int`` gap index (a ``bool`` is refused); any
-    violation raises ``ValueError``.
+    ``points`` must be an iterable and each point an ``int`` gap index (a
+    ``bool`` is refused); any violation raises ``ValueError``.
 
     Cyclic order means that walking the diagram forward from ``points[0]``
     meets the remaining points in list order.  Returns the normalized tuple.
     """
-    pts = tuple(points)
+    try:
+        pts = tuple(points)
+    except TypeError:  # not iterable
+        raise ValueError(f"points must be an iterable of gap index ints, got {points!r}") from None
     if not pts:
         raise ValueError("at least one initial point is required")
     gaps = diagram.gap_count

@@ -52,10 +52,32 @@ A dancer stuck in the relaxation is stuck in every real schedule (see
 ``_stuck``), so Deadlock(k) iff stuck(k) iff stuck(1) iff Deadlock(1).
 ``_Compiled.deadlocked`` therefore decides Deadlock with one linear pass
 over the arcs, whatever k is, answered as ``Infeasible(DEADLOCK, 1)``, the
-1 counting the root.  Only a feasible plan is searched, for its witness: a
-depth-first search over the vector of per-dancer route positions,
-memoizing states proven dead.  Successors are tried in dancer-id order, so
-it yields the lexicographically least witness interleaving.
+1 counting the root.
+
+Deadlock is a cycle of waits.  Fix the crossing rule, and for a consuming
+event e write d(e) for the deposit of e's crossing.  Under a placement P
+draw e -> e' when the consuming event e' lies in the arc that holds d(e),
+before d(e); equivalently, no point of P lies in gaps e' + 1, ..., d(e),
+read cyclically.  Then P deadlocks iff this wait-for graph has a cycle.
+By (a), at k = 1 a consuming event e runs in the relaxation iff d(e) is
+reached, and d(e) is reached iff every consuming event before it in its
+arc runs; ``_stuck`` computes the least fixpoint of these two rules.  If
+the graph has a cycle, each event on it can run only after the next one
+has, so none of them runs and some dancer is stuck.  Conversely, if a
+dancer waits at e, then d(e) is not reached, so the dancer of the arc that
+holds d(e) waits at a consuming event e' before d(e): e -> e', and e'
+waits too.  So from any waiting event the edges can be followed forever
+through waiting events, and in a finite graph that walk closes a cycle.
+``_Compiled.wait_cycle`` is the walk, one step per arc, asked only of
+points already found deadlocked, and ``_Compiled.cycle`` gives the
+cycle's clause, the union of the gaps e' + 1, ..., d(e) over its edges.
+The clause speaks for every placement of the diagram: a placement with no
+point in it keeps each edge of the cycle, so it deadlocks too.
+
+Only a feasible plan is searched, for its witness: a depth-first search
+over the vector of per-dancer route positions, memoizing states proven
+dead.  Successors are tried in dancer-id order, so it yields the
+lexicographically least witness interleaving.
 
 A safe move (an over pass under over-first, an under pass under under-first,
 a virtual pass, a twist bar, any step under unrestricted) is never blocked
@@ -90,6 +112,7 @@ independent of it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
@@ -149,9 +172,10 @@ class DancePlan:
     ``k`` must be an ``int`` >= 1 (a ``bool`` is refused), the points ints
     accepted by ``check_points``, and both rules members of their enums;
     otherwise ``ValueError``.
-    ``facings`` designates one facing per initial point and is required
-    exactly when the rule is matching; ``designated`` reads the forward
-    rule as every point designated forward.
+    ``facings`` designates one facing per initial point, an iterable of
+    ``Facing`` values, and is required exactly when the rule is matching;
+    ``designated`` reads the forward rule as every point designated
+    forward.
     """
 
     diagram: Diagram
@@ -169,7 +193,10 @@ class DancePlan:
         if self.rule is RuleKind.MATCHING:
             if self.facings is None:
                 raise ValueError("matching rule needs facings, one per initial point")
-            object.__setattr__(self, "facings", tuple(self.facings))
+            try:
+                object.__setattr__(self, "facings", tuple(self.facings))
+            except TypeError:  # not iterable
+                raise ValueError(f"facings must be Facing values, got {self.facings!r}") from None
             if len(self.facings) != len(self.points):
                 raise ValueError(
                     f"{len(self.facings)} facings for {len(self.points)} points"
@@ -361,10 +388,12 @@ class _Compiled:
     number of its placements: its twist-bar prefix parities (see ``facing``)
     and each event's ``(slot, delta)`` (see ``schedule_search``), with the
     slot count.  Every caller asks ``parities`` (for the facing gate), then
-    ``deadlocked``, then the ``witness`` of a plan that passed both.
+    ``deadlocked``, then the ``witness`` of a plan that passed both; the
+    ``cycle`` of a placement is asked only once it is found deadlocked.
 
     An instance keeps no answer: ``schedule_search``, ``survey`` and
-    ``min_dancers`` each ask about a placement at most once.
+    ``min_dancers`` each ask ``deadlocked`` about a placement at most once,
+    and its ``cycle`` only right after a True.
     """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
@@ -387,17 +416,58 @@ class _Compiled:
 
     def deadlocked(self, points: tuple[int, ...]) -> bool:
         """Whether checked points deadlock past the facing gate, at every lap
-        count: ``_stuck`` on their n arcs, each lowered through the event
-        table and ended with ``(0, -1)``.  Linear in m whatever k is (see the
-        module docstring); with no slot nothing ever waits.  The arc from a
-        to the next point b is read off the doubled table as one slice, as
-        ``_arcs`` would index it."""
+        count: ``_stuck`` on their n arcs.  Linear in m whatever k is (see
+        the module docstring); with no slot nothing ever waits."""
         if not self.slot_count:
             return False
+        return _stuck(self._lowered_arcs(points), self.slot_count)
+
+    def _lowered_arcs(self, points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+        """The n arcs of checked points, each lowered through the event table
+        and ended with ``(0, -1)``.  The arc from a to the next point b is
+        read off the doubled table as one slice, as ``_arcs`` would index
+        it."""
         m, table = self.m, self.table
         ends = (*points[1:], points[0])
-        lowered = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
-        return _stuck(lowered, self.slot_count)
+        return [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+
+    def wait_cycle(self, points: tuple[int, ...]) -> list[tuple[int, int]]:
+        """A cycle of the wait-for graph of deadlocked points (see the module
+        docstring), as its edges ``(e, e')`` in walk order, each e' the e of
+        the next edge.  The relaxation is run once more, to see where each
+        dancer waits; then, from the first waiting dancer, each step finds
+        the arc that holds d(e) by bisecting the points and moves to the
+        event its dancer waits at, until a dancer repeats: at most n steps.
+        A slot's consuming event and deposit are its two entries in the
+        event table, ``(slot, -1)`` and ``(slot, 1)``, found where asked.
+        Points in any cyclic order name the same arcs, so they are sorted
+        first."""
+        points = sorted(points)
+        n = len(points)
+        waits = {}  # dancer -> the slot it waits on
+        for slot, dancers in _waiting(self._lowered_arcs(points), self.slot_count).items():
+            for d in dancers:
+                waits[d] = slot
+        walk: list[int] = []  # the dancers walked, in order
+        dancer = min(waits)
+        while dancer not in walk:
+            walk.append(dancer)
+            held = self.table.index((waits[dancer], 1))
+            dancer = (bisect_right(points, held) - 1) % n  # -1: the last arc, which wraps
+        loop = [self.table.index((waits[d], -1)) for d in walk[walk.index(dancer) :]]
+        return list(zip(loop, loop[1:] + loop[:1]))
+
+    def cycle(self, points: tuple[int, ...]) -> int:
+        """The clause of deadlocked points: the gaps e' + 1, ..., d(e) of
+        every edge of their ``wait_cycle``, as an int with bit g for gap g.
+        Every placement of the diagram whose points miss it deadlocks."""
+        m, table, clause = self.m, self.table, 0
+        for e, after in self.wait_cycle(points):
+            first = after + 1
+            span = (table.index((table[e][0], 1)) - first) % m + 1
+            gaps = ((1 << span) - 1) << first % m
+            clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
+        return clause & ((1 << m) - 1)
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,
@@ -416,7 +486,14 @@ def _lower(
 
 
 def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
-    """Relaxed reachability over lowered routes.
+    """Whether some dancer waits short of its route end when ``_waiting``
+    relaxes the lowered routes."""
+    return bool(_waiting(lowered, slot_count))
+
+
+def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, list[int]]:
+    """Relaxed reachability over lowered routes: the dancers left waiting,
+    by the slot each waits on.
 
     Every dancer runs as far as it can.  A deposit always runs and marks its
     slot reached; a consuming step runs once its slot has been reached by
@@ -425,11 +502,11 @@ def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
 
     In a real schedule a consuming step needs a positive balance, so some
     deposit of its slot comes first.  Hence no real schedule takes a dancer
-    past the point where the relaxation stops it: True (some dancer waits
-    short of its route end) proves Deadlock.  On the n arcs (k = 1) False
-    proves feasibility at every lap count as well, so the test is exact
-    there (see the module docstring), and ``_Compiled.deadlocked`` runs it
-    only on the arcs.
+    past the point where the relaxation stops it: a dancer left waiting
+    short of its route end proves Deadlock.  On the n arcs (k = 1) none
+    left waiting proves feasibility at every lap count as well, so the test
+    is exact there (see the module docstring), and ``_Compiled.deadlocked``
+    runs it only on the arcs.
     """
     reached = [False] * (slot_count + 1)  # slot 0 is never reached
     waiting: dict[int, list[int]] = {}  # slot -> dancers waiting on it
@@ -450,7 +527,7 @@ def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
         at[d] = p
         if slot:  # slot 0 is the route end
             waiting.setdefault(slot, []).append(d)
-    return bool(waiting)
+    return waiting
 
 
 def _moves(

@@ -18,9 +18,25 @@ of which there are at most 2**n.
 
 ``survey`` walks each n-placement at one (n, k) in ascending order.  The
 rows of a placement depend on it only through its path parities t, so they
-are built once per distinct t, as ``(facings, gate passes)`` templates, and
-every placement that has t shares them and the verdict of its
-``deadlocked``.
+are built once per distinct t, as ``(facings, gate passes)`` templates,
+every placement that has t shares them, and its rows share its one
+Deadlock verdict.  t is itself fixed by the bar-prefix parities at the
+points (``prefix[p]`` at each point p, see ``facing``), which a second
+``combinations`` over the prefix yields beside each placement, so the
+templates are looked up by those bits and ``_parities`` runs only for bits
+not seen before, at most 2**n times per call.
+
+Both calls learn clauses as they go.  When ``deadlocked`` finds a
+placement deadlocked, its ``cycle`` names a set of gaps, the clause, such
+that every placement of the diagram missing it deadlocks too (see
+``scheduler``).  A later placement whose gap mask misses a clause learned
+so far is answered Deadlock without the relaxation, at one ``&`` per
+clause (``_deadlocks``).  The clauses are locals of the call, never kept
+on the ``_Compiled``, and the answer is the one ``deadlocked`` gives, so
+no row, plan, witness or count changes.  They are asked where
+``deadlocked`` was: in ``survey`` only past the gate, and in
+``min_dancers`` only of a placement whose k is below the best so far,
+after its path parities were read.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
@@ -121,6 +137,31 @@ def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
     return (facings if matching else None), facings is not None and (matching or not any(facings))
 
 
+def _deadlocks(compiled: _Compiled, placement: tuple[int, ...], clauses: list[int]) -> bool:
+    """Whether checked points deadlock.
+
+    A placement whose gaps miss one of the ``clauses`` learned so far
+    deadlocks (see ``scheduler``), so it is answered without the
+    relaxation.  Any other is asked ``deadlocked``, and if it deadlocks the
+    clause of its ``cycle`` is learned.  The new clause replaces every
+    clause that contains it, since a placement that misses one of those
+    misses it too; it is never itself contained in one already kept, since
+    the placement hits each of those and misses it.
+    """
+    mask = 0  # bit g set for a point at gap g
+    for p in placement:
+        mask |= 1 << p
+    for clause in clauses:
+        if not mask & clause:
+            return True
+    if not compiled.deadlocked(placement):
+        return False
+    clause = compiled.cycle(placement)
+    clauses[:] = [c for c in clauses if c & clause != clause]
+    clauses.append(clause)
+    return True
+
+
 def min_dancers(
     diagram: Diagram,
     rule: RuleKind = RuleKind.FORWARD,
@@ -145,6 +186,7 @@ def min_dancers(
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
     compiled = _Compiled(diagram, crossing_rule)
+    clauses: list[int] = []  # learned in this call, and good for every n
     matching = rule is RuleKind.MATCHING
     tried = 0
     for n in range(1, n_max + 1):
@@ -160,7 +202,7 @@ def min_dancers(
                 gates = ((k, _gate(t, k, matching)) for k in range(1, k_max + 1))
                 least[t] = next(((k, f) for k, (f, ok) in gates if ok), (k_max + 1, None))
             k, facings = least[t]
-            if k < best[0] and not compiled.deadlocked(placement):
+            if k < best[0] and not _deadlocks(compiled, placement, clauses):
                 best = k, index, placement, facings
                 if k == 1:
                     break
@@ -218,21 +260,31 @@ def survey(
     rows: list[SurveyRow] = []
     append = rows.append
     compiled = _Compiled(diagram, crossing_rule)
+    gaps = compiled.gaps
+    clauses: list[int] = []  # learned in this call
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
     # t -> the rows of a placement with path parities t, and whether any passes
     templates: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}
-    for placement in combinations(range(compiled.gaps), n):
-        t = compiled.parities(placement)
-        if t not in templates:
-            if every_facing is not None:  # some row passes iff there is a solution
-                solutions = _matching_solutions(t, k)
-                templates[t] = [(f, f in solutions) for f in every_facing], bool(solutions)
-            else:
-                gate = _gate(t, k, matching)
-                templates[t] = [gate], gate[1]
-        template, any_passes = templates[t]
-        # a placement whose rows all fail the gate is not asked ``deadlocked``
-        verdict = decided[any_passes and compiled.deadlocked(placement)]
+    by_bits: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}  # the same, by prefix bits
+    # each placement beside the bar-prefix parities at its points, which fix its t
+    placements = zip(combinations(range(gaps), n), combinations(compiled.prefix[:gaps], n))
+    for placement, bits in placements:
+        entry = by_bits.get(bits)
+        if entry is None:
+            t = compiled.parities(placement)
+            entry = templates.get(t)
+            if entry is None:
+                if every_facing is not None:  # some row passes iff there is a solution
+                    solutions = _matching_solutions(t, k)
+                    entry = [(f, f in solutions) for f in every_facing], bool(solutions)
+                else:
+                    gate = _gate(t, k, matching)
+                    entry = [gate], gate[1]
+                templates[t] = entry
+            by_bits[bits] = entry
+        template, any_passes = entry
+        # a placement whose rows all fail the gate is not asked whether it deadlocks
+        verdict = decided[any_passes and _deadlocks(compiled, placement, clauses)]
         for facings, ok in template:
             feasible, reason = verdict if ok else refused
             row = new(SurveyRow)

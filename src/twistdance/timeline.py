@@ -6,11 +6,11 @@ distinguish dancers.  Output is plain SVG 1.1 text, byte-identical across
 runs for identical inputs so it can be golden-file tested.
 
 Steps are read from the schedule's move columns (see ``scheduler``), never
-from ``Step`` objects, and labels from the diagram's token table, built
-once per call.  Each lane's constant fragments (its colour, its y position
-and the dash pattern) are formatted once, so a step adds one line segment
-and one dot-and-label entry, each joined from those fragments and the
-step's x position.
+from ``Step`` objects, and labels from the diagram's token table, which the
+JSON trace of the same diagram shares (see ``codec._tokens``).  Each lane's
+constant fragments (its colour, its y position and the dash pattern) are
+formatted once, so a step adds one line segment and one dot-and-label
+entry, each joined from those fragments and the step's x position.
 """
 
 from __future__ import annotations

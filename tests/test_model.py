@@ -21,6 +21,7 @@ from twistdance.model import (
     paths_of,
     validate,
 )
+from twistdance.scheduler import DancePlan
 
 from strategies import arbitrary_events, diagrams, plan_geometries
 
@@ -175,9 +176,11 @@ def test_points_must_be_cyclically_ordered():
 
 def test_points_must_be_ints():
     d = validate(TREFOIL)
-    for points in ((0.0,), ("1",), (True,), (0, None)):
+    for points in ((0.0,), ("1",), (True,), (0, None), 5, None):
         with pytest.raises(ValueError, match="gap index"):
             check_points(d, points)
+        with pytest.raises(ValueError, match="gap index"):
+            DancePlan(d, points, 1)
 
 
 def test_no_points_rejected():

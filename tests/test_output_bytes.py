@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistdance.codec import parse, trace_to_json
+from twistdance.codec import parse, serialize, token, trace_to_json
 from twistdance.facing import Facing
 from twistdance.model import ClassicalPass, TwistBar, VirtualPass
 from twistdance.scheduler import (
@@ -26,6 +29,7 @@ from twistdance.scheduler import (
     RuleKind,
     Schedule,
     Step,
+    retrograde,
     schedule_search,
     verify_schedule,
 )
@@ -101,6 +105,47 @@ def _sha(text: str) -> str:
 def test_output_bytes_are_pinned(name):
     schedule = _schedules()[name]
     assert (_sha(trace_to_json(schedule)), _sha(svg_timeline(schedule))) == GOLDEN[name]
+
+
+def test_a_dance_request_builds_the_token_table_once(monkeypatch):
+    import twistdance.codec
+
+    calls = 0
+
+    def counted(event):
+        nonlocal calls
+        calls += 1
+        return token(event)
+
+    monkeypatch.setattr(twistdance.codec, "token", counted)
+    for name, schedule in _schedules().items():
+        if schedule.plan is None:
+            continue
+        d = schedule.plan.diagram
+        m = len(d.events)
+        unread = hash(d), repr(d), pickle.dumps(d)
+        calls = 0
+        outputs = trace_to_json(schedule), svg_timeline(schedule)
+        assert (_sha(outputs[0]), _sha(outputs[1])) == GOLDEN[name]
+        assert calls == (m if schedule._columns()[0] else 0), name  # m, not 2m
+        serialize(d)
+        assert calls == m, name  # kept on the diagram once read
+        assert (hash(d), repr(d), pickle.dumps(d)) == unread, name
+        # copies carry the events alone, and a new event sequence gets a new table
+        rotated = replace(d, events=d.events[1:] + d.events[:1])
+        for other, events in [
+            (deepcopy(d), d.events),
+            (pickle.loads(pickle.dumps(d)), d.events),
+            (replace(d), d.events),
+            (rotated, rotated.events),
+            (retrograde(d), d.events[::-1]),
+        ]:
+            assert (other == d) is (events == d.events), name
+            if events == d.events:
+                assert (hash(other), repr(other), pickle.dumps(other)) == unread, name
+            calls = 0
+            assert serialize(other) == " ".join(token(ev) for ev in events), name
+            assert calls == m, name
 
 
 def test_the_fixed_schedules_reach_every_case():

@@ -101,7 +101,7 @@ def test_plan_rejects_bad_geometry():
 
 def test_plan_rejects_facings_that_are_not_facing_values():
     d = parse(TREFOIL)
-    for facings in ((0, 0), ("F", "F"), (F, 1)):
+    for facings in ((0, 0), ("F", "F"), (F, 1), 5, F):
         with pytest.raises(ValueError, match="Facing"):
             DancePlan(d, (0, 3), 1, RuleKind.MATCHING, facings)
 

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from twistdance.facing import matching_solve, parity_vector
+from twistdance.model import ClassicalPass, Strand
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
     CrossingRule,
@@ -16,11 +17,13 @@ from twistdance.scheduler import (
     Infeasible,
     InfeasibleReason,
     RuleKind,
+    _Compiled,
     oracle_schedule,
     schedule_search,
 )
 from twistdance.solver import min_dancers, survey
 
+from corpus import all_placements, diagram_corpus
 from small_scope import small_diagrams
 
 # diagrams and oracle-checked plans of m events, for each m
@@ -28,6 +31,9 @@ DIAGRAMS = {1: 1, 2: 6, 3: 16, 4: 106, 5: 426}
 PLANS = {1: 72, 2: 864, 3: 2_208, 4: 38_160, 5: 139_302}
 # min_dancers reports of m events that exhaust their bounds, of 12 per diagram
 EXHAUSTED = {1: 6, 2: 0, 3: 96, 4: 0, 5: 2_556}
+# deadlocked (diagram, crossing rule, placement) triples of m events, under
+# over-first and under-first
+DEADLOCKED = {1: 0, 2: 8, 3: 48, 4: 960, 5: 7_600}
 
 
 @pytest.fixture
@@ -123,3 +129,88 @@ def test_enough_laps_find_the_least_dancer_count_that_does_not_deadlock(max_even
                 if any(row.feasible for row in rows):
                     least = n
             assert (report.plan.n if report.feasible else None) == least, (d, rule, crossing)
+
+
+def _wait_for(d, rule, points):
+    """The wait-for graph of a placement, from its definition: an edge
+    e -> e' for consuming passes e and e' when no point lies in gaps
+    e' + 1, ..., d(e), read cyclically, d(e) being the other pass of e's
+    crossing."""
+    m = len(d.events)
+    consuming = Strand.UNDER if rule is CrossingRule.OVER_FIRST else Strand.OVER
+    passes = {}  # crossing id -> strand -> event index
+    for i, ev in enumerate(d.events):
+        if isinstance(ev, ClassicalPass):
+            passes.setdefault(ev.crossing_id, {})[ev.strand] = i
+    deposit = {at[consuming]: at[s] for at in passes.values() for s in at if s is not consuming}
+    return {
+        (e, after)
+        for e, held in deposit.items()
+        for after in deposit
+        if not any((after + j) % m in points for j in range(1, (held - after) % m + 1))
+    }
+
+
+def _has_cycle(edges):
+    """Whether a graph has a cycle: strip the events with no edge out to an
+    event left until none is left, or none can be stripped."""
+    left = {e for edge in edges for e in edge}
+    while left:
+        sinks = {e for e in left if not any(a == e and b in left for a, b in edges)}
+        if not sinks:
+            return True
+        left -= sinks
+    return False
+
+
+def _check_cycle(compiled, d, rule, points):
+    """``wait_cycle`` of deadlocked points is a closed walk of edges of
+    their wait-for graph, and their clause misses them."""
+    edges = compiled.wait_cycle(points)
+    assert edges and set(edges) <= _wait_for(d, rule, set(points)), (d, rule, points)
+    assert [after for _, after in edges] == [e for e, _ in edges[1:] + edges[:1]]
+    clause = compiled.cycle(points)
+    assert not clause & sum(1 << p for p in points), (d, rule, points)
+    return clause
+
+
+def test_every_deadlock_has_a_wait_for_cycle_whose_clause_decides_the_diagram(max_events):
+    # the clause of a deadlocked placement is missed by it, and every
+    # placement of the same diagram that misses the clause deadlocks
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    for m in range(1, max_events + 1):
+        deadlocked = 0
+        for d, rule in product(small_diagrams(m), rules):
+            compiled = _Compiled(d, rule)
+            placements = {
+                points: sum(1 << p for p in points)
+                for n in range(1, m + 1)
+                for points in combinations(range(m), n)
+            }
+            dead = {points: compiled.deadlocked(points) for points in placements}
+            for points in placements:
+                assert _has_cycle(_wait_for(d, rule, set(points))) == dead[points], (d, points)
+                if dead[points]:
+                    deadlocked += 1
+                    clause = _check_cycle(compiled, d, rule, points)
+                    for other, mask in placements.items():
+                        assert dead[other] or mask & clause, (d, rule, points, other)
+        assert deadlocked == DEADLOCKED[m], m
+
+
+def test_the_wait_for_cycle_agrees_with_an_independent_cycle_search():
+    # random diagrams of up to 12 events, every placement of at most 3
+    # points in each of its cyclic orders
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    seen = {True: 0, False: 0}
+    for d, rule in product(diagram_corpus(59, 40, max_events=12), rules):
+        compiled = _Compiled(d, rule)
+        for placement in all_placements(d, n_max=3):
+            cyclic = _has_cycle(_wait_for(d, rule, set(placement)))
+            seen[cyclic] += 1
+            for r in range(len(placement)):
+                points = placement[r:] + placement[:r]
+                assert compiled.deadlocked(points) == cyclic, (d, rule, points)
+                if cyclic:
+                    _check_cycle(compiled, d, rule, points)
+    assert min(seen.values()) >= 1000, seen
