@@ -91,9 +91,10 @@ lexicographically least one.
 
 ``schedule_search``, ``min_dancers`` and ``survey`` compile the diagram once
 under the crossing rule and ask each placement the same three questions in
-order: the facing gate on its path ``parities``, ``deadlocked`` on its arcs
-(never on the facings or k), and, for a feasible plan only, its
-``witness``, the one place where routes are built and searched.
+order: the facing gate on its path parities, read off the compiled bar
+prefix by ``facing._parities``, ``deadlocked`` on its arcs (never on the
+facings or k), and, for a feasible plan only, its ``witness``, the one
+place where routes are built and searched.
 
 A witness is stored as its move columns, three int sequences with one
 entry per step: the dancer, the event index and the facing bit after the
@@ -376,7 +377,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     reduced search enters.
     """
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
-    if not matching_check(compiled.parities(plan.points), plan.designated, plan.k):
+    if not matching_check(_parities(compiled.prefix, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
     if compiled.deadlocked(plan.points):
         return Infeasible(InfeasibleReason.DEADLOCK, 1)
@@ -385,9 +386,10 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
 
 class _Compiled:
     """A diagram compiled once under a crossing rule and applied to any
-    number of its placements: its twist-bar prefix parities (see ``facing``)
-    and each event's ``(slot, delta)`` (see ``schedule_search``), with the
-    slot count.  Every caller asks ``parities`` (for the facing gate), then
+    number of its placements: its twist-bar ``prefix`` parities (see
+    ``facing``) and each event's ``(slot, delta)`` (see ``schedule_search``),
+    with the slot count.  Every caller reads a placement's path parities off
+    ``prefix`` with ``_parities`` (for the facing gate), then asks
     ``deadlocked``, then the ``witness`` of a plan that passed both; the
     ``cycle`` of a placement is asked only once it is found deadlocked.
 
@@ -409,10 +411,6 @@ class _Compiled:
             for ev in diagram.events
         ] * 2
         self.slot_count = len(slots)
-
-    def parities(self, points: tuple[int, ...]) -> tuple[int, ...]:
-        """The path parities of checked points."""
-        return _parities(self.prefix, points)
 
     def deadlocked(self, points: tuple[int, ...]) -> bool:
         """Whether checked points deadlock past the facing gate, at every lap
@@ -669,21 +667,22 @@ def retrograde(diagram: Diagram) -> Diagram:
 def retrograde_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     """Map a placement onto the reversed diagram: gap g goes to (m - g) mod m.
 
-    Returned in ascending order, which is a cyclic order of the image set.
+    The points are checked first, as a ``DancePlan`` checks them
+    (``check_points``).  Returned in ascending order, which is a cyclic
+    order of the image set.  The empty diagram's one gap maps to itself.
     """
-    m = len(diagram.events)
-    if m == 0:
-        return (0,)
-    return tuple(sorted((m - p) % m for p in points))
+    gaps = diagram.gap_count
+    return tuple(sorted((gaps - p) % gaps for p in check_points(diagram, points)))
 
 
 def verify_schedule(schedule: Schedule) -> list[str]:
     """Independently re-check a schedule against its plan.
 
-    Returns a list of violation descriptions (empty means clean): per-dancer
-    route completeness and order, facing evolution from the rule's start
-    facings with a flip at every twist bar and nowhere else, end-facing
-    conformance, and the crossing rule's prefix inequality.
+    Returns a list of violation descriptions (empty means clean): a dancer
+    id or event index that is not an ``int`` (a ``bool`` included) or is out
+    of range, per-dancer route completeness and order, facing evolution
+    from the rule's start facings with a flip at every twist bar and nowhere
+    else, end-facing conformance, and the crossing rule's prefix inequality.
     """
     problems: list[str] = []
     plan = schedule.plan
@@ -694,10 +693,12 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     n = len(routes)
 
     for step in schedule.steps:
-        if not 0 <= step.dancer < n:
-            return [f"dancer id {step.dancer} out of range"]
-        if not 0 <= step.event_index < len(events):
-            return [f"event index {step.event_index} out of range"]
+        ids = ("dancer id", step.dancer, n), ("event index", step.event_index, len(events))
+        for name, value, bound in ids:
+            if isinstance(value, bool) or not isinstance(value, int):
+                return [f"{name} {value!r} is not an int"]
+            if not 0 <= value < bound:
+                return [f"{name} {value} out of range"]
 
     by_dancer: list[list[Step]] = [[] for _ in range(n)]
     for step in schedule.steps:

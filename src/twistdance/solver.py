@@ -3,9 +3,12 @@
 ``min_dancers`` finds the least dancer count (then lap count, then
 placement) that makes a fixed diagram danceable within the given bounds;
 ``survey`` tabulates every placement at one (n, k).  Feasibility is
-constant in k past the facing gate (see ``scheduler``), still not monotone
-in n, so the n bound is exhausted rather than pruned.  Iteration orders are
-fixed, making both results deterministic.
+constant in k past the facing gate (see ``scheduler``).  Deadlock is
+monotone in the point set: a new point can only cut wait-for edges (see
+``scheduler``), so a placement that does not deadlock keeps not
+deadlocking as points are added.  The facing gate at a bounded k is not
+monotone in n, so the n bound is exhausted rather than pruned.  Iteration
+orders are fixed, making both results deterministic.
 
 Each call compiles its diagram once into a ``_Compiled``, which keeps no
 answer, and asks each placement what ``schedule_search`` asks of one plan,
@@ -16,15 +19,17 @@ that test for a placement's one row when facings are not enumerated.  At a
 fixed (n, k) the gate reads a placement only through its path parities t,
 of which there are at most 2**n.
 
-``survey`` walks each n-placement at one (n, k) in ascending order.  The
-rows of a placement depend on it only through its path parities t, so they
-are built once per distinct t, as ``(facings, gate passes)`` templates,
-every placement that has t shares them, and its rows share its one
-Deadlock verdict.  t is itself fixed by the bar-prefix parities at the
-points (``prefix[p]`` at each point p, see ``facing``), which a second
-``combinations`` over the prefix yields beside each placement, so the
-templates are looked up by those bits and ``_parities`` runs only for bits
-not seen before, at most 2**n times per call.
+Both calls read the n-placements through one walk, ``_placements``, in
+ascending order, each beside what the caller makes of its t.  t is fixed
+by the bar-prefix parities at the points (``prefix[p]`` at each point p,
+see ``facing``), which a second ``combinations`` over the prefix yields
+beside each placement, so the walk runs ``_parities`` once per distinct
+tuple of those bits and the caller's function of t once per distinct t,
+at most 2**n times each.  ``survey`` passes its row templates: the rows of
+a placement depend on it only through t, so they are built once per
+distinct t as ``(facings, gate passes)`` pairs, every placement that has t
+shares them, and its rows share its one Deadlock verdict.  ``min_dancers``
+passes the least lap count whose gate passes t.
 
 Both calls learn clauses as they go.  When ``deadlocked`` finds a
 placement deadlocked, its ``cycle`` names a set of gaps, the clause, such
@@ -35,12 +40,12 @@ clause (``_deadlocks``).  The clauses are locals of the call, never kept
 on the ``_Compiled``, and the answer is the one ``deadlocked`` gives, so
 no row, plan, witness or count changes.  They are asked where
 ``deadlocked`` was: in ``survey`` only past the gate, and in
-``min_dancers`` only of a placement whose k is below the best so far,
-after its path parities were read.
+``min_dancers`` only of a placement whose least passing k is below the
+best so far.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
-witness, but it reads each n-placement once per n.  Deadlock reads neither
+witness, but it walks the n-placements once per n.  Deadlock reads neither
 the facings nor k, so at one n the first feasible row is at the least k
 whose gate some placement that does not deadlock passes, and at that k it
 is the first such placement.  So each distinct t is gated at k = 1, 2, ...
@@ -61,10 +66,12 @@ arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
+from typing import Callable, Iterator, TypeVar
 
-from .facing import Facing, _matching_solutions, matching_solve
+from .facing import Facing, _matching_solutions, _parities, matching_solve
 from .model import Diagram, _check_bound, _check_member
 from .scheduler import (
     CrossingRule,
@@ -122,6 +129,8 @@ class SurveyRow:
     reason: InfeasibleReason | None
 
 
+_T = TypeVar("_T")
+
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
@@ -162,6 +171,26 @@ def _deadlocks(compiled: _Compiled, placement: tuple[int, ...], clauses: list[in
     return True
 
 
+def _placements(
+    compiled: _Compiled, n: int, of_t: Callable[[tuple[int, ...]], _T]
+) -> Iterator[tuple[tuple[int, ...], _T]]:
+    """Each n-placement of the compiled diagram in ascending order, beside
+    ``of_t(t)`` of its path parities t.
+
+    t is fixed by the bar-prefix parities at the points (see the module
+    docstring), which a second ``combinations`` over the prefix yields
+    beside each placement, so ``_parities`` runs once per distinct tuple of
+    those bits and ``of_t`` once per distinct t, at most 2**n times each.
+    """
+    of_t = cache(of_t)
+    by_bits: dict[tuple[int, ...], _T] = {}
+    gaps = compiled.gaps
+    for placement, bits in zip(combinations(range(gaps), n), combinations(compiled.prefix[:gaps], n)):
+        if bits not in by_bits:
+            by_bits[bits] = of_t(_parities(compiled.prefix, placement))
+        yield placement, by_bits[bits]
+
+
 def min_dancers(
     diagram: Diagram,
     rule: RuleKind = RuleKind.FORWARD,
@@ -188,20 +217,19 @@ def min_dancers(
     compiled = _Compiled(diagram, crossing_rule)
     clauses: list[int] = []  # learned in this call, and good for every n
     matching = rule is RuleKind.MATCHING
+
+    def least(t: tuple[int, ...]) -> tuple[int, tuple[Facing, ...] | None]:
+        """The least k in 1..k_max whose gate passes t (k_max + 1 if none),
+        and that row's facings; every t passes by k = 2n."""
+        gates = ((k, _gate(t, k, matching)) for k in range(1, k_max + 1))
+        return next(((k, f) for k, (f, ok) in gates if ok), (k_max + 1, None))
+
     tried = 0
     for n in range(1, n_max + 1):
-        # t -> the least k in 1..k_max whose gate passes (k_max + 1 if none)
-        # and that row's facings; every t passes by k = 2n
-        least: dict[tuple[int, ...], tuple[int, tuple[Facing, ...] | None]] = {}
         # the least (k, index) of a non-deadlocked placement, with its points
         # and facings; (k_max + 1, -1) if none, which counts every row below
         best = k_max + 1, -1, (), None
-        for index, placement in enumerate(combinations(range(compiled.gaps), n)):
-            t = compiled.parities(placement)
-            if t not in least:
-                gates = ((k, _gate(t, k, matching)) for k in range(1, k_max + 1))
-                least[t] = next(((k, f) for k, (f, ok) in gates if ok), (k_max + 1, None))
-            k, facings = least[t]
+        for index, (placement, (k, facings)) in enumerate(_placements(compiled, n, least)):
             if k < best[0] and not _deadlocks(compiled, placement, clauses):
                 best = k, index, placement, facings
                 if k == 1:
@@ -260,32 +288,22 @@ def survey(
     rows: list[SurveyRow] = []
     append = rows.append
     compiled = _Compiled(diagram, crossing_rule)
-    gaps = compiled.gaps
     clauses: list[int] = []  # learned in this call
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
-    # t -> the rows of a placement with path parities t, and whether any passes
-    templates: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}
-    by_bits: dict[tuple[int, ...], tuple[list[_Row], bool]] = {}  # the same, by prefix bits
-    # each placement beside the bar-prefix parities at its points, which fix its t
-    placements = zip(combinations(range(gaps), n), combinations(compiled.prefix[:gaps], n))
-    for placement, bits in placements:
-        entry = by_bits.get(bits)
-        if entry is None:
-            t = compiled.parities(placement)
-            entry = templates.get(t)
-            if entry is None:
-                if every_facing is not None:  # some row passes iff there is a solution
-                    solutions = _matching_solutions(t, k)
-                    entry = [(f, f in solutions) for f in every_facing], bool(solutions)
-                else:
-                    gate = _gate(t, k, matching)
-                    entry = [gate], gate[1]
-                templates[t] = entry
-            by_bits[bits] = entry
-        template, any_passes = entry
+
+    def template(t: tuple[int, ...]) -> tuple[list[_Row], bool]:
+        """The rows of a placement with path parities t, and whether any
+        passes the gate."""
+        if every_facing is not None:  # some row passes iff there is a solution
+            solutions = _matching_solutions(t, k)
+            return [(f, f in solutions) for f in every_facing], bool(solutions)
+        gate = _gate(t, k, matching)
+        return [gate], gate[1]
+
+    for placement, (rows_of_t, any_passes) in _placements(compiled, n, template):
         # a placement whose rows all fail the gate is not asked whether it deadlocks
         verdict = decided[any_passes and _deadlocks(compiled, placement, clauses)]
-        for facings, ok in template:
+        for facings, ok in rows_of_t:
             feasible, reason = verdict if ok else refused
             row = new(SurveyRow)
             set_placement(row, placement)

@@ -589,6 +589,18 @@ def test_retrograde_point_mapping():
     assert retrograde_points(parse(""), (0,)) == (0,)
 
 
+def test_retrograde_points_refuses_what_a_plan_refuses():
+    d = parse(BAR_TREFOIL)
+    for points in [(100,), (True,), (), 5, (0, 3, 1)]:
+        with pytest.raises(ValueError):
+            DancePlan(d, points, 1)
+        with pytest.raises(ValueError):
+            retrograde_points(d, points)
+    with pytest.raises(DuplicateGap):
+        retrograde_points(d, (1, 1))
+    assert retrograde_points(d, (3, 0)) == retrograde_points(d, (0, 3)) == (0, 4)
+
+
 def test_retrograde_duality_on_corpus():
     disagreements = []
     for d in diagram_corpus(23, 10):
@@ -796,7 +808,13 @@ def test_verifier_flags_a_wrong_end_facing_under_both_rules():
 
 
 def test_verifier_requires_plan():
+    # what the verifier cannot check is reported, not raised: a schedule with
+    # no plan, and a step whose dancer id or event index is not an int
     assert verify_schedule(Schedule((), True, None))
+    plan = DancePlan(parse(BAR_TREFOIL), (0,), 1)
+    for dancer, event_index in [(0.0, 0), (None, 0), (True, 0), (0, 0.5), (0, "1"), (0, False)]:
+        problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
+        assert len(problems) == 1 and "is not an int" in problems[0], (dancer, event_index)
 
 
 # ------------------------------------------------------------- properties

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from twistdance.codec import parse
 from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
+from twistdance.model import TwistBar
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
     CrossingRule,
@@ -264,28 +265,43 @@ def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
             assert calls <= placements, (d, rule, crossing)
 
 
-def test_min_dancers_reads_each_placements_parities_once_per_dancer_count(monkeypatch):
-    import twistdance.scheduler
+def _prefix_bits(d, n):
+    """The distinct tuples of bar-prefix bits over the n-placements of ``d``:
+    the parity of the twist bars before each point, read off its events."""
+    before = [sum(isinstance(ev, TwistBar) for ev in d.events[:g]) % 2 for g in range(d.gap_count)]
+    return {tuple(before[p] for p in points) for points in combinations(range(d.gap_count), n)}
 
-    calls = 0
-    parities = twistdance.scheduler._parities
+
+def test_min_dancers_and_survey_read_path_parities_once_per_distinct_prefix_bits(monkeypatch):
+    # a placement's path parities are fixed by the bar-prefix bits at its
+    # points, so both calls read them once per distinct tuple of bits and
+    # min_dancers only up to its hit
+    import twistdance.solver
+
+    calls = Counter()  # dancer count -> _parities calls
+    parities = twistdance.solver._parities
 
     def counted(prefix, pts):
-        nonlocal calls
-        calls += 1
+        calls[len(pts)] += 1
         return parities(prefix, pts)
 
-    monkeypatch.setattr(twistdance.scheduler, "_parities", counted)
-    exhausted = 0
+    monkeypatch.setattr(twistdance.solver, "_parities", counted)
+    shared = exhausted = 0
     for d, n_max in _pinned_bounds():
-        placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
+        bits = {n: len(_prefix_bits(d, n)) for n in range(1, n_max + 1)}
+        shared += any(bits[n] < comb(d.gap_count, n) for n in bits)
         for rule, crossing in product(RuleKind, CrossingRule):
-            calls = 0
+            calls.clear()
             report = min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
-            assert calls <= placements, (d, rule, crossing)
+            assert all(calls[n] <= bits.get(n, 0) for n in calls), (d, rule, crossing)
             if not report.feasible:
                 exhausted += 1
-                assert calls == placements, (d, rule, crossing)
+                assert calls == bits, (d, rule, crossing)
+            for n, k, enumerate_facings in product(bits, (1, 2), (False, True)):
+                calls.clear()
+                survey(d, rule, crossing, n, k, enumerate_facings=enumerate_facings)
+                assert calls == {n: bits[n]}, (d, rule, crossing, n, k)
+    assert shared >= 10, shared
     assert exhausted >= 10, exhausted
 
 
