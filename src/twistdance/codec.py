@@ -174,8 +174,10 @@ def trace_to_json(schedule: "Schedule") -> str:
     Logical timestamps are the linearization indices; step facings are the
     dancer's facing after executing the step.  The ``plan`` object is
     omitted for bare schedules that carry none.  A non-empty step list
-    requires a plan (the diagram supplies the event tokens), and its event
-    indices must lie in ``0..m-1``; otherwise ``ValueError``.
+    requires a plan (the diagram supplies the event tokens), its dancer ids
+    and event indices must be ints (not bools), its event indices must lie
+    in ``0..m-1`` and its facings must be ``Facing`` members; otherwise
+    ``ValueError`` (see ``Schedule._columns``).
 
     Each step is formatted from one fixed template, reading its dancer,
     event index and facing bit from the schedule's columns, which hold ints;

@@ -20,11 +20,12 @@ forward, so past plan construction the dance rule is read only through
 distinguishes a facing mismatch from a scheduling deadlock.
 
 Past the facing gate, Deadlock does not depend on the lap count: a plan
-deadlocks at k exactly when ``_stuck``, a relaxation that lets a consuming
+deadlocks at k exactly when ``_waiting``, a relaxation that lets a consuming
 step run once some deposit of its crossing has been reached by anyone and
-spends nothing, holds on its n arcs alone (k = 1).  The proof has three
-parts.  Write arc a for the path from point a to point a + 1, so that at
-lap count k dancer a walks arcs a, a + 1, ..., a + k - 1 (mod n).
+spends nothing, leaves a dancer waiting on its n arcs alone (k = 1).  The
+proof has three parts.  Write arc a for the path from point a to point
+a + 1, so that at lap count k dancer a walks arcs a, a + 1, ..., a + k - 1
+(mod n).
 
 (a) At k = 1 the relaxation is exact.  The arcs partition the cycle, so
 each event is walked once, and each classical crossing has one deposit and
@@ -32,7 +33,7 @@ one consumer.  The order in which the relaxation runs the steps is a real
 schedule: a consuming step comes after the one deposit of its crossing,
 which nobody else can spend.  So if nobody is stuck, the plan is feasible.
 
-(b) ``_stuck`` answers the same at k as at 1.  Let R be the slots reached
+(b) ``_waiting`` answers the same at k as at 1.  Let R be the slots reached
 at k = 1, and run the relaxation at k against R.  Dancer a walks arc a
 exactly as at k = 1.  If it completes arc a, it walks arc a + 1 exactly as
 dancer a + 1 did at k = 1, and so on.  Every deposit it makes was made at
@@ -49,10 +50,10 @@ starts and ends with every balance 0 and repeats the 1-lap balances
 exactly.
 
 A dancer stuck in the relaxation is stuck in every real schedule (see
-``_stuck``), so Deadlock(k) iff stuck(k) iff stuck(1) iff Deadlock(1).
-``_Compiled.deadlocked`` therefore decides Deadlock with one linear pass
-over the arcs, whatever k is, answered as ``Infeasible(DEADLOCK, 1)``, the
-1 counting the root.
+``_waiting``), so Deadlock(k) iff stuck(k) iff stuck(1) iff Deadlock(1).
+``_Compiled.waits`` therefore decides Deadlock with one linear pass over
+the arcs, whatever k is, answered as ``Infeasible(DEADLOCK, 1)``, the 1
+counting the root.
 
 Deadlock is a cycle of waits.  Fix the crossing rule, and for a consuming
 event e write d(e) for the deposit of e's crossing.  Under a placement P
@@ -61,16 +62,17 @@ before d(e); equivalently, no point of P lies in gaps e' + 1, ..., d(e),
 read cyclically.  Then P deadlocks iff this wait-for graph has a cycle.
 By (a), at k = 1 a consuming event e runs in the relaxation iff d(e) is
 reached, and d(e) is reached iff every consuming event before it in its
-arc runs; ``_stuck`` computes the least fixpoint of these two rules.  If
+arc runs; ``_waiting`` computes the least fixpoint of these two rules.  If
 the graph has a cycle, each event on it can run only after the next one
 has, so none of them runs and some dancer is stuck.  Conversely, if a
 dancer waits at e, then d(e) is not reached, so the dancer of the arc that
 holds d(e) waits at a consuming event e' before d(e): e -> e', and e'
 waits too.  So from any waiting event the edges can be followed forever
 through waiting events, and in a finite graph that walk closes a cycle.
-``_Compiled.wait_cycle`` is the walk, one step per arc, asked only of
-points already found deadlocked, and ``_Compiled.cycle`` gives the
-cycle's clause, the union of the gaps e' + 1, ..., d(e) over its edges.
+``_Compiled.wait_cycle`` is the walk, one step per arc, which walks the
+waits it is given: the ``waits`` of the same points, so the verdict and
+its cycle come from one run of the relaxation.  ``_Compiled.cycle`` gives
+the cycle's clause, the union of the gaps e' + 1, ..., d(e) over its edges.
 The clause speaks for every placement of the diagram: a placement with no
 point in it keeps each edge of the cycle, so it deadlocks too.
 
@@ -92,7 +94,7 @@ lexicographically least one.
 ``schedule_search``, ``min_dancers`` and ``survey`` compile the diagram once
 under the crossing rule and ask each placement the same three questions in
 order: the facing gate on its path parities, read off the compiled bar
-prefix by ``facing._parities``, ``deadlocked`` on its arcs (never on the
+prefix by ``facing._parities``, its ``waits`` on its arcs (never on the
 facings or k), and, for a feasible plan only, its ``witness``, the one
 place where routes are built and searched.
 
@@ -268,23 +270,29 @@ class Schedule:
         """The dancer, event index and facing bit of every step, in order.
 
         A witness returns its own columns; a schedule built from steps has
-        them read off its steps, refusing with ``ValueError`` steps without
-        a plan to name their events and an event index outside the
-        diagram's ``0..m-1``.  Dancer ids are not checked here.
+        them read off its steps, refusing with ``ValueError``, at the first
+        step that has one, steps without a plan to name their events, a
+        dancer id or event index that is not an ``int`` (a ``bool``
+        included), an event index outside the diagram's ``0..m-1`` and a
+        facing that is not a ``Facing``.  The range of dancer ids is not
+        checked here.
         """
         columns = self.__dict__.get("_move_columns")
         if columns is not None:
             return columns
         steps = self.steps
-        if not steps:
-            return (), (), ()
-        if self.plan is None:
+        if steps and self.plan is None:
             raise ValueError("a schedule with steps needs its plan to name events")
-        events = [s.event_index for s in steps]
-        low, high, m = min(events), max(events), len(self.plan.diagram.events)
-        if low < 0 or high >= m:
-            raise ValueError(f"event index {low if low < 0 else high} outside 0..{m - 1}")
-        return [s.dancer for s in steps], events, [s.facing_after for s in steps]
+        for s in steps:
+            for name, value in ("dancer", s.dancer), ("event index", s.event_index):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{name} {value!r} is not an int")
+            m = len(self.plan.diagram.events)
+            if not 0 <= s.event_index < m:
+                raise ValueError(f"event index {s.event_index} outside 0..{m - 1}")
+            if not isinstance(s.facing_after, Facing):
+                raise ValueError(f"facing {s.facing_after!r} is not a Facing")
+        return [s.dancer for s in steps], [s.event_index for s in steps], [s.facing_after for s in steps]
 
 
 def _from_moves(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
@@ -355,10 +363,11 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     step runs only when ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0,
     so the ``(0, -1)`` that ends each arc or route never runs.
 
-    Next the relaxation runs on the n arcs at k = 1 (see ``_stuck``).  It
+    Next the relaxation runs on the n arcs at k = 1 (see ``_waiting``).  It
     decides Deadlock at every lap count (see the module docstring), so a
-    dancer stuck there makes the plan ``Infeasible(DEADLOCK, 1)``: the 1
-    counts the root, the only state entered.
+    dancer left waiting there makes the plan ``Infeasible(DEADLOCK, 1)``:
+    the 1 counts the root, the only state entered.  No wait-for cycle is
+    walked: the verdict is all a plan needs.
 
     Otherwise the plan is feasible, and ``_Compiled.witness`` searches depth
     first only to build the witness, the lexicographically least feasible
@@ -379,7 +388,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
     if not matching_check(_parities(compiled.prefix, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
-    if compiled.deadlocked(plan.points):
+    if compiled.waits(plan.points):
         return Infeasible(InfeasibleReason.DEADLOCK, 1)
     return compiled.witness(plan)
 
@@ -389,13 +398,13 @@ class _Compiled:
     number of its placements: its twist-bar ``prefix`` parities (see
     ``facing``) and each event's ``(slot, delta)`` (see ``schedule_search``),
     with the slot count.  Every caller reads a placement's path parities off
-    ``prefix`` with ``_parities`` (for the facing gate), then asks
-    ``deadlocked``, then the ``witness`` of a plan that passed both; the
-    ``cycle`` of a placement is asked only once it is found deadlocked.
+    ``prefix`` with ``_parities`` (for the facing gate), then asks its
+    ``waits``, then the ``witness`` of a plan that passed both.  The
+    ``cycle`` of deadlocked points is walked from their ``waits``.
 
     An instance keeps no answer: ``schedule_search``, ``survey`` and
-    ``min_dancers`` each ask ``deadlocked`` about a placement at most once,
-    and its ``cycle`` only right after a True.
+    ``min_dancers`` each ask ``waits`` about a placement at most once, and
+    the relaxation runs nowhere else.
     """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
@@ -412,15 +421,18 @@ class _Compiled:
         ] * 2
         self.slot_count = len(slots)
 
-    def deadlocked(self, points: tuple[int, ...]) -> bool:
-        """Whether checked points deadlock past the facing gate, at every lap
-        count: ``_stuck`` on their n arcs.  Linear in m whatever k is (see
-        the module docstring); with no slot nothing ever waits."""
+    def waits(self, points: Sequence[int]) -> dict[int, int]:
+        """``_waiting`` on the n arcs of checked points, sorted first: each
+        dancer left waiting, numbered by its point's place in ascending
+        order, with the slot it waits on.  Empty exactly when the points do
+        not deadlock past the facing gate, at every lap count.  Linear in m
+        whatever k is (see the module docstring); with no slot nothing ever
+        waits, and the empty diagram, whose m is 0, has no arc to slice."""
         if not self.slot_count:
-            return False
-        return _stuck(self._lowered_arcs(points), self.slot_count)
+            return {}
+        return _waiting(self._lowered_arcs(sorted(points)), self.slot_count)
 
-    def _lowered_arcs(self, points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    def _lowered_arcs(self, points: Sequence[int]) -> list[list[tuple[int, int]]]:
         """The n arcs of checked points, each lowered through the event table
         and ended with ``(0, -1)``.  The arc from a to the next point b is
         read off the doubled table as one slice, as ``_arcs`` would index
@@ -429,38 +441,37 @@ class _Compiled:
         ends = (*points[1:], points[0])
         return [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
 
-    def wait_cycle(self, points: tuple[int, ...]) -> list[tuple[int, int]]:
-        """A cycle of the wait-for graph of deadlocked points (see the module
+    def wait_cycle(self, points: Sequence[int], waits: dict[int, int]) -> list[tuple[int, int]]:
+        """A cycle of the wait-for graph of checked points (see the module
         docstring), as its edges ``(e, e')`` in walk order, each e' the e of
-        the next edge.  The relaxation is run once more, to see where each
-        dancer waits; then, from the first waiting dancer, each step finds
-        the arc that holds d(e) by bisecting the points and moves to the
-        event its dancer waits at, until a dancer repeats: at most n steps.
-        A slot's consuming event and deposit are its two entries in the
-        event table, ``(slot, -1)`` and ``(slot, 1)``, found where asked.
+        the next edge, walked from ``waits``, the points' own ``waits``; the
+        relaxation is not run again.  From the first waiting dancer, each
+        step finds the arc that holds d(e) by bisecting the points and moves
+        to the event its dancer waits at, until a dancer repeats: at most n
+        steps.  A slot's consuming event and deposit are its two entries in
+        the event table, ``(slot, -1)`` and ``(slot, 1)``, found where asked.
         Points in any cyclic order name the same arcs, so they are sorted
-        first."""
+        first, as ``waits`` sorts them.  Points that do not deadlock wait on
+        nothing, and their cycle is empty."""
+        if not waits:
+            return []
         points = sorted(points)
-        n = len(points)
-        waits = {}  # dancer -> the slot it waits on
-        for slot, dancers in _waiting(self._lowered_arcs(points), self.slot_count).items():
-            for d in dancers:
-                waits[d] = slot
         walk: list[int] = []  # the dancers walked, in order
         dancer = min(waits)
         while dancer not in walk:
             walk.append(dancer)
             held = self.table.index((waits[dancer], 1))
-            dancer = (bisect_right(points, held) - 1) % n  # -1: the last arc, which wraps
+            dancer = (bisect_right(points, held) - 1) % len(points)  # -1: the last arc, which wraps
         loop = [self.table.index((waits[d], -1)) for d in walk[walk.index(dancer) :]]
         return list(zip(loop, loop[1:] + loop[:1]))
 
-    def cycle(self, points: tuple[int, ...]) -> int:
-        """The clause of deadlocked points: the gaps e' + 1, ..., d(e) of
-        every edge of their ``wait_cycle``, as an int with bit g for gap g.
-        Every placement of the diagram whose points miss it deadlocks."""
+    def cycle(self, points: Sequence[int], waits: dict[int, int]) -> int:
+        """The clause of checked points: the gaps e' + 1, ..., d(e) of every
+        edge of their ``wait_cycle`` walked from their ``waits``, as an int
+        with bit g for gap g.  If the points deadlock, every placement of
+        the diagram whose points miss it deadlocks; otherwise it is 0."""
         m, table, clause = self.m, self.table, 0
-        for e, after in self.wait_cycle(points):
+        for e, after in self.wait_cycle(points, waits):
             first = after + 1
             span = (table.index((table[e][0], 1)) - first) % m + 1
             gaps = ((1 << span) - 1) << first % m
@@ -469,7 +480,8 @@ class _Compiled:
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,
-        searched by ``_moves``; Deadlock only if the plan is ``deadlocked``."""
+        searched by ``_moves``; Deadlock only if the plan's points have
+        ``waits``."""
         routes = routes_of(plan)
         moves = _moves(routes, self.table, self.slot_count)
         return moves if isinstance(moves, Infeasible) else _from_moves(plan, routes, moves)
@@ -483,15 +495,9 @@ def _lower(
     return [[table[e] for e in route] + [(0, -1)] for route in routes]
 
 
-def _stuck(lowered: list[list[tuple[int, int]]], slot_count: int) -> bool:
-    """Whether some dancer waits short of its route end when ``_waiting``
-    relaxes the lowered routes."""
-    return bool(_waiting(lowered, slot_count))
-
-
-def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, list[int]]:
-    """Relaxed reachability over lowered routes: the dancers left waiting,
-    by the slot each waits on.
+def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, int]:
+    """Relaxed reachability over lowered routes: each dancer left waiting,
+    with the slot it waits on.
 
     Every dancer runs as far as it can.  A deposit always runs and marks its
     slot reached; a consuming step runs once its slot has been reached by
@@ -503,8 +509,8 @@ def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int,
     past the point where the relaxation stops it: a dancer left waiting
     short of its route end proves Deadlock.  On the n arcs (k = 1) none
     left waiting proves feasibility at every lap count as well, so the test
-    is exact there (see the module docstring), and ``_Compiled.deadlocked``
-    runs it only on the arcs.
+    is exact there (see the module docstring), and ``_Compiled.waits``, its
+    one caller, runs it only on the arcs.
     """
     reached = [False] * (slot_count + 1)  # slot 0 is never reached
     waiting: dict[int, list[int]] = {}  # slot -> dancers waiting on it
@@ -525,7 +531,7 @@ def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int,
         at[d] = p
         if slot:  # slot 0 is the route end
             waiting.setdefault(slot, []).append(d)
-    return waiting
+    return {d: slot for slot, dancers in waiting.items() for d in dancers}
 
 
 def _moves(
@@ -533,9 +539,9 @@ def _moves(
 ) -> Union[list[int], Infeasible]:
     """The witness search: the lexicographically least dancer-id sequence
     that completes every route.  It reads only the routes and the event
-    table, never facings, and runs only on routes that ``_stuck`` passes on
-    their arcs, which are feasible; its Deadlock, with the states it
-    entered, is reached only with the relaxation disabled."""
+    table, never facings, and runs only on routes whose arcs leave
+    ``_waiting`` nobody waiting, which are feasible; its Deadlock, with the
+    states it entered, is reached only with the relaxation disabled."""
     n = len(routes)
     total = sum(len(r) for r in routes)
     if total == 0:

@@ -12,8 +12,8 @@ orders are fixed, making both results deterministic.
 
 Each call compiles its diagram once into a ``_Compiled``, which keeps no
 answer, and asks each placement what ``schedule_search`` asks of one plan,
-in the same order: the facing gate on its path parities, then
-``deadlocked``.  The forward gate is the matching gate, the forward rule
+in the same order: the facing gate on its path parities, then its
+``waits``.  The forward gate is the matching gate, the forward rule
 being the matching rule with every point designated forward; ``_gate`` is
 that test for a placement's one row when facings are not enumerated.  At a
 fixed (n, k) the gate reads a placement only through its path parities t,
@@ -31,17 +31,18 @@ distinct t as ``(facings, gate passes)`` pairs, every placement that has t
 shares them, and its rows share its one Deadlock verdict.  ``min_dancers``
 passes the least lap count whose gate passes t.
 
-Both calls learn clauses as they go.  When ``deadlocked`` finds a
-placement deadlocked, its ``cycle`` names a set of gaps, the clause, such
-that every placement of the diagram missing it deadlocks too (see
+Both calls learn clauses as they go.  When a placement's ``waits`` are
+not empty it deadlocks, and its ``cycle``, walked from those same waits
+with no second run of the relaxation, names a set of gaps, the clause,
+such that every placement of the diagram missing it deadlocks too (see
 ``scheduler``).  A later placement whose gap mask misses a clause learned
 so far is answered Deadlock without the relaxation, at one ``&`` per
-clause (``_deadlocks``).  The clauses are locals of the call, never kept
-on the ``_Compiled``, and the answer is the one ``deadlocked`` gives, so
-no row, plan, witness or count changes.  They are asked where
-``deadlocked`` was: in ``survey`` only past the gate, and in
-``min_dancers`` only of a placement whose least passing k is below the
-best so far.
+clause (``_deadlocks``).  So each placement is relaxed at most once per
+call.  The clauses are locals of the call, never kept on the
+``_Compiled``, and the answer is the one the relaxation gives, so no row,
+plan, witness or count changes.  They are asked where the relaxation
+would be: in ``survey`` only past the gate, and in ``min_dancers`` only
+of a placement whose least passing k is below the best so far.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
@@ -50,9 +51,9 @@ the facings nor k, so at one n the first feasible row is at the least k
 whose gate some placement that does not deadlock passes, and at that k it
 is the first such placement.  So each distinct t is gated at k = 1, 2, ...
 up to its first passing k, which is at most 2n by Facts 1 and 2 (see
-``facing``): the work does not grow with k_max.  ``deadlocked`` is asked
-only of a placement whose k is below the best so far, and a hit at k = 1
-ends the pass.  The rows scanned up to the hit are counted, not built:
+``facing``): the work does not grow with k_max.  Deadlock is asked only
+of a placement whose k is below the best so far, and a hit at k = 1 ends
+the pass.  The rows scanned up to the hit are counted, not built:
 (k - 1) * C(gaps, n) + index + 1 at a hit, k_max * C(gaps, n) at an n
 without one.
 
@@ -151,8 +152,9 @@ def _deadlocks(compiled: _Compiled, placement: tuple[int, ...], clauses: list[in
 
     A placement whose gaps miss one of the ``clauses`` learned so far
     deadlocks (see ``scheduler``), so it is answered without the
-    relaxation.  Any other is asked ``deadlocked``, and if it deadlocks the
-    clause of its ``cycle`` is learned.  The new clause replaces every
+    relaxation.  Any other is asked its ``waits``, one run of the
+    relaxation, and if some dancer waits the clause of its ``cycle``,
+    walked from those waits, is learned.  The new clause replaces every
     clause that contains it, since a placement that misses one of those
     misses it too; it is never itself contained in one already kept, since
     the placement hits each of those and misses it.
@@ -163,12 +165,12 @@ def _deadlocks(compiled: _Compiled, placement: tuple[int, ...], clauses: list[in
     for clause in clauses:
         if not mask & clause:
             return True
-    if not compiled.deadlocked(placement):
-        return False
-    clause = compiled.cycle(placement)
-    clauses[:] = [c for c in clauses if c & clause != clause]
-    clauses.append(clause)
-    return True
+    waits = compiled.waits(placement)
+    if waits:
+        clause = compiled.cycle(placement, waits)
+        clauses[:] = [c for c in clauses if c & clause != clause]
+        clauses.append(clause)
+    return bool(waits)
 
 
 def _placements(

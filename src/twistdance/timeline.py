@@ -34,9 +34,9 @@ def svg_timeline(schedule: Schedule) -> str:
     """Render a schedule as an SVG timeline string.
 
     As in ``trace_to_json``, a schedule with steps needs its plan, which
-    gives the lanes, the start facings and the event labels, and its event
-    indices must lie in ``0..m-1``; otherwise ``ValueError``.  A step whose
-    dancer has no lane is left out.
+    gives the lanes, the start facings and the event labels, int dancer ids
+    and event indices, event indices in ``0..m-1`` and ``Facing`` facings;
+    otherwise ``ValueError``.  A step whose dancer has no lane is left out.
     """
     dancers, events, facings = schedule._columns()
     plan = schedule.plan

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -284,12 +285,37 @@ def test_svg_with_steps_requires_plan():
         svg_timeline(bare)
 
 
-@pytest.mark.parametrize("event_index", [-1, 3, 7])
-def test_output_layers_refuse_an_event_index_outside_the_diagram(event_index):
+@pytest.mark.parametrize(
+    "step, error",
+    [
+        pytest.param(Step(0, 0, -1, Facing.FORWARD), "event index -1 outside 0..2", id="-1"),
+        pytest.param(Step(0, 0, 3, Facing.FORWARD), "event index 3 outside 0..2", id="3"),
+        pytest.param(Step(0, 0, 7, Facing.FORWARD), "event index 7 outside 0..2", id="7"),
+        # a hand-made step of any other type: the JSON would not be JSON, a
+        # bool would be read as an int, and the rest would raise TypeError or
+        # IndexError inside a formatter
+        *(
+            pytest.param(Step(dancer, 0, 1, Facing.FORWARD), f"dancer {dancer!r} is not an int",
+                         id=f"dancer {dancer!r}")
+            for dancer in (None, True, 0.0)
+        ),
+        *(
+            pytest.param(Step(0, 0, index, Facing.FORWARD), f"event index {index!r} is not an int",
+                         id=f"event index {index!r}")
+            for index in (True, 0.5, "1")
+        ),
+        *(
+            pytest.param(Step(0, 0, 1, facing), f"facing {facing!r} is not a Facing",
+                         id=f"facing {facing!r}")
+            for facing in (2, "F", None)
+        ),
+    ],
+)
+def test_output_layers_refuse_an_event_index_outside_the_diagram(step, error):
     plan = DancePlan(parse("O1+ U1+ T1"), (0,), 1)
-    bad = Schedule((Step(0, 0, event_index, Facing.FORWARD),), True, plan)
+    bad = Schedule((step,), True, plan)
     for render in (trace_to_json, svg_timeline):
-        with pytest.raises(ValueError, match=f"event index {event_index} outside 0..2"):
+        with pytest.raises(ValueError, match=re.escape(error)):
             render(bad)
 
 

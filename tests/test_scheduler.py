@@ -37,7 +37,7 @@ from twistdance.scheduler import (
     Step,
     _Compiled,
     _lower,
-    _stuck,
+    _waiting,
     _from_moves,
     oracle_schedule,
     retrograde,
@@ -403,7 +403,7 @@ def test_search_state_counts_on_deep_deadlocks(monkeypatch):
 
     # with the relaxation off, the memo alone bounds these searches; a memo key
     # that merged distinct states, or split one, would change the counts
-    monkeypatch.setattr(twistdance.scheduler, "_stuck", lambda lowered, slot_count: False)
+    monkeypatch.setattr(twistdance.scheduler, "_waiting", lambda lowered, slot_count: {})
     d = parse(TAIL_DIAGRAM)
     result = schedule_search(DancePlan(d, TAIL_POINTS, 4))
     assert result == Infeasible(InfeasibleReason.DEADLOCK, 5778)
@@ -423,7 +423,11 @@ def test_deadlocks_are_decided_without_building_routes(monkeypatch):
     def no_routes(plan):
         raise AssertionError("a deadlock needs no routes")
 
+    def no_cycle(self, points, waits):
+        raise AssertionError("a plan's deadlock needs no wait-for cycle")
+
     monkeypatch.setattr(twistdance.scheduler, "routes_of", no_routes)
+    monkeypatch.setattr(_Compiled, "wait_cycle", no_cycle)
     d = parse(TAIL_80_DIAGRAM)
     dual = DancePlan(
         retrograde(d),
@@ -438,9 +442,9 @@ def test_deadlocks_are_decided_without_building_routes(monkeypatch):
 # ------------------------------------------------------------- relaxation
 
 
-def _stuck_in_relaxation(plan):
+def _waiting_in_relaxation(plan):
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
-    return _stuck(_lower(compiled.table, routes_of(plan)), compiled.slot_count)
+    return bool(_waiting(_lower(compiled.table, routes_of(plan)), compiled.slot_count))
 
 
 def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
@@ -460,30 +464,46 @@ def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
                 if not feasible(slow) and slow.reason is InfeasibleReason.FACING_PARITY:
                     continue
                 # the relaxation is exact: it refutes every deadlock and nothing else
-                assert _stuck_in_relaxation(plan) != feasible(slow), (
+                assert _waiting_in_relaxation(plan) != feasible(slow), (
                     serialize(d), points, k, rule, f
                 )
                 checked["feasible" if feasible(slow) else "refuted"] += 1
     assert min(checked.values()) >= 500, checked
 
 
-def test_deadlocked_is_the_relaxation_on_the_lowered_arcs():
+def test_waits_is_the_relaxation_on_the_lowered_arcs():
     # every cyclic order of each point set, so arcs that wrap past the last
-    # event, such as those of (m - 1, 0), are sliced off the doubled table too
+    # event, such as those of (m - 1, 0), are sliced off the doubled table too;
+    # waits numbers the dancers by the sorted points, and any cyclic order
+    # waits exactly when the sorted one does
     seen = Counter()
     for d in [parse(""), *diagram_corpus(53, 30, max_events=10)]:
         m = len(d.events)
         for rule in CrossingRule:
             compiled = _Compiled(d, rule)
             for placement in all_placements(d, n_max=3):
+                expected = _waiting(_lower(compiled.table, _arcs(m, placement)), compiled.slot_count)
                 for r in range(len(placement)):
                     points = placement[r:] + placement[:r]
                     lowered = _lower(compiled.table, _arcs(m, points))
-                    expected = _stuck(lowered, compiled.slot_count)
-                    assert compiled.deadlocked(points) == expected, (serialize(d), points, rule)
-                    seen[expected, len(points) == 1, points[0] > points[-1]] += 1
+                    assert bool(_waiting(lowered, compiled.slot_count)) == bool(expected)
+                    assert compiled.waits(points) == expected, (serialize(d), points, rule)
+                    seen[bool(expected), len(points) == 1, points[0] > points[-1]] += 1
     assert all(seen[stuck, single, False] for stuck in (False, True) for single in (False, True))
     assert seen[True, False, True] and seen[False, False, True]
+
+
+def test_points_that_do_not_deadlock_have_an_empty_wait_for_cycle():
+    # walked from waits that are empty, the cycle has no edge and its clause
+    # no gap
+    compiled = _Compiled(parse(BAR_TREFOIL), CrossingRule.OVER_FIRST)
+    for points in [(0, 2), (2, 0)]:
+        waits = compiled.waits(points)
+        assert waits == {}
+        assert compiled.wait_cycle(points, waits) == []
+        assert compiled.cycle(points, waits) == 0
+    waits = compiled.waits((0,))
+    assert waits and compiled.wait_cycle((0,), waits) and compiled.cycle((0,), waits)
 
 
 @given(
@@ -496,7 +516,7 @@ def test_a_dancer_stuck_in_the_relaxation_proves_deadlock(geometry, rule):
     facings = matching_solve(parity_vector(d, points), k)
     assume(facings is not None)
     plan = DancePlan(d, points, k, RuleKind.MATCHING, facings, rule)
-    if _stuck_in_relaxation(plan):
+    if _waiting_in_relaxation(plan):
         result = oracle_schedule(plan)
         assert not feasible(result) and result.reason is InfeasibleReason.DEADLOCK
 
@@ -530,7 +550,7 @@ def test_past_the_gate_deadlock_is_the_relaxation_on_the_arcs(geometry, rule):
     plan = _gated_plan(geometry, rule)
     result = oracle_schedule(plan)
     assert feasible(result) or result.reason is InfeasibleReason.DEADLOCK
-    assert (not feasible(result)) == _stuck_in_relaxation(replace(plan, k=1))
+    assert (not feasible(result)) == _waiting_in_relaxation(replace(plan, k=1))
 
 
 @given(

@@ -36,6 +36,9 @@ EXHAUSTED = {1: 6, 2: 0, 3: 96, 4: 0, 5: 2_556}
 # deadlocked (diagram, crossing rule, placement) triples of m events, under
 # over-first and under-first
 DEADLOCKED = {1: 0, 2: 8, 3: 48, 4: 960, 5: 7_600, 6: 126_960}
+# (diagram, crossing rule) pairs of m events with a classical crossing, whose
+# placement at the gaps of the deposits is checked, under the same two rules
+DEPOSITED = {1: 0, 2: 8, 3: 24, 4: 192, 5: 800, 6: 6_000}
 
 
 @pytest.fixture
@@ -165,24 +168,28 @@ def _has_cycle(edges):
     return False
 
 
-def _check_cycle(compiled, d, rule, points):
-    """``wait_cycle`` of deadlocked points is a closed walk of edges of
-    their wait-for graph, and their clause misses them."""
-    edges = compiled.wait_cycle(points)
+def _check_cycle(compiled, d, rule, points, waits):
+    """``wait_cycle`` of deadlocked points, walked from their ``waits``, is
+    a closed walk of edges of their wait-for graph, and their clause misses
+    them."""
+    edges = compiled.wait_cycle(points, waits)
     assert edges and set(edges) <= _wait_for(d, rule, set(points)), (d, rule, points)
     assert [after for _, after in edges] == [e for e, _ in edges[1:] + edges[:1]]
-    clause = compiled.cycle(points)
+    clause = compiled.cycle(points, waits)
     assert not clause & sum(1 << p for p in points), (d, rule, points)
     return clause
 
 
 def test_every_deadlock_has_a_wait_for_cycle_whose_clause_decides_the_diagram(max_events):
     # the clause of a deadlocked placement is missed by it, and every
-    # placement of the same diagram that misses the clause deadlocks; and
-    # Deadlock is monotone in the points, a new point only cutting edges
+    # placement of the same diagram that misses the clause deadlocks;
+    # Deadlock is monotone in the points, a new point only cutting edges; and
+    # a point at the gap of every deposit starts each deposit's arc, cutting
+    # every edge, so the least n that does not deadlock is at most max(c, 1)
+    # for c classical crossings
     rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
     for m in range(1, max_events + 1):
-        deadlocked = 0
+        deadlocked = bounded = 0
         for d, rule in product(small_diagrams(m), rules):
             compiled = _Compiled(d, rule)
             placements = {
@@ -190,18 +197,29 @@ def test_every_deadlock_has_a_wait_for_cycle_whose_clause_decides_the_diagram(ma
                 for n in range(1, m + 1)
                 for points in combinations(range(m), n)
             }
-            dead = {points: compiled.deadlocked(points) for points in placements}
+            dead = {points: compiled.waits(points) for points in placements}  # empty: not dead
+            deposit = Strand.OVER if rule is CrossingRule.OVER_FIRST else Strand.UNDER
+            deposits = tuple(
+                g for g, ev in enumerate(d.events)
+                if isinstance(ev, ClassicalPass) and ev.strand is deposit
+            )
+            if deposits:
+                bounded += 1
+                assert not dead[deposits], (d, rule, deposits)
+            least = min(len(points) for points in placements if not dead[points])
+            assert least <= max(len(deposits), 1), (d, rule)
             for points in placements:
-                assert _has_cycle(_wait_for(d, rule, set(points))) == dead[points], (d, points)
+                assert _has_cycle(_wait_for(d, rule, set(points))) == bool(dead[points]), (d, points)
                 if dead[points]:
                     deadlocked += 1
-                    clause = _check_cycle(compiled, d, rule, points)
+                    clause = _check_cycle(compiled, d, rule, points, dead[points])
                     for other, mask in placements.items():
                         assert dead[other] or mask & clause, (d, rule, points, other)
                 else:
                     for g in set(range(m)) - set(points):
                         assert not dead[tuple(sorted((*points, g)))], (d, rule, points, g)
         assert deadlocked == DEADLOCKED[m], m
+        assert bounded == DEPOSITED[m], m
 
 
 def test_the_wait_for_cycle_agrees_with_an_independent_cycle_search():
@@ -216,7 +234,8 @@ def test_the_wait_for_cycle_agrees_with_an_independent_cycle_search():
             seen[cyclic] += 1
             for r in range(len(placement)):
                 points = placement[r:] + placement[:r]
-                assert compiled.deadlocked(points) == cyclic, (d, rule, points)
+                waits = compiled.waits(points)
+                assert bool(waits) == cyclic, (d, rule, points)
                 if cyclic:
-                    _check_cycle(compiled, d, rule, points)
+                    _check_cycle(compiled, d, rule, points, waits)
     assert min(seen.values()) >= 1000, seen

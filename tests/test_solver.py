@@ -248,14 +248,14 @@ def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
     import twistdance.scheduler
 
     calls = 0
-    stuck = twistdance.scheduler._stuck
+    waiting = twistdance.scheduler._waiting
 
     def counted(lowered, slot_count):
         nonlocal calls
         calls += 1
-        return stuck(lowered, slot_count)
+        return waiting(lowered, slot_count)
 
-    monkeypatch.setattr(twistdance.scheduler, "_stuck", counted)
+    monkeypatch.setattr(twistdance.scheduler, "_waiting", counted)
     for d in diagram_corpus(47, 20, max_events=10):
         n_max = min(3, d.gap_count)
         placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
@@ -263,6 +263,32 @@ def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
             calls = 0
             min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
             assert calls <= placements, (d, rule, crossing)
+
+
+def test_survey_and_min_dancers_relax_each_placement_at_most_once(monkeypatch):
+    # a placement's verdict and its wait-for cycle come from one run of the
+    # relaxation, which reads the placement's arcs once; every survey with a
+    # Deadlock row has learned at least one clause, its first deadlock's
+    relaxed = Counter()  # sorted points -> arcs read
+    lowered_arcs = _Compiled._lowered_arcs
+
+    def counted(self, points):
+        relaxed[tuple(sorted(points))] += 1
+        return lowered_arcs(self, points)
+
+    monkeypatch.setattr(_Compiled, "_lowered_arcs", counted)
+    learned = 0
+    for d, n_max in _pinned_bounds():
+        for rule, crossing in product(RuleKind, CrossingRule):
+            relaxed.clear()
+            min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
+            assert max(relaxed.values(), default=0) <= 1, (d, rule, crossing)
+            for n, enumerate_facings in product(range(1, n_max + 1), (False, True)):
+                relaxed.clear()
+                rows = survey(d, rule, crossing, n, 2, enumerate_facings=enumerate_facings)
+                assert max(relaxed.values(), default=0) <= 1, (d, rule, crossing, n)
+                learned += any(row.reason is InfeasibleReason.DEADLOCK for row in rows)
+    assert learned >= 50, learned
 
 
 def _prefix_bits(d, n):
