@@ -71,10 +71,11 @@ waits too.  So from any waiting event the edges can be followed forever
 through waiting events, and in a finite graph that walk closes a cycle.
 ``_Compiled.wait_cycle`` is the walk, one step per arc, which walks the
 waits it is given: the ``waits`` of the same points, so the verdict and
-its cycle come from one run of the relaxation.  ``_Compiled.cycle`` gives
-the cycle's clause, the union of the gaps e' + 1, ..., d(e) over its edges.
-The clause speaks for every placement of the diagram: a placement with no
-point in it keeps each edge of the cycle, so it deadlocks too.
+its cycle come from one run of the relaxation.  The cycle's clause, which
+``_Compiled.deadlocks`` learns, is the union of the gaps e' + 1, ..., d(e)
+over its edges.  The clause speaks for every placement of the diagram: a
+placement with no point in it keeps each edge of the cycle, so it
+deadlocks too.
 
 Only a feasible plan is searched, for its witness: a depth-first search
 over the vector of per-dancer route positions, memoizing states proven
@@ -118,8 +119,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count
-from typing import Iterable, Sequence, Union
+from functools import cache
+from itertools import chain, combinations, count
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .facing import Facing, _bar_prefix, _parities, matching_check
 from .model import (
@@ -339,6 +341,8 @@ class InstanceTooLarge(ValueError):
 
 ORACLE_STEP_LIMIT = 16
 
+_T = TypeVar("_T")
+
 # The strand that spends a permission the other strand deposits; none if unrestricted.
 _CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: Strand.OVER}
 
@@ -400,7 +404,27 @@ class _Compiled:
     with the slot count.  Every caller reads a placement's path parities off
     ``prefix`` with ``_parities`` (for the facing gate), then asks its
     ``waits``, then the ``witness`` of a plan that passed both.  The
-    ``cycle`` of deadlocked points is walked from their ``waits``.
+    ``wait_cycle`` of deadlocked points is walked from their ``waits``.
+
+    ``min_dancers`` and ``survey`` walk the n-placements of a diagram with
+    ``placements``, in ascending order, each beside what the caller makes
+    of its path parities t.  t is fixed by the bar-prefix parities at the
+    points (``prefix[p]`` at each point p, see ``facing``), which a second
+    ``combinations`` over the prefix yields beside each placement, so the
+    walk runs ``_parities`` once per distinct tuple of those bits and the
+    caller's function of t once per distinct t, at most 2**n times each.
+
+    They ask Deadlock through ``deadlocks``, which learns clauses as it
+    goes.  When a placement's ``waits`` are not empty it deadlocks, and its
+    ``wait_cycle``, walked from those same waits with no second run of the
+    relaxation, names a set of gaps, the clause, such that every placement
+    of the diagram missing it deadlocks too (see the module docstring).  A
+    later placement whose gap mask misses a clause learned so far is
+    answered Deadlock without the relaxation, at one ``&`` per clause.  So
+    each placement is relaxed at most once per call.  The clauses live in
+    the caller's list, a local of one call, never on the instance, and the
+    answer is the one the relaxation gives, so no row, plan, witness or
+    count changes.
 
     An instance keeps no answer: ``schedule_search``, ``survey`` and
     ``min_dancers`` each ask ``waits`` about a placement at most once, and
@@ -426,20 +450,18 @@ class _Compiled:
         dancer left waiting, numbered by its point's place in ascending
         order, with the slot it waits on.  Empty exactly when the points do
         not deadlock past the facing gate, at every lap count.  Linear in m
-        whatever k is (see the module docstring); with no slot nothing ever
-        waits, and the empty diagram, whose m is 0, has no arc to slice."""
+        whatever k is (see the module docstring).  The arc from a to the
+        next point b is read off the doubled table as one slice, as
+        ``_arcs`` would index it, and ended with ``(0, -1)``; with no slot
+        nothing ever waits, and the empty diagram, whose m is 0, has no arc
+        to slice."""
         if not self.slot_count:
             return {}
-        return _waiting(self._lowered_arcs(sorted(points)), self.slot_count)
-
-    def _lowered_arcs(self, points: Sequence[int]) -> list[list[tuple[int, int]]]:
-        """The n arcs of checked points, each lowered through the event table
-        and ended with ``(0, -1)``.  The arc from a to the next point b is
-        read off the doubled table as one slice, as ``_arcs`` would index
-        it."""
         m, table = self.m, self.table
+        points = sorted(points)
         ends = (*points[1:], points[0])
-        return [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        arcs = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        return _waiting(arcs, self.slot_count)
 
     def wait_cycle(self, points: Sequence[int], waits: dict[int, int]) -> list[tuple[int, int]]:
         """A cycle of the wait-for graph of checked points (see the module
@@ -465,18 +487,50 @@ class _Compiled:
         loop = [self.table.index((waits[d], -1)) for d in walk[walk.index(dancer) :]]
         return list(zip(loop, loop[1:] + loop[:1]))
 
-    def cycle(self, points: Sequence[int], waits: dict[int, int]) -> int:
-        """The clause of checked points: the gaps e' + 1, ..., d(e) of every
-        edge of their ``wait_cycle`` walked from their ``waits``, as an int
-        with bit g for gap g.  If the points deadlock, every placement of
-        the diagram whose points miss it deadlocks; otherwise it is 0."""
-        m, table, clause = self.m, self.table, 0
-        for e, after in self.wait_cycle(points, waits):
-            first = after + 1
-            span = (table.index((table[e][0], 1)) - first) % m + 1
-            gaps = ((1 << span) - 1) << first % m
-            clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
-        return clause & ((1 << m) - 1)
+    def placements(
+        self, n: int, of_t: Callable[[tuple[int, ...]], _T]
+    ) -> Iterator[tuple[tuple[int, ...], _T]]:
+        """Each n-placement in ascending order, beside ``of_t(t)`` of its
+        path parities t, made once per distinct tuple of prefix bits and
+        once per distinct t (see above)."""
+        of_t = cache(of_t)
+        by_bits: dict[tuple[int, ...], _T] = {}
+        gaps = self.gaps
+        for placement, bits in zip(combinations(range(gaps), n), combinations(self.prefix[:gaps], n)):
+            if bits not in by_bits:
+                by_bits[bits] = of_t(_parities(self.prefix, placement))
+            yield placement, by_bits[bits]
+
+    def deadlocks(self, points: tuple[int, ...], clauses: list[int]) -> bool:
+        """Whether checked points deadlock, learning into ``clauses``, the
+        caller's list of gap masks (bit g for gap g; see above).
+
+        Points whose gaps miss a clause learned so far are answered without
+        the relaxation.  Any others are asked their ``waits``, and if some
+        dancer waits, the clause of their ``wait_cycle``, the gaps e' + 1,
+        ..., d(e) of each of its edges, is learned.  It replaces every
+        clause that contains it, since points that miss one of those miss
+        it too; it is never itself contained in one already kept, since the
+        points hit each of those and miss it.
+        """
+        mask = 0  # bit g set for a point at gap g
+        for p in points:
+            mask |= 1 << p
+        for clause in clauses:
+            if not mask & clause:
+                return True
+        waits = self.waits(points)
+        if waits:
+            m, table, clause = self.m, self.table, 0
+            for e, after in self.wait_cycle(points, waits):
+                first = after + 1
+                span = (table.index((table[e][0], 1)) - first) % m + 1
+                gaps = ((1 << span) - 1) << first % m
+                clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
+            clause &= (1 << m) - 1
+            clauses[:] = [c for c in clauses if c & clause != clause]
+            clauses.append(clause)
+        return bool(waits)
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,

@@ -11,38 +11,24 @@ monotone in n, so the n bound is exhausted rather than pruned.  Iteration
 orders are fixed, making both results deterministic.
 
 Each call compiles its diagram once into a ``_Compiled``, which keeps no
-answer, and asks each placement what ``schedule_search`` asks of one plan,
-in the same order: the facing gate on its path parities, then its
-``waits``.  The forward gate is the matching gate, the forward rule
+answer, walks the n-placements in ascending order with its
+``placements``, and asks each placement what ``schedule_search`` asks of
+one plan, in the same order: the facing gate on its path parities t, then
+``deadlocks``, which learns clauses into a list that is a local of the
+call, so each placement is relaxed at most once per call (see
+``_Compiled``).  The forward gate is the matching gate, the forward rule
 being the matching rule with every point designated forward; ``_gate`` is
 that test for a placement's one row when facings are not enumerated.  At a
-fixed (n, k) the gate reads a placement only through its path parities t,
-of which there are at most 2**n.
-
-Both calls read the n-placements through one walk, ``_placements``, in
-ascending order, each beside what the caller makes of its t.  t is fixed
-by the bar-prefix parities at the points (``prefix[p]`` at each point p,
-see ``facing``), which a second ``combinations`` over the prefix yields
-beside each placement, so the walk runs ``_parities`` once per distinct
-tuple of those bits and the caller's function of t once per distinct t,
-at most 2**n times each.  ``survey`` passes its row templates: the rows of
-a placement depend on it only through t, so they are built once per
-distinct t as ``(facings, gate passes)`` pairs, every placement that has t
-shares them, and its rows share its one Deadlock verdict.  ``min_dancers``
-passes the least lap count whose gate passes t.
-
-Both calls learn clauses as they go.  When a placement's ``waits`` are
-not empty it deadlocks, and its ``cycle``, walked from those same waits
-with no second run of the relaxation, names a set of gaps, the clause,
-such that every placement of the diagram missing it deadlocks too (see
-``scheduler``).  A later placement whose gap mask misses a clause learned
-so far is answered Deadlock without the relaxation, at one ``&`` per
-clause (``_deadlocks``).  So each placement is relaxed at most once per
-call.  The clauses are locals of the call, never kept on the
-``_Compiled``, and the answer is the one the relaxation gives, so no row,
-plan, witness or count changes.  They are asked where the relaxation
-would be: in ``survey`` only past the gate, and in ``min_dancers`` only
-of a placement whose least passing k is below the best so far.
+fixed (n, k) the gate reads a placement only through t, of which there are
+at most 2**n, and the walk hands each placement beside what the caller
+makes of its t, made once per distinct t.  ``survey`` passes its row
+templates: the rows of a placement depend on it only through t, so they
+are built once per distinct t as ``(facings, gate passes)`` pairs, every
+placement that has t shares them, and its rows share its one Deadlock
+verdict.  ``min_dancers`` passes the least lap count whose gate passes t.
+Deadlock is asked where the relaxation would be: in ``survey`` only past
+the gate, and in ``min_dancers`` only of a placement whose least passing k
+is below the best so far.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
@@ -62,17 +48,55 @@ through ``SurveyRow``'s slot descriptors, which is what the frozen
 dataclass ``__init__`` does through ``object.__setattr__`` at about twice
 the cost; the rows are ``SurveyRow``s all the same.  It counts its rows by
 arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
+
+With k free, the number of dancers a diagram needs, its danceability
+number, is the least n with an n-placement that does not deadlock:
+Deadlock reads neither the facings nor k, and at k = 2n every placement
+passes the facing gate (Facts 1 and 2, see ``facing``).  So
+``min_dancers`` with k_max >= 2 * n_max finds it whenever it is at most
+n_max.  Over-first on a diagram is under-first on it with every strand
+swapped, and under unrestricted nobody waits, so the number is 1 there.
+Three facts bound it under the other two rules, each read off the
+wait-for graph (see ``scheduler``): e -> e' exactly when no point lies in
+gaps e' + 1, ..., d(e), that is, between e' and d(e).  So the graph of a
+placement reads only the cyclic order of the classical passes and the
+points.
+
+(i) The number is at most max(c, 1) for c classical crossings.  Points at
+the gaps of the c deposits cut every edge, since gap d(e) holds a point;
+with no crossing there is no edge, and one point does not deadlock.
+
+(ii) Inserting a twist bar or a virtual pass anywhere never changes it,
+so neither does a virtual crossing, two such passes.  Such an event x is
+on no edge.  Put each point of a placement of the diagram D without x at
+the gap of D + x before the same event: the points keep their number and
+their places among the classical passes, so the graph is the same, and
+number(D + x) <= number(D).  Deleting x merges the two gaps beside it, and
+no classical pass lies between them, so a placement of D + x maps to one
+of D with at most as many points and the same graph: number(D) <=
+number(D + x).  So a twisted virtual diagram needs as many dancers as its
+classical passes alone; twist bars change only the least lap count.
+
+(iii) Inserting one classical crossing c anywhere, either strand first,
+raises it by 0 or 1.  Deleting c's passes maps a placement of D + c to one
+of D as in (ii), whose graph is that of D + c less c's consuming event u
+and its edges; a subgraph of an acyclic graph is acyclic, so number(D) <=
+number(D + c).  Conversely, take a placement of D at n = number(D) that
+does not deadlock, keep each point before the same event, and add one at
+the gap right after u.  Then u ends its arc, so no edge e -> u exists,
+which needs u before d(e) in one arc, and u is on no cycle; the edges
+among D's consuming events are those of D or fewer, so no cycle avoids u
+either, and number(D + c) <= n + 1.  So the number of a sub-diagram on
+some of the crossings is a lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product
+from itertools import product
 from math import comb
-from typing import Callable, Iterator, TypeVar
 
-from .facing import Facing, _matching_solutions, _parities, matching_solve
+from .facing import Facing, _matching_solutions, matching_solve
 from .model import Diagram, _check_bound, _check_member
 from .scheduler import (
     CrossingRule,
@@ -130,8 +154,6 @@ class SurveyRow:
     reason: InfeasibleReason | None
 
 
-_T = TypeVar("_T")
-
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
@@ -145,52 +167,6 @@ def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
     all forward exactly when the forward gate passes."""
     facings = matching_solve(t, k)
     return (facings if matching else None), facings is not None and (matching or not any(facings))
-
-
-def _deadlocks(compiled: _Compiled, placement: tuple[int, ...], clauses: list[int]) -> bool:
-    """Whether checked points deadlock.
-
-    A placement whose gaps miss one of the ``clauses`` learned so far
-    deadlocks (see ``scheduler``), so it is answered without the
-    relaxation.  Any other is asked its ``waits``, one run of the
-    relaxation, and if some dancer waits the clause of its ``cycle``,
-    walked from those waits, is learned.  The new clause replaces every
-    clause that contains it, since a placement that misses one of those
-    misses it too; it is never itself contained in one already kept, since
-    the placement hits each of those and misses it.
-    """
-    mask = 0  # bit g set for a point at gap g
-    for p in placement:
-        mask |= 1 << p
-    for clause in clauses:
-        if not mask & clause:
-            return True
-    waits = compiled.waits(placement)
-    if waits:
-        clause = compiled.cycle(placement, waits)
-        clauses[:] = [c for c in clauses if c & clause != clause]
-        clauses.append(clause)
-    return bool(waits)
-
-
-def _placements(
-    compiled: _Compiled, n: int, of_t: Callable[[tuple[int, ...]], _T]
-) -> Iterator[tuple[tuple[int, ...], _T]]:
-    """Each n-placement of the compiled diagram in ascending order, beside
-    ``of_t(t)`` of its path parities t.
-
-    t is fixed by the bar-prefix parities at the points (see the module
-    docstring), which a second ``combinations`` over the prefix yields
-    beside each placement, so ``_parities`` runs once per distinct tuple of
-    those bits and ``of_t`` once per distinct t, at most 2**n times each.
-    """
-    of_t = cache(of_t)
-    by_bits: dict[tuple[int, ...], _T] = {}
-    gaps = compiled.gaps
-    for placement, bits in zip(combinations(range(gaps), n), combinations(compiled.prefix[:gaps], n)):
-        if bits not in by_bits:
-            by_bits[bits] = of_t(_parities(compiled.prefix, placement))
-        yield placement, by_bits[bits]
 
 
 def min_dancers(
@@ -231,8 +207,8 @@ def min_dancers(
         # the least (k, index) of a non-deadlocked placement, with its points
         # and facings; (k_max + 1, -1) if none, which counts every row below
         best = k_max + 1, -1, (), None
-        for index, (placement, (k, facings)) in enumerate(_placements(compiled, n, least)):
-            if k < best[0] and not _deadlocks(compiled, placement, clauses):
+        for index, (placement, (k, facings)) in enumerate(compiled.placements(n, least)):
+            if k < best[0] and not compiled.deadlocks(placement, clauses):
                 best = k, index, placement, facings
                 if k == 1:
                     break
@@ -302,9 +278,9 @@ def survey(
         gate = _gate(t, k, matching)
         return [gate], gate[1]
 
-    for placement, (rows_of_t, any_passes) in _placements(compiled, n, template):
+    for placement, (rows_of_t, any_passes) in compiled.placements(n, template):
         # a placement whose rows all fail the gate is not asked whether it deadlocks
-        verdict = decided[any_passes and _deadlocks(compiled, placement, clauses)]
+        verdict = decided[any_passes and compiled.deadlocks(placement, clauses)]
         for facings, ok in rows_of_t:
             feasible, reason = verdict if ok else refused
             row = new(SurveyRow)

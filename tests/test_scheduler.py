@@ -494,16 +494,19 @@ def test_waits_is_the_relaxation_on_the_lowered_arcs():
 
 
 def test_points_that_do_not_deadlock_have_an_empty_wait_for_cycle():
-    # walked from waits that are empty, the cycle has no edge and its clause
-    # no gap
+    # walked from waits that are empty, the cycle has no edge, and points
+    # that do not deadlock learn no clause
     compiled = _Compiled(parse(BAR_TREFOIL), CrossingRule.OVER_FIRST)
     for points in [(0, 2), (2, 0)]:
         waits = compiled.waits(points)
         assert waits == {}
         assert compiled.wait_cycle(points, waits) == []
-        assert compiled.cycle(points, waits) == 0
+        clauses = []
+        assert not compiled.deadlocks(points, clauses) and clauses == []
     waits = compiled.waits((0,))
-    assert waits and compiled.wait_cycle((0,), waits) and compiled.cycle((0,), waits)
+    clauses = []
+    assert waits and compiled.wait_cycle((0,), waits)
+    assert compiled.deadlocks((0,), clauses) and len(clauses) == 1 and clauses[0]
 
 
 @given(

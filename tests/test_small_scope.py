@@ -1,17 +1,19 @@
 """Exhaustive small-scope checks over every diagram of a few events.
 
 ``--small-scope-events`` sets the largest diagram checked: 4 events by
-default.  CI runs every check at 5 events, and the wait-for cycle checks
-(``-k wait_for_cycle``) at 6; the oracle and ``min_dancers`` checks stop at
-5, past which their counts below are not pinned.
+default, and at least 6 for the danceability census.  CI runs every check
+at 5 events, the wait-for cycle checks (``-k wait_for_cycle``) at 6 and
+the census (``-k census``) at 8; the oracle, ``min_dancers`` and diagram
+move checks stop at 5, past which their counts below are not pinned.
 """
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
 from twistdance.facing import matching_solve, parity_vector
-from twistdance.model import ClassicalPass, Strand
+from twistdance.model import ClassicalPass, CrossingSign, Strand, TwistBar, VirtualPass, validate
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
     CrossingRule,
@@ -39,6 +41,28 @@ DEADLOCKED = {1: 0, 2: 8, 3: 48, 4: 960, 5: 7_600, 6: 126_960}
 # (diagram, crossing rule) pairs of m events with a classical crossing, whose
 # placement at the gaps of the deposits is checked, under the same two rules
 DEPOSITED = {1: 0, 2: 8, 3: 24, 4: 192, 5: 800, 6: 6_000}
+# diagrams of m events by their danceability number, under over-first and
+# under-first alike; under unrestricted every diagram's number is 1
+CENSUS = {
+    1: {1: 1},
+    2: {1: 6},
+    3: {1: 16},
+    4: {1: 98, 2: 8},
+    5: {1: 386, 2: 40},
+    6: {1: 2_468, 2: 592, 3: 16},
+    7: {1: 12_160, 2: 3_584, 3: 112},
+    8: {1: 81_724, 2: 39_392, 3: 2_368, 4: 32},
+}
+# (move, change of the danceability number) -> cases grown from diagrams of
+# m events, under over-first and under-first; at m <= 4 they come to 1,228
+# bars, 3,578 virtual crossings and 7,156 classical ones, 1,248 of them +1
+MOVES = {
+    1: {("bar", 0): 4, ("virtual", 0): 6, ("classical", 0): 12},
+    2: {("bar", 0): 36, ("virtual", 0): 72, ("classical", 0): 128, ("classical", 1): 16},
+    3: {("bar", 0): 128, ("virtual", 0): 320, ("classical", 0): 560, ("classical", 1): 80},
+    4: {("bar", 0): 1_060, ("virtual", 0): 3_180, ("classical", 0): 5_208, ("classical", 1): 1_152},
+    5: {("bar", 0): 5_112, ("virtual", 0): 17_892, ("classical", 0): 28_840, ("classical", 1): 6_944},
+}
 
 
 @pytest.fixture
@@ -170,12 +194,14 @@ def _has_cycle(edges):
 
 def _check_cycle(compiled, d, rule, points, waits):
     """``wait_cycle`` of deadlocked points, walked from their ``waits``, is
-    a closed walk of edges of their wait-for graph, and their clause misses
-    them."""
+    a closed walk of edges of their wait-for graph, and the one clause that
+    ``deadlocks`` learns of them into a fresh list misses them."""
     edges = compiled.wait_cycle(points, waits)
     assert edges and set(edges) <= _wait_for(d, rule, set(points)), (d, rule, points)
     assert [after for _, after in edges] == [e for e, _ in edges[1:] + edges[:1]]
-    clause = compiled.cycle(points, waits)
+    clauses = []
+    assert compiled.deadlocks(points, clauses), (d, rule, points)
+    [clause] = clauses
     assert not clause & sum(1 << p for p in points), (d, rule, points)
     return clause
 
@@ -239,3 +265,66 @@ def test_the_wait_for_cycle_agrees_with_an_independent_cycle_search():
                 if cyclic:
                     _check_cycle(compiled, d, rule, points, waits)
     assert min(seen.values()) >= 1000, seen
+
+
+def _number(d, rule):
+    """The danceability number of ``d`` with k free: the least n with a
+    placement whose ``waits`` are empty.  At k = 2n every row passes the
+    facing gate (Facts 1 and 2 of the facing module), so this is the least
+    n of a feasible plan; a point at every deposit bounds it by the gap
+    count."""
+    compiled = _Compiled(d, rule)
+    gaps = range(d.gap_count)
+    return next(
+        n for n in range(1, d.gap_count + 1)
+        if any(not compiled.waits(points) for points in combinations(gaps, n))
+    )
+
+
+def test_the_danceability_census_of_every_small_diagram(max_events):
+    # how many dancers each diagram needs: the mirror rules agree, because
+    # the listing is closed under swapping strands, and unrestricted never
+    # waits
+    for m in range(1, max(max_events, 6) + 1):
+        census = {rule: Counter() for rule in CrossingRule}
+        for d in small_diagrams(m):
+            for rule in CrossingRule:
+                census[rule][_number(d, rule)] += 1
+        assert census[CrossingRule.OVER_FIRST] == CENSUS[m], m
+        assert census[CrossingRule.UNDER_FIRST] == CENSUS[m], m
+        assert census[CrossingRule.UNRESTRICTED] == {1: sum(CENSUS[m].values())}, m
+
+
+def _grown(d):
+    """Each diagram one move grows ``d`` into, with the move: a twist bar at
+    each of the m + 1 positions, and a virtual crossing or a classical one,
+    either strand first, at each pair of positions among m + 2 events.  The
+    new id, m + 1, is past every id of the listing."""
+    events = list(d.events)
+    m = len(events)
+    new = m + 1
+    for i in range(m + 1):
+        yield "bar", validate([*events[:i], TwistBar(new), *events[i:]])
+    over, under = (ClassicalPass(new, s, CrossingSign.POSITIVE) for s in (Strand.OVER, Strand.UNDER))
+    pairs = [("virtual", VirtualPass(new), VirtualPass(new))]
+    pairs += [("classical", over, under), ("classical", under, over)]
+    for i, j in combinations(range(m + 2), 2):
+        for move, first, second in pairs:
+            rest = iter(events)
+            grown = [first if g == i else second if g == j else next(rest) for g in range(m + 2)]
+            yield move, validate(grown)
+
+
+def test_the_danceability_number_under_diagram_moves(max_events):
+    # twist bars and virtual crossings never change the number, and one
+    # classical crossing raises it by at most 1 (see the solver module)
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    for m in range(1, max_events + 1):
+        changes = Counter()
+        for d, rule in product(small_diagrams(m), rules):
+            before = _number(d, rule)
+            for move, grown in _grown(d):
+                change = _number(grown, rule) - before
+                assert change in ((0, 1) if move == "classical" else (0,)), (d, rule, move, grown)
+                changes[move, change] += 1
+        assert changes == MOVES[m], m

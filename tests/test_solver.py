@@ -58,6 +58,16 @@ def test_bar_trefoil_minimal_k_is_four_at_two_dancers():
     assert verify_schedule(report.schedule) == []
 
 
+def test_a_lap_bound_can_raise_the_least_dancer_count():
+    # the README's example: the bar trefoil needs 2 dancers with k free, at
+    # k = 4, but 3 under matching with k <= 2, and none under forward
+    d = parse(BAR_TREFOIL)
+    for rule in RuleKind:
+        assert min_dancers(d, rule, k_max=4, n_max=7).plan.points == (0, 2)
+    assert min_dancers(d, RuleKind.MATCHING, k_max=2, n_max=7).plan.points == (0, 1, 2)
+    assert not min_dancers(d, RuleKind.FORWARD, k_max=2, n_max=7).feasible
+
+
 def test_empty_diagram_minimum():
     report = min_dancers(parse(""), k_max=1, n_max=1)
     assert report.feasible
@@ -244,39 +254,18 @@ def _pinned_bounds():
     ]
 
 
-def test_min_dancers_decides_each_placement_once_per_dancer_count(monkeypatch):
-    import twistdance.scheduler
-
-    calls = 0
-    waiting = twistdance.scheduler._waiting
-
-    def counted(lowered, slot_count):
-        nonlocal calls
-        calls += 1
-        return waiting(lowered, slot_count)
-
-    monkeypatch.setattr(twistdance.scheduler, "_waiting", counted)
-    for d in diagram_corpus(47, 20, max_events=10):
-        n_max = min(3, d.gap_count)
-        placements = sum(comb(d.gap_count, n) for n in range(1, n_max + 1))
-        for rule, crossing in product(RuleKind, CrossingRule):
-            calls = 0
-            min_dancers(d, rule, crossing, k_max=3, n_max=n_max)
-            assert calls <= placements, (d, rule, crossing)
-
-
 def test_survey_and_min_dancers_relax_each_placement_at_most_once(monkeypatch):
     # a placement's verdict and its wait-for cycle come from one run of the
-    # relaxation, which reads the placement's arcs once; every survey with a
-    # Deadlock row has learned at least one clause, its first deadlock's
-    relaxed = Counter()  # sorted points -> arcs read
-    lowered_arcs = _Compiled._lowered_arcs
+    # relaxation, one call of its waits; every survey with a Deadlock row has
+    # learned at least one clause, its first deadlock's
+    relaxed = Counter()  # sorted points -> relaxation runs
+    waits = _Compiled.waits
 
     def counted(self, points):
         relaxed[tuple(sorted(points))] += 1
-        return lowered_arcs(self, points)
+        return waits(self, points)
 
-    monkeypatch.setattr(_Compiled, "_lowered_arcs", counted)
+    monkeypatch.setattr(_Compiled, "waits", counted)
     learned = 0
     for d, n_max in _pinned_bounds():
         for rule, crossing in product(RuleKind, CrossingRule):
@@ -302,16 +291,16 @@ def test_min_dancers_and_survey_read_path_parities_once_per_distinct_prefix_bits
     # a placement's path parities are fixed by the bar-prefix bits at its
     # points, so both calls read them once per distinct tuple of bits and
     # min_dancers only up to its hit
-    import twistdance.solver
+    import twistdance.scheduler
 
     calls = Counter()  # dancer count -> _parities calls
-    parities = twistdance.solver._parities
+    parities = twistdance.scheduler._parities
 
     def counted(prefix, pts):
         calls[len(pts)] += 1
         return parities(prefix, pts)
 
-    monkeypatch.setattr(twistdance.solver, "_parities", counted)
+    monkeypatch.setattr(twistdance.scheduler, "_parities", counted)
     shared = exhausted = 0
     for d, n_max in _pinned_bounds():
         bits = {n: len(_prefix_bits(d, n)) for n in range(1, n_max + 1)}
@@ -804,6 +793,7 @@ def _bars(m):
 
 
 def test_survey_refuses_more_rows_than_its_limit_before_building_any(monkeypatch):
+    import twistdance.scheduler
     import twistdance.solver
 
     def no_compile(*args, **kwargs):
@@ -815,7 +805,7 @@ def test_survey_refuses_more_rows_than_its_limit_before_building_any(monkeypatch
         survey(_bars(24), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 12, 1, enumerate_facings=True)
     # every placement and facing assignment of 8 dancers on 16 gaps is admitted
     monkeypatch.undo()
-    monkeypatch.setattr(twistdance.solver, "combinations", lambda *args: iter(()))
+    monkeypatch.setattr(twistdance.scheduler, "combinations", lambda *args: iter(()))
     assert comb(16, 8) * 2**8 == 3_294_720 <= SURVEY_ROW_LIMIT
     assert survey(_bars(16), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 8, 1, enumerate_facings=True) == []
 
