@@ -71,11 +71,10 @@ def _plan_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_text(args: argparse.Namespace) -> str:
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
             return handle.read()
-    text = getattr(args, "diagram", None)
-    return text if text is not None else ""
+    return args.diagram if args.diagram is not None else ""
 
 
 def _format_error(err: Exception) -> str:

@@ -5,6 +5,11 @@ events: classical crossing passes (over or under strand, signed), virtual
 crossing passes, and twist bars.  ``validate`` enforces the structural
 grammar; ``paths_of`` splits the cycle at a set of initial points.
 
+Every walk along the cycle is cut by ``_walks``, one slice per point of the
+cycle repeated: a path (one lap), a dancer's route over k consecutive paths
+(``scheduler.routes_of``), and the same walks over any per-event table in
+place of the events, such as the scheduler's ``(slot, delta)`` steps.
+
 Gaps are the positions between consecutive events where an initial point may
 sit: gap ``g`` lies immediately before event ``g``.  The empty diagram (the
 bare unknot) has a single gap 0.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 __all__ = [
     "CrossingSign",
@@ -80,6 +85,8 @@ class TwistBar:
 
 
 Event = Union[ClassicalPass, VirtualPass, TwistBar]
+
+_Cycle = TypeVar("_Cycle", tuple, list)  # one entry per event, walked by ``_walks``
 
 
 class DiagramError(ValueError):
@@ -268,21 +275,7 @@ def path_event_indices(diagram: Diagram, points: Iterable[int]) -> list[tuple[in
     ``points[i+1]``, wrapping cyclically; a single point yields the whole
     cycle starting there.
     """
-    return _arcs(len(diagram.events), check_points(diagram, points))
-
-
-def _arcs(m: int, pts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """``path_event_indices`` of points already checked against a diagram of
-    ``m`` events."""
-    if m == 0:
-        return [()]
-    n = len(pts)
-    arcs = []
-    for i in range(n):
-        start = pts[i]
-        end = start + ((pts[(i + 1) % n] - start) % m or m)
-        arcs.append(tuple(range(start, end)) if end <= m else (*range(start, m), *range(end - m)))
-    return arcs
+    return _walks(tuple(range(len(diagram.events))), check_points(diagram, points), 1)
 
 
 def paths_of(diagram: Diagram, points: Iterable[int]) -> list[tuple[Event, ...]]:
@@ -291,7 +284,19 @@ def paths_of(diagram: Diagram, points: Iterable[int]) -> list[tuple[Event, ...]]
     Concatenating the result in order reproduces the event cycle starting at
     ``points[0]`` exactly once.
     """
-    return [
-        tuple(diagram.events[j] for j in arc)
-        for arc in path_event_indices(diagram, points)
-    ]
+    return _walks(diagram.events, check_points(diagram, points), 1)
+
+
+def _walks(cycle: _Cycle, pts: Sequence[int], laps: int) -> list[_Cycle]:
+    """The walk from each of checked points ``pts`` over ``laps`` consecutive
+    paths: the entries of ``cycle``, one per event, from gap ``pts[i]`` up to
+    gap ``pts[i + laps]`` (mod n), with ``laps // n`` whole turns of the
+    cycle besides.  Each walk is one slice of the cycle repeated, so a walk
+    that wraps past the last event needs no branch.  The empty diagram has
+    one empty walk per point."""
+    m, n = len(cycle), len(pts)
+    if not m:
+        return [cycle] * n
+    turns = laps // n
+    ring = cycle * (turns + 2)  # a walk starts in the first copy and is shorter than turns + 1
+    return [ring[p : p + (pts[(i + laps) % n] - p) % m + m * turns] for i, p in enumerate(pts)]

@@ -120,7 +120,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations, count
+from itertools import combinations, count
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .facing import Facing, _bar_prefix, _parities, matching_check
@@ -129,9 +129,9 @@ from .model import (
     Diagram,
     Strand,
     TwistBar,
-    _arcs,
     _check_bound,
     _check_member,
+    _walks,
     check_points,
 )
 
@@ -349,9 +349,7 @@ _CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: St
 
 def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
     """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n)."""
-    arcs = _arcs(len(plan.diagram.events), plan.points)
-    n, k = len(arcs), plan.k
-    return [tuple(chain.from_iterable(arcs[(i + lap) % n] for lap in range(k))) for i in range(n)]
+    return _walks(tuple(range(len(plan.diagram.events))), plan.points, plan.k)
 
 
 def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
@@ -400,11 +398,13 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
 class _Compiled:
     """A diagram compiled once under a crossing rule and applied to any
     number of its placements: its twist-bar ``prefix`` parities (see
-    ``facing``) and each event's ``(slot, delta)`` (see ``schedule_search``),
-    with the slot count.  Every caller reads a placement's path parities off
-    ``prefix`` with ``_parities`` (for the facing gate), then asks its
-    ``waits``, then the ``witness`` of a plan that passed both.  The
-    ``wait_cycle`` of deadlocked points is walked from their ``waits``.
+    ``facing``) and its ``table``, one ``(slot, delta)`` per event (see
+    ``schedule_search``), with the slot count.  The steps of an arc or a
+    route are its walk over the table, cut by ``model._walks`` as paths and
+    routes are cut from the events.  Every caller reads a placement's path
+    parities off ``prefix`` with ``_parities`` (for the facing gate), then
+    asks its ``waits``, then the ``witness`` of a plan that passed both.
+    The ``wait_cycle`` of deadlocked points is walked from their ``waits``.
 
     ``min_dancers`` and ``survey`` walk the n-placements of a diagram with
     ``placements``, in ascending order, each beside what the caller makes
@@ -437,12 +437,11 @@ class _Compiled:
         self.prefix = _bar_prefix(diagram)
         consumer = _CONSUMER.get(crossing_rule)
         slots: dict[int, int] = {}  # classical crossing id -> balance slot
-        # doubled, so an arc's steps are one slice, wrapping or not; routes index below m
         self.table = [
             (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
             if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
             for ev in diagram.events
-        ] * 2
+        ]
         self.slot_count = len(slots)
 
     def waits(self, points: Sequence[int]) -> dict[int, int]:
@@ -450,17 +449,12 @@ class _Compiled:
         dancer left waiting, numbered by its point's place in ascending
         order, with the slot it waits on.  Empty exactly when the points do
         not deadlock past the facing gate, at every lap count.  Linear in m
-        whatever k is (see the module docstring).  The arc from a to the
-        next point b is read off the doubled table as one slice, as
-        ``_arcs`` would index it, and ended with ``(0, -1)``; with no slot
-        nothing ever waits, and the empty diagram, whose m is 0, has no arc
-        to slice."""
+        whatever k is (see the module docstring).  Each arc's steps are its
+        one-lap walk over the event table (``model._walks``), ended with
+        ``(0, -1)``; with no slot nothing ever waits."""
         if not self.slot_count:
             return {}
-        m, table = self.m, self.table
-        points = sorted(points)
-        ends = (*points[1:], points[0])
-        arcs = [table[a : a + ((b - a) % m or m)] + [(0, -1)] for a, b in zip(points, ends)]
+        arcs = [walk + [(0, -1)] for walk in _walks(self.table, sorted(points), 1)]
         return _waiting(arcs, self.slot_count)
 
     def wait_cycle(self, points: Sequence[int], waits: dict[int, int]) -> list[tuple[int, int]]:
@@ -534,19 +528,12 @@ class _Compiled:
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,
-        searched by ``_moves``; Deadlock only if the plan's points have
+        searched by ``_moves`` on each route's k-lap walk over the event
+        table, ended with ``(0, -1)``; Deadlock only if the plan's points have
         ``waits``."""
-        routes = routes_of(plan)
-        moves = _moves(routes, self.table, self.slot_count)
-        return moves if isinstance(moves, Infeasible) else _from_moves(plan, routes, moves)
-
-
-def _lower(
-    table: list[tuple[int, int]], routes: list[tuple[int, ...]]
-) -> list[list[tuple[int, int]]]:
-    """Lower each route or arc through the event table to ``(slot, delta)``
-    steps, ``(0, -1)`` ending each."""
-    return [[table[e] for e in route] + [(0, -1)] for route in routes]
+        lowered = [walk + [(0, -1)] for walk in _walks(self.table, plan.points, plan.k)]
+        moves = _moves(lowered, self.slot_count)
+        return moves if isinstance(moves, Infeasible) else _from_moves(plan, routes_of(plan), moves)
 
 
 def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, int]:
@@ -588,20 +575,18 @@ def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int,
     return {d: slot for slot, dancers in waiting.items() for d in dancers}
 
 
-def _moves(
-    routes: list[tuple[int, ...]], table: list[tuple[int, int]], slot_count: int
-) -> Union[list[int], Infeasible]:
+def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[int], Infeasible]:
     """The witness search: the lexicographically least dancer-id sequence
-    that completes every route.  It reads only the routes and the event
-    table, never facings, and runs only on routes whose arcs leave
-    ``_waiting`` nobody waiting, which are feasible; its Deadlock, with the
-    states it entered, is reached only with the relaxation disabled."""
-    n = len(routes)
-    total = sum(len(r) for r in routes)
+    that completes every route, given as its lowered steps, each route
+    ended with ``(0, -1)``.  It reads only those steps, never facings, and
+    runs only on routes whose arcs leave ``_waiting`` nobody waiting, which
+    are feasible; its Deadlock, with the states it entered, is reached only
+    with the relaxation disabled."""
+    n = len(lowered)
+    total = sum(map(len, lowered)) - n  # the ends never run
     if total == 0:
         return []
 
-    lowered = _lower(table, routes)
     # dancer d's memo stride: the product, over earlier dancers, of their
     # consuming steps plus one, the never-running route end counting as one
     stride = [1]

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given
@@ -23,7 +23,9 @@ from twistdance.model import (
     Strand,
     TwistBar,
     VirtualPass,
-    _arcs,
+    path_event_indices,
+    paths_of,
+    validate,
 )
 from twistdance.scheduler import (
     CrossingRule,
@@ -36,7 +38,6 @@ from twistdance.scheduler import (
     Schedule,
     Step,
     _Compiled,
-    _lower,
     _waiting,
     _from_moves,
     oracle_schedule,
@@ -47,7 +48,7 @@ from twistdance.scheduler import (
     verify_schedule,
 )
 
-from corpus import all_placements, diagram_corpus
+from corpus import all_placements, diagram_corpus, random_diagram
 from strategies import plan_geometries
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -62,6 +63,41 @@ def feasible(result):
 
 
 # ---------------------------------------------------------------- routes
+
+
+def _arcs(m, pts):
+    """Each path's event indices by modular arithmetic alone: from each
+    point p up to the next, the whole cycle when there is one point."""
+    if m == 0:
+        return [()]
+    n = len(pts)
+    return [tuple((p + j) % m for j in range((pts[(i + 1) % n] - p) % m or m)) for i, p in enumerate(pts)]
+
+
+def _lower(table, routes):
+    """Each route or arc looked up in the event table one event at a time,
+    ``(0, -1)`` ending each."""
+    return [[table[e] for e in route] + [(0, -1)] for route in routes]
+
+
+def test_paths_and_routes_are_the_modular_arcs_of_every_placement():
+    # m twist bars, so every gap subset in every cyclic order is a placement;
+    # k runs past two whole turns of the points, where routes wrap repeatedly
+    plans = 0
+    for m in range(9):
+        d = validate(TwistBar(b) for b in range(1, m + 1))
+        for n in range(1, d.gap_count + 1):
+            for placement in combinations(range(d.gap_count), n):
+                for r in range(n):
+                    points = placement[r:] + placement[:r]
+                    arcs = _arcs(m, points)
+                    assert path_event_indices(d, points) == arcs, (m, points)
+                    assert paths_of(d, points) == [tuple(d.events[j] for j in arc) for arc in arcs]
+                    for k in range(1, 2 * n + 2):
+                        routes = [sum((arcs[(i + lap) % n] for lap in range(k)), ()) for i in range(n)]
+                        assert routes_of(DancePlan(d, points, k)) == routes, (m, points, k)
+                        plans += 1
+    assert plans == 16_642
 
 
 def test_routes_trefoil_k1():
@@ -447,6 +483,36 @@ def _waiting_in_relaxation(plan):
     return bool(_waiting(_lower(compiled.table, routes_of(plan)), compiled.slot_count))
 
 
+def _has_cycle(d, points, rule):
+    """Whether G_P has a directed cycle, by Kahn's algorithm: the event cycle
+    x -> x + 1 (mod m) without the edge into each point's gap, plus one chord
+    per classical crossing from its deposit to its consumer."""
+    m = len(d.events)
+    heads = [[] if (x + 1) % m in points else [(x + 1) % m] for x in range(m)]
+    passes = {}
+    for e, ev in enumerate(d.events):
+        if isinstance(ev, ClassicalPass):
+            passes.setdefault(ev.crossing_id, {})[ev.strand] = e
+    deposit, consumer = Strand.OVER, Strand.UNDER
+    if rule is CrossingRule.UNDER_FIRST:
+        deposit, consumer = consumer, deposit
+    for pair in passes.values():
+        heads[pair[deposit]].append(pair[consumer])
+    indegree = [0] * m
+    for out in heads:
+        for head in out:
+            indegree[head] += 1
+    ready = [x for x in range(m) if not indegree[x]]
+    removed = 0
+    while ready:
+        removed += 1
+        for head in heads[ready.pop()]:
+            indegree[head] -= 1
+            if not indegree[head]:
+                ready.append(head)
+    return removed < m
+
+
 def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
     checked = Counter()
     rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
@@ -473,7 +539,7 @@ def test_relaxation_refutes_no_feasible_plan_beyond_the_oracle():
 
 def test_waits_is_the_relaxation_on_the_lowered_arcs():
     # every cyclic order of each point set, so arcs that wrap past the last
-    # event, such as those of (m - 1, 0), are sliced off the doubled table too;
+    # event, such as those of (m - 1, 0), are walked over the table too;
     # waits numbers the dancers by the sorted points, and any cyclic order
     # waits exactly when the sorted one does
     seen = Counter()
@@ -491,6 +557,27 @@ def test_waits_is_the_relaxation_on_the_lowered_arcs():
                     seen[bool(expected), len(points) == 1, points[0] > points[-1]] += 1
     assert all(seen[stuck, single, False] for stuck in (False, True) for single in (False, True))
     assert seen[True, False, True] and seen[False, False, True]
+
+
+def test_waits_is_the_acyclicity_of_the_event_graph_at_40_events():
+    # an oracle at any size, sharing nothing with the relaxation: points
+    # deadlock exactly when G_P, the event cycle cut at the points plus the
+    # crossings' deposit -> consumer chords, has a directed cycle
+    rng = random.Random(40)
+    diagrams = [random_diagram(rng, 40, allow_empty=False) for _ in range(30)]
+    verdicts = Counter()
+    for d in diagrams:
+        m = len(d.events)
+        for rule in (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST):
+            compiled = _Compiled(d, rule)
+            for _ in range(300):
+                placement = sorted(rng.sample(range(m), rng.randint(1, min(6, m))))
+                r = rng.randrange(len(placement))
+                points = tuple(placement[r:] + placement[:r])
+                deadlocked = bool(compiled.waits(points))
+                assert deadlocked == _has_cycle(d, points, rule), (serialize(d), points, rule)
+                verdicts[deadlocked] += 1
+    assert min(verdicts[True], verdicts[False]) >= 1_000, verdicts
 
 
 def test_points_that_do_not_deadlock_have_an_empty_wait_for_cycle():
