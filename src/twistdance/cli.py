@@ -71,10 +71,10 @@ def _plan_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_text(args: argparse.Namespace) -> str:
-    if args.file:
+    if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
             return handle.read()
-    return args.diagram if args.diagram is not None else ""
+    return args.diagram
 
 
 def _format_error(err: Exception) -> str:

@@ -82,7 +82,8 @@ _FLIPPED = (Facing.BACKWARD, Facing.FORWARD)  # indexed by the facing bit
 
 def parity_vector(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
     """Per-path twist-bar counts mod 2, one bit per initial point."""
-    return _parities(_bar_prefix(diagram), check_points(diagram, points))
+    pts = check_points(diagram, points)
+    return _parities(_bar_prefix(diagram), pts)
 
 
 def _bar_prefix(diagram: Diagram) -> list[int]:

@@ -228,7 +228,10 @@ def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
 
     Cyclic order means that walking the diagram forward from ``points[0]``
     meets the remaining points in list order.  Returns the normalized tuple.
+    A ``diagram`` that is not a ``Diagram`` (such as its Gauss-code string)
+    raises ``ValueError`` first.
     """
+    _check_member("diagram", diagram, Diagram)
     try:
         pts = tuple(points)
     except TypeError:  # not iterable
@@ -261,9 +264,9 @@ def _check_bound(name: str, value: int, most: int | None = None) -> None:
         raise ValueError(f"{name} must be in 1..{most}, got {value}")
 
 
-def _check_member(name: str, value: object, kind: type[Enum]) -> None:
-    """Refuse a value that is not a member of the enum ``kind`` (such as
-    its string value) with ``ValueError``."""
+def _check_member(name: str, value: object, kind: type) -> None:
+    """Refuse a value that is not an instance of ``kind``, such as an enum
+    member's string value or a diagram's Gauss code, with ``ValueError``."""
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
@@ -275,7 +278,8 @@ def path_event_indices(diagram: Diagram, points: Iterable[int]) -> list[tuple[in
     ``points[i+1]``, wrapping cyclically; a single point yields the whole
     cycle starting there.
     """
-    return _walks(tuple(range(len(diagram.events))), check_points(diagram, points), 1)
+    pts = check_points(diagram, points)
+    return _walks(tuple(range(len(diagram.events))), pts, 1)
 
 
 def paths_of(diagram: Diagram, points: Iterable[int]) -> list[tuple[Event, ...]]:
@@ -284,7 +288,8 @@ def paths_of(diagram: Diagram, points: Iterable[int]) -> list[tuple[Event, ...]]
     Concatenating the result in order reproduces the event cycle starting at
     ``points[0]`` exactly once.
     """
-    return _walks(diagram.events, check_points(diagram, points), 1)
+    pts = check_points(diagram, points)
+    return _walks(diagram.events, pts, 1)
 
 
 def _walks(cycle: _Cycle, pts: Sequence[int], laps: int) -> list[_Cycle]:

@@ -174,9 +174,9 @@ class InfeasibleReason(Enum):
 class DancePlan:
     """A diagram with placement, lap count, dance rule and crossing rule.
 
-    ``k`` must be an ``int`` >= 1 (a ``bool`` is refused), the points ints
-    accepted by ``check_points``, and both rules members of their enums;
-    otherwise ``ValueError``.
+    ``diagram`` must be a ``Diagram``, ``k`` an ``int`` >= 1 (a ``bool`` is
+    refused), the points ints accepted by ``check_points``, and both rules
+    members of their enums; otherwise ``ValueError``.
     ``facings`` designates one facing per initial point, an iterable of
     ``Facing`` values, and is required exactly when the rule is matching;
     ``designated`` reads the forward rule as every point designated
@@ -716,8 +716,9 @@ def retrograde_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...
     (``check_points``).  Returned in ascending order, which is a cyclic
     order of the image set.  The empty diagram's one gap maps to itself.
     """
+    pts = check_points(diagram, points)
     gaps = diagram.gap_count
-    return tuple(sorted((gaps - p) % gaps for p in check_points(diagram, points)))
+    return tuple(sorted((gaps - p) % gaps for p in pts))
 
 
 def verify_schedule(schedule: Schedule) -> list[str]:

@@ -183,11 +183,12 @@ def min_dancers(
     cyclic placement enumerated once, canonicalized by its starting index).
     Under the matching rule the facings of each candidate come from
     ``matching_solve``.  ``k_max`` and ``n_max`` must be ints >= 1, ``n_max``
-    may not exceed the diagram's gap count, and the two rules must be
-    members of their enums; otherwise ``ValueError``.  Only the first
-    feasible placement gets a witness, and the work does not grow with
-    ``k_max``.
+    may not exceed the diagram's gap count, the diagram must be a
+    ``Diagram`` and the two rules must be members of their enums; otherwise
+    ``ValueError``.  Only the first feasible placement gets a witness, and
+    the work does not grow with ``k_max``.
     """
+    _check_member("diagram", diagram, Diagram)
     _check_bound("n_max", n_max, diagram.gap_count)
     _check_bound("k_max", k_max)
     _check_member("rule", rule, RuleKind)
@@ -240,12 +241,14 @@ def survey(
     ``FACING_PARITY``; the other rows of a placement share its verdict, from
     the scheduler's linear deadlock test with no search.  The 2**n
     assignments are built only when they are enumerated.  ``n`` and ``k``
-    must be ints >= 1, ``n`` may not exceed the diagram's gap count, and the
-    two rules must be members of their enums; otherwise ``ValueError``.  The
-    rows number C(gaps, n), times 2**n when facings are enumerated under the
-    matching rule; a survey of more than ``SURVEY_ROW_LIMIT`` rows is refused
-    with ``ValueError`` before any row is built.
+    must be ints >= 1, ``n`` may not exceed the diagram's gap count, the
+    diagram must be a ``Diagram`` and the two rules must be members of their
+    enums; otherwise ``ValueError``.  The rows number C(gaps, n), times 2**n
+    when facings are enumerated under the matching rule; a survey of more
+    than ``SURVEY_ROW_LIMIT`` rows is refused with ``ValueError`` before any
+    row is built.
     """
+    _check_member("diagram", diagram, Diagram)
     _check_bound("n", n, diagram.gap_count)
     _check_bound("k", k)
     _check_member("rule", rule, RuleKind)

@@ -73,6 +73,16 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "--file", "/nonexistent/nope.gauss"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate", "--file", ""], ["dance", "--file", "", "--points", "0", "--k", "1"]]
+)
+def test_an_empty_file_path_is_a_missing_file_not_the_empty_diagram(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_validate_non_utf8_file_is_io_error(tmp_path, capsys):
     path = tmp_path / "d.gauss"
     path.write_bytes(b"\xff\xfe O1+ U1+")

@@ -18,10 +18,13 @@ from twistdance.model import (
     UnpairedCrossing,
     VirtualPass,
     check_points,
+    path_event_indices,
     paths_of,
     validate,
 )
-from twistdance.scheduler import DancePlan
+from twistdance.facing import parity_vector
+from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, retrograde_points
+from twistdance.solver import min_dancers, survey
 
 from strategies import arbitrary_events, diagrams, plan_geometries
 
@@ -181,6 +184,28 @@ def test_points_must_be_ints():
             check_points(d, points)
         with pytest.raises(ValueError, match="gap index"):
             DancePlan(d, points, 1)
+
+
+@pytest.mark.parametrize("diagram", ["O1+ U1+", None], ids=["str", "None"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: DancePlan(d, (0,), 1),
+        lambda d: min_dancers(d, k_max=1, n_max=1),
+        lambda d: survey(d, RuleKind.FORWARD, CrossingRule.OVER_FIRST, 1, 1),
+        lambda d: paths_of(d, (0,)),
+        lambda d: path_event_indices(d, (0,)),
+        lambda d: parity_vector(d, (0,)),
+        lambda d: retrograde_points(d, (0,)),
+    ],
+    ids=[
+        "DancePlan", "min_dancers", "survey", "paths_of", "path_event_indices",
+        "parity_vector", "retrograde_points",
+    ],
+)
+def test_a_diagram_that_is_not_a_diagram_is_refused(call, diagram):
+    with pytest.raises(ValueError, match="diagram must be a Diagram"):
+        call(diagram)
 
 
 def test_no_points_rejected():
