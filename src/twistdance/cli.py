@@ -2,7 +2,12 @@
 
 The CLI is a thin shell over the library: parsing and formatting only.
 Exit codes: 0 feasible/valid, 1 infeasible/invalid/exhausted, 2 usage or
-I/O error.
+I/O error.  A command that fails raises ``_CliExit(code, line)`` where it
+fails, after whatever it has already printed to stdout; ``main`` alone
+prints that one line to stderr and returns the code.  The line is ``usage error: ...``,
+``error: ...`` (a file that cannot be read or written, the empty path
+included) or ``<ErrorClass> at bytes a..b: ...`` (a diagram that does not
+parse).
 """
 
 from __future__ import annotations
@@ -70,65 +75,29 @@ def _plan_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_text(args: argparse.Namespace) -> str:
-    if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return args.diagram
+class _CliExit(Exception):
+    """``_CliExit(code, line)`` stops a command: ``main`` prints ``line`` to
+    stderr and returns ``code``."""
 
 
-def _format_error(err: Exception) -> str:
-    span = getattr(err, "span", None)
-    where = f" at bytes {span.byte_start}..{span.byte_end}" if span is not None else ""
-    return f"{type(err).__name__}{where}: {err}"
+def _usage(message: str) -> _CliExit:
+    return _CliExit(2, f"usage error: {message}")
 
 
-def _load_diagram(args: argparse.Namespace, parser_exit_usage: bool) -> Diagram:
-    """Parse the diagram input; raises _CliExit with the proper code."""
+def _load_diagram(args: argparse.Namespace, invalid_code: int) -> Diagram:
+    """Parse the diagram input; an invalid diagram exits with ``invalid_code``."""
+    text = args.diagram
     try:
-        text = _read_text(args)
+        if args.file is not None:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise _CliExit(2)
+        raise _CliExit(2, f"error: {err}")
     try:
         return parse(text)
     except (LexError, DiagramError) as err:
-        print(_format_error(err), file=sys.stderr)
-        raise _CliExit(2 if parser_exit_usage else 1)
-
-
-class _CliExit(Exception):
-    def __init__(self, code: int) -> None:
-        self.code = code
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    if args.diagram is not None and args.file is not None:
-        raise _CliExit(_usage("give a diagram string or --file, not both"))
-    if args.diagram is None and args.file is None:
-        raise _CliExit(_usage("nothing to validate: pass a diagram string or --file"))
-    diagram = _load_diagram(args, parser_exit_usage=False)
-    print(serialize(diagram))
-    return 0
-
-
-def _parse_points(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise _CliExit(_usage(f"bad --points value {text!r}"))
-
-
-def _parse_facings(text: str) -> tuple[Facing, ...]:
-    try:
-        return tuple(Facing.from_letter(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as err:
-        raise _CliExit(_usage(str(err)))
-
-
-def _usage(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
+        where = f"bytes {err.span.byte_start}..{err.span.byte_end}"
+        raise _CliExit(invalid_code, f"{type(err).__name__} at {where}: {err}")
 
 
 def _write(path: str, text: str) -> None:
@@ -136,39 +105,51 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise _CliExit(2)
+        raise _CliExit(2, f"error: {err}")
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    if args.diagram is not None and args.file is not None:
+        raise _usage("give a diagram string or --file, not both")
+    if args.diagram is None and args.file is None:
+        raise _usage("nothing to validate: pass a diagram string or --file")
+    print(serialize(_load_diagram(args, invalid_code=1)))
+    return 0
 
 
 def cmd_dance(args: argparse.Namespace) -> int:
-    diagram = _load_diagram(args, parser_exit_usage=True)
-    points = _parse_points(args.points)
-    facings = _parse_facings(args.facings) if args.facings is not None else None
+    diagram = _load_diagram(args, invalid_code=2)
     try:
+        points = tuple(int(part.strip()) for part in args.points.split(",") if part.strip() != "")
+    except ValueError:
+        raise _usage(f"bad --points value {args.points!r}")
+    try:
+        facings = None
+        if args.facings is not None:
+            facings = tuple(
+                Facing.from_letter(part) for part in args.facings.split(",") if part.strip() != ""
+            )
         plan = DancePlan(
             diagram, points, args.k, RuleKind(args.rule), facings, CrossingRule(args.crossing)
         )
     except ValueError as err:
-        raise _CliExit(_usage(str(err)))
+        raise _usage(str(err))
 
-    result = schedule_search(plan)
-    if isinstance(result, Infeasible):
-        print(f"INFEASIBLE({result.reason.value})")
+    schedule = schedule_search(plan)
+    if isinstance(schedule, Infeasible):
+        print(f"INFEASIBLE({schedule.reason.value})")
         schedule = Schedule((), False, plan)
-        code = 1
     else:
         print("FEASIBLE")
-        schedule = result
-        code = 0
-    if args.json:
+    if args.json is not None:
         _write(args.json, trace_to_json(schedule) + "\n")
-    if args.svg:
+    if args.svg is not None:
         _write(args.svg, svg_timeline(schedule))
-    return code
+    return 0 if schedule.feasible else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    diagram = _load_diagram(args, parser_exit_usage=True)
+    diagram = _load_diagram(args, invalid_code=2)
     try:
         report = min_dancers(
             diagram,
@@ -178,26 +159,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
             n_max=args.max_n,
         )
     except ValueError as err:
-        raise _CliExit(_usage(str(err)))
-    if not report.feasible:
+        raise _usage(str(err))
+    if report.feasible:
+        plan = report.plan
+        line = f"n={plan.n} k={plan.k} points={','.join(str(p) for p in plan.points)}"
+        if plan.facings is not None:
+            line += f" facings={','.join(f.letter for f in plan.facings)}"
+        print(line)
+    else:
         print(
             f"EXHAUSTED (n={report.n_searched[0]}..{report.n_searched[1]}, "
             f"k={report.k_searched[0]}..{report.k_searched[1]}, "
             f"{report.placements_tried} placements tried)"
         )
-        if args.json:
-            _write(args.json, trace_to_json(Schedule((), False, None)) + "\n")
-        return 1
-    plan = report.plan
-    line = (
-        f"n={plan.n} k={plan.k} points={','.join(str(p) for p in plan.points)}"
-    )
-    if plan.facings is not None:
-        line += f" facings={','.join(f.letter for f in plan.facings)}"
-    print(line)
-    if args.json:
-        _write(args.json, trace_to_json(report.schedule) + "\n")
-    return 0
+    if args.json is not None:
+        schedule = report.schedule if report.feasible else Schedule((), False, None)
+        _write(args.json, trace_to_json(schedule) + "\n")
+    return 0 if report.feasible else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -206,7 +184,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliExit as stop:
-        return stop.code
+        code, line = stop.args
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -272,6 +272,100 @@ def test_solve_writes_trace(tmp_path):
     assert payload["plan"]["k"] == 1
 
 
+# ---------------------------------------------------------------- every exit path
+
+DANCE = ["dance", "--diagram", TREFOIL, "--points", "0,3", "--k", "1"]
+SOLVE = ["solve", "--diagram", BAR_TREFOIL, "--max-n", "2", "--max-k", "4"]
+EXHAUSTED = ["solve", "--diagram", "U1+ O1+ U2+ O2+", "--max-n", "1", "--max-k", "3"]
+MATCHING = [*DANCE, "--rule", "matching"]
+UNWRITABLE = "missing/out"  # its directory does not exist
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, written",
+    [
+        pytest.param(["validate", TREFOIL], 0, TREFOIL + "\n", "", {}, id="validate"),
+        pytest.param(["validate", "--file", "in.gauss"], 0, TREFOIL + "\n", "", {},
+                     id="validate file"),
+        pytest.param(["validate", "O1+ O1+"], 1, "", "DuplicateStrand at bytes 4..7: ", {},
+                     id="validate invalid"),
+        pytest.param(["validate", "O1+ X9 U1+"], 1, "", "LexError at bytes 4..6: ", {},
+                     id="validate lex error"),
+        pytest.param(["validate", TREFOIL, "--file", "in.gauss"], 2, "",
+                     "usage error: give a diagram string or --file, not both\n", {},
+                     id="validate both inputs"),
+        pytest.param(["validate"], 2, "",
+                     "usage error: nothing to validate: pass a diagram string or --file\n", {},
+                     id="validate no input"),
+        pytest.param(["validate", "--file", "absent.gauss"], 2, "", "error: ", {},
+                     id="validate missing file"),
+        pytest.param(["validate", "--file", "latin1.gauss"], 2, "", "error: ", {},
+                     id="validate non-UTF-8 file"),
+        pytest.param(DANCE, 0, "FEASIBLE\n", "", {}, id="dance feasible"),
+        pytest.param(["dance", "--diagram", BAR_TREFOIL, "--points", "0,4", "--k", "2"], 1,
+                     "INFEASIBLE(FacingParity)\n", "", {}, id="dance facing parity"),
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", "1", "--json", "d.json"],
+                     1, "INFEASIBLE(Deadlock)\n", "",
+                     {"d.json": '{"steps":[],"feasible":false,'
+                                '"plan":{"points":[0],"k":1,"rule":"forward"}}\n'},
+                     id="dance deadlock json"),
+        pytest.param(["dance", "--diagram", "O1+ O1+", "--points", "0", "--k", "1"], 2, "",
+                     "DuplicateStrand at bytes 4..7: ", {}, id="dance invalid"),
+        pytest.param(["dance", "--diagram", "O1+ Z", "--points", "0", "--k", "1"], 2, "",
+                     "LexError at bytes 4..5: ", {}, id="dance lex error"),
+        pytest.param(["dance", "--file", "absent.gauss", "--points", "0", "--k", "1"], 2, "",
+                     "error: ", {}, id="dance missing file"),
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0,x", "--k", "1"], 2, "",
+                     "usage error: bad --points value '0,x'\n", {}, id="dance bad points"),
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0,0", "--k", "1"], 2, "",
+                     "usage error: two initial points share gap 0\n", {}, id="dance plan refused"),
+        pytest.param(MATCHING, 2, "",
+                     "usage error: matching rule needs facings, one per initial point\n", {},
+                     id="dance no facings"),
+        pytest.param([*MATCHING, "--facings", "F,X"], 2, "",
+                     "usage error: facing must be F or B, got 'X'\n", {}, id="dance bad facing"),
+        pytest.param([*DANCE, "--json", UNWRITABLE], 2, "FEASIBLE\n", "error: ", {},
+                     id="dance unwritable json"),
+        pytest.param([*DANCE, "--svg", UNWRITABLE], 2, "FEASIBLE\n", "error: ", {},
+                     id="dance unwritable svg"),
+        pytest.param([*DANCE, "--json", ""], 2, "FEASIBLE\n", "error: ", {}, id="dance empty json"),
+        pytest.param([*DANCE, "--svg", ""], 2, "FEASIBLE\n", "error: ", {}, id="dance empty svg"),
+        pytest.param(SOLVE, 0, "n=2 k=4 points=0,2\n", "", {}, id="solve"),
+        pytest.param(["solve", "--diagram", "T1 T2", "--rule", "matching", "--max-n", "2",
+                      "--max-k", "1"], 0, "n=1 k=1 points=0 facings=F\n", "", {},
+                     id="solve facings"),
+        pytest.param(EXHAUSTED, 1, "EXHAUSTED (n=1..1, k=1..3, 12 placements tried)\n", "", {},
+                     id="solve exhausted"),
+        pytest.param([*EXHAUSTED, "--json", "e.json"], 1,
+                     "EXHAUSTED (n=1..1, k=1..3, 12 placements tried)\n", "",
+                     {"e.json": '{"steps":[],"feasible":false}\n'}, id="solve exhausted json"),
+        pytest.param(["solve", "--diagram", TREFOIL, "--max-n", "7", "--max-k", "1"], 2, "",
+                     "usage error: n_max must be in 1..6, got 7\n", {}, id="solve bad bounds"),
+        pytest.param(["solve", "--diagram", "O1+ O1+", "--max-n", "1", "--max-k", "1"], 2, "",
+                     "DuplicateStrand at bytes 4..7: ", {}, id="solve invalid"),
+        pytest.param(["solve", "--file", "absent.gauss", "--max-n", "1", "--max-k", "1"], 2, "",
+                     "error: ", {}, id="solve missing file"),
+        pytest.param([*SOLVE, "--json", UNWRITABLE], 2, "n=2 k=4 points=0,2\n", "error: ", {},
+                     id="solve unwritable json"),
+        pytest.param([*SOLVE, "--json", ""], 2, "n=2 k=4 points=0,2\n", "error: ", {},
+                     id="solve empty json"),
+    ],
+)
+def test_every_exit_path(argv, code, out, err, written, tmp_path, monkeypatch, capsys):
+    # each failure is one stderr line, printed after whatever stdout the
+    # command had already decided; only the files named are written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.gauss").write_text(TREFOIL + "\n")
+    (tmp_path / "latin1.gauss").write_bytes(b"O1+ \xff U1+")
+    inputs = set(os.listdir(tmp_path))
+    assert main(argv) == code
+    got_out, got_err = capsys.readouterr()
+    assert got_out == out
+    assert got_err.startswith(err) and got_err.count("\n") == (err != "")
+    made = set(os.listdir(tmp_path)) - inputs
+    assert {name: (tmp_path / name).read_text() for name in made} == written
+
+
 # ---------------------------------------------------------------- timeline
 
 

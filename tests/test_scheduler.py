@@ -895,6 +895,16 @@ def test_verifier_rejects_prefix_violation():
     assert any("unpermitted" in p for p in problems)
 
 
+def test_verifier_rejects_under_first_prefix_violation():
+    plan = DancePlan(parse(TREFOIL), (0, 3), 1, crossing_rule=CrossingRule.UNDER_FIRST)
+    schedule = schedule_search(plan)
+    steps = list(schedule.steps)
+    # moving dancer 0's O1+ before dancer 1's U1+ keeps per-dancer order
+    steps[0], steps[1] = steps[1], steps[0]
+    problems = verify_schedule(replace(schedule, steps=tuple(steps)))
+    assert problems == ["step 0: over pass of crossing 1 unpermitted"]
+
+
 def test_verifier_accepts_search_witnesses_on_corpus():
     for d in diagram_corpus(45, 10):
         for points in all_placements(d, n_max=2):
@@ -925,6 +935,10 @@ def test_verifier_requires_plan():
     for dancer, event_index in [(0.0, 0), (None, 0), (True, 0), (0, 0.5), (0, "1"), (0, False)]:
         problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
         assert len(problems) == 1 and "is not an int" in problems[0], (dancer, event_index)
+    plan = DancePlan(parse(TREFOIL), (0, 3), 1)  # 2 dancers, 6 events
+    for dancer, event_index in [(5, 0), (-1, 0), (0, 6)]:
+        problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
+        assert len(problems) == 1 and problems[0].endswith("out of range"), (dancer, event_index)
 
 
 # ------------------------------------------------------------- properties
