@@ -4,10 +4,17 @@ The CLI is a thin shell over the library: parsing and formatting only.
 Exit codes: 0 feasible/valid, 1 infeasible/invalid/exhausted, 2 usage or
 I/O error.  A command that fails raises ``_CliExit(code, line)`` where it
 fails, after whatever it has already printed to stdout; ``main`` alone
-prints that one line to stderr and returns the code.  The line is ``usage error: ...``,
-``error: ...`` (a file that cannot be read or written, the empty path
-included) or ``<ErrorClass> at bytes a..b: ...`` (a diagram that does not
-parse).
+prints that one line to stderr and returns the code.  The line is
+``usage error: ...``, ``error: ...`` (a file that cannot be read or
+written, the empty path included) or ``<ErrorClass> at bytes a..b: ...``
+(a diagram that does not parse).  A flag that argparse refuses (missing,
+unknown or of the wrong type) stops before any command runs, with
+argparse's usage text on stderr, and ``main`` returns its exit code, 2
+(0 for ``--help``), so ``main(argv)`` never raises ``SystemExit``.
+
+``dance`` writes ``--json`` before ``--svg``, and the first write that
+fails stops the command: with ``--json ok.json --svg missing/x.svg`` a
+complete ``ok.json`` is left behind and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -180,7 +187,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse has printed its usage text, or the help
+        return stop.code
     try:
         return args.func(args)
     except _CliExit as stop:

@@ -27,9 +27,9 @@ yields each run's groups, and a span is found only for the error raised.
 
 ``trace_to_json`` formats each step from the schedule's move columns (see
 ``scheduler``), never from ``Step`` objects: one fixed template per step,
-joined with the event's cell, built once per call for each event, and the
-facing's tail.  A canonical token matches ``[OUVT][0-9]+[+-]?`` and so
-needs no JSON escaping.
+joined with the dancer's head and the event's cell, each built once per
+call, and the facing's tail.  A canonical token matches
+``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
 """
 
 from __future__ import annotations
@@ -101,7 +101,16 @@ def parse(text: str | bytes) -> Diagram:
             f"unencodable character {text[err.start]!r}",
             SourceSpan(start, start + 3),  # a surrogate's three bytes in UTF-8 form
         ) from None
+    # each event filled through its class's slots, bypassing the frozen
+    # __init__ (see ``model``)
+    new = object.__new__
+    set_crossing = ClassicalPass.crossing_id.__set__
+    set_strand = ClassicalPass.strand.__set__
+    set_sign = ClassicalPass.sign.__set__
+    set_virtual = VirtualPass.crossing_id.__set__
+    set_bar = TwistBar.bar_id.__set__
     events: list[Event] = []
+    append = events.append
     next_auto_bar = 1
     for at, (strand, digits, sign, virtual, bar, bad) in enumerate(_LEX_RE.findall(data)):
         if bad:
@@ -113,14 +122,20 @@ def parse(text: str | bytes) -> Diagram:
             run = data[span.byte_start : span.byte_end]
             raise LexError(f"id too long in token {run[:12]!r}...", span) from None
         if strand:
-            events.append(ClassicalPass(ident, _STRAND[strand], _SIGN[sign]))
+            ev = new(ClassicalPass)
+            set_crossing(ev, ident)
+            set_strand(ev, _STRAND[strand])
+            set_sign(ev, _SIGN[sign])
         elif virtual:
-            events.append(VirtualPass(ident))
-        elif bar:
-            events.append(TwistBar(ident))
+            ev = new(VirtualPass)
+            set_virtual(ev, ident)
         else:
-            events.append(TwistBar(next_auto_bar))
-            next_auto_bar += 1
+            ev = new(TwistBar)
+            if not bar:
+                ident = next_auto_bar
+                next_auto_bar += 1
+            set_bar(ev, ident)
+        append(ev)
     try:
         return validate(events)
     except DiagramError as err:
@@ -164,6 +179,7 @@ def _tokens(diagram: Diagram) -> tuple[str, ...]:
     return table
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # ``json.dumps`` would build one per call
 _FACING_NAMES = ("forward", "backward")
 _FACING_TAILS = ('forward"}', 'backward"}')  # by facing bit
 
@@ -181,9 +197,11 @@ def trace_to_json(schedule: "Schedule") -> str:
 
     Each step is formatted from one fixed template, reading its dancer,
     event index and facing bit from the schedule's columns, which hold ints;
-    an event's cell (its index and token) is formatted once per call, and
-    canonical tokens match ``[OUVT][0-9]+[+-]?``, so they never need JSON
-    escaping.  ``json.dumps`` writes the rest.
+    an event's cell (its index and token) and a dancer's head (its id) are
+    formatted once per call, the heads for the dancer ids present, whatever
+    their range; canonical tokens match ``[OUVT][0-9]+[+-]?``, so they never
+    need JSON escaping.  One module-level ``json.JSONEncoder`` writes the
+    rest.
     """
     dancers, events, facings = schedule._columns()
     plan = schedule.plan
@@ -197,8 +215,9 @@ def trace_to_json(schedule: "Schedule") -> str:
         [f'{e},"event":"{tok}","facing":"' for e, tok in enumerate(_tokens(plan.diagram))]
         if dancers else []
     )
+    heads = {d: f',"dancer":{d},"event_index":' for d in set(dancers)}
     steps = ",".join([
-        f'{{"t":{t},"dancer":{d},"event_index":{cells[e]}{_FACING_TAILS[f]}'
+        f'{{"t":{t}{heads[d]}{cells[e]}{_FACING_TAILS[f]}'
         for t, d, e, f in zip(count(), dancers, events, facings)
     ])
-    return '{"steps":[' + steps + "]," + json.dumps(tail, separators=(",", ":"))[1:]
+    return '{"steps":[' + steps + "]," + _ENCODER.encode(tail)[1:]

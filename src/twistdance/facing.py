@@ -89,8 +89,10 @@ def parity_vector(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:
 def _bar_prefix(diagram: Diagram) -> list[int]:
     """``prefix[j]``: the parity of the twist bars among the first j events."""
     prefix = [0]
+    bit = 0
     for ev in diagram.events:
-        prefix.append(prefix[-1] ^ isinstance(ev, TwistBar))
+        bit ^= isinstance(ev, TwistBar)
+        prefix.append(bit)
     return prefix
 
 
@@ -151,10 +153,9 @@ def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:
         raise ValueError(f"facing assignment has length {len(f)}, expected {n}")
     if not all(isinstance(x, Facing) for x in f):
         raise ValueError(f"facings must be Facing values, got {tuple(f)!r}")
-    return all(
-        (f[i].value ^ _window_parity(t, i, k)) == f[(i + k) % n].value
-        for i in range(n)
-    )
+    # a Facing is the int of its bit, so the members are XORed and compared as
+    # ints; ``.value`` would be an Enum property call per read
+    return all((f[i] ^ _window_parity(t, i, k)) == f[(i + k) % n] for i in range(n))
 
 
 def matching_solve(t: Sequence[int], k: int) -> tuple[Facing, ...] | None:

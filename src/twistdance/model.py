@@ -16,6 +16,14 @@ bare unknot) has a single gap 0.
 
 Classical and virtual crossings are labelled in separate namespaces, so
 ``O1`` pairs with ``U1`` while ``V1`` pairs with the other ``V1``.
+
+The three event classes are frozen dataclasses with slots: an event has no
+``__dict__``.  ``codec.parse`` makes each event with ``object.__new__``
+and fills its fields through the class's slot descriptors, which is what
+the frozen ``__init__`` does through ``object.__setattr__``, at a fraction
+of the cost; parsing is the largest fixed cost of every request.  So the
+classes declare no ``__post_init__`` and no field beyond the ones
+``parse`` sets, and ``validate``, not a constructor, checks every event.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class Strand(Enum):
     UNDER = "U"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalPass:
     """One passage through a classical crossing on the given strand."""
 
@@ -67,14 +75,14 @@ class ClassicalPass:
     sign: CrossingSign = CrossingSign.POSITIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualPass:
     """One passage through a virtual crossing; never restricts a dancer."""
 
     crossing_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistBar:
     """A tick mark on the strand; flips the facing of any dancer crossing it.
 

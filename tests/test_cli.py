@@ -329,6 +329,13 @@ UNWRITABLE = "missing/out"  # its directory does not exist
         pytest.param([*DANCE, "--svg", UNWRITABLE], 2, "FEASIBLE\n", "error: ", {},
                      id="dance unwritable svg"),
         pytest.param([*DANCE, "--json", ""], 2, "FEASIBLE\n", "error: ", {}, id="dance empty json"),
+        # --json is written before --svg, and the first write that fails stops
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", "1",
+                      "--json", "ok.json", "--svg", UNWRITABLE], 2, "INFEASIBLE(Deadlock)\n",
+                     "error: ",
+                     {"ok.json": '{"steps":[],"feasible":false,'
+                                 '"plan":{"points":[0],"k":1,"rule":"forward"}}\n'},
+                     id="dance json written, svg unwritable"),
         pytest.param([*DANCE, "--svg", ""], 2, "FEASIBLE\n", "error: ", {}, id="dance empty svg"),
         pytest.param(SOLVE, 0, "n=2 k=4 points=0,2\n", "", {}, id="solve"),
         pytest.param(["solve", "--diagram", "T1 T2", "--rule", "matching", "--max-n", "2",
@@ -364,6 +371,24 @@ def test_every_exit_path(argv, code, out, err, written, tmp_path, monkeypatch, c
     assert got_err.startswith(err) and got_err.count("\n") == (err != "")
     made = set(os.listdir(tmp_path)) - inputs
     assert {name: (tmp_path / name).read_text() for name in made} == written
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0"], 2, id="missing --k"),
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", "x"], 2,
+                     id="--k not an int"),
+        pytest.param(["bogus"], 2, id="unknown command"),
+        pytest.param(["--help"], 0, id="help"),
+    ],
+)
+def test_main_returns_the_code_of_an_argparse_exit(argv, code, capsys):
+    # argparse prints its own usage text; main returns its exit code, never raising
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (err if code else out).startswith("usage:")
+    assert (out if code else err) == ""
 
 
 # ---------------------------------------------------------------- timeline

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from twistdance.codec import parse
 from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
-from twistdance.model import TwistBar
+from twistdance.model import ClassicalPass, CrossingSign, Strand, TwistBar, VirtualPass
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
     CrossingRule,
@@ -545,7 +545,32 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
         assert type(row) is SurveyRow
         built = SurveyRow(row.placement, row.facings, row.feasible, row.reason)
         assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
-    for value in (step, *rows, *surveyed):
+    # events as parse builds them, filled through the slots (an explicit and a
+    # bare bar, a defaulted and a "-" sign), beside their constructor twins
+    parsed = parse("O1+ U2- V1 T7 U1 O2- V1 T").events
+    built_events = (
+        ClassicalPass(1, Strand.OVER),
+        ClassicalPass(2, Strand.UNDER, CrossingSign.NEGATIVE),
+        VirtualPass(1),
+        TwistBar(7),
+        ClassicalPass(1, Strand.UNDER, CrossingSign.POSITIVE),
+        ClassicalPass(2, Strand.OVER, CrossingSign.NEGATIVE),
+        VirtualPass(1),
+        TwistBar(1),
+    )
+    # parse sets these slots and runs no __init__ either
+    assert [f.name for f in fields(ClassicalPass)] == ["crossing_id", "strand", "sign"]
+    assert [f.name for f in fields(VirtualPass)] == ["crossing_id"]
+    assert [f.name for f in fields(TwistBar)] == ["bar_id"]
+    for kind in (ClassicalPass, VirtualPass, TwistBar):
+        assert not hasattr(kind, "__post_init__")
+    assert len(parsed) == len(built_events)
+    for event, built in zip(parsed, built_events):
+        assert type(event) is type(built) and type(built) in (ClassicalPass, VirtualPass, TwistBar)
+        assert event == built and hash(event) == hash(built) and repr(event) == repr(built)
+    assert replace(parsed[1], sign=CrossingSign.POSITIVE) == ClassicalPass(2, Strand.UNDER)
+    assert replace(parsed[7], bar_id=2) == TwistBar(2)
+    for value in (step, *rows, *surveyed, *parsed, *built_events):
         assert not hasattr(value, "__dict__")
         for copied in (pickle.loads(pickle.dumps(value)), deepcopy(value), replace(value)):
             assert copied == value and hash(copied) == hash(value)
