@@ -18,12 +18,22 @@ space separated, so ``parse(serialize(d)) == d`` for every diagram that
 strands or signs that are not enum members, which have no token) and
 ``serialize(parse(s))`` is a fixed point after one pass.
 
-``parse`` accepts ``str`` or raw ``bytes`` and never raises anything other
-than :class:`LexError` or a ``model.DiagramError``; spans are byte offsets
-into the (UTF-8 encoded) input.  A ``str`` is encoded with
-``surrogateescape``, so a command-line argument's undecodable bytes are
-lexed as the bytes they were.  The lexer keeps no spans: one ``findall``
-yields each run's groups, and a span is found only for the error raised.
+``parse`` accepts a ``str`` or a bytes-like object and refuses anything
+else, such as an int that ``bytes()`` would read as that many NUL bytes,
+with ``ValueError`` before any conversion.  Given text, it never raises
+anything other than :class:`LexError` or a ``model.DiagramError``; spans
+are byte offsets into the (UTF-8 encoded) input.  A ``str`` is encoded
+with ``surrogateescape``, so a command-line argument's undecodable bytes
+are lexed as the bytes they were.  The lexer keeps no spans: one
+``findall`` yields each run's groups, and a span is found only for the
+error raised.
+
+The diagram ``parse`` returns already holds its token table, the
+canonical token of every event (see ``_tokens``), taken from one split of
+the lexed text: every run lexed as a token, so each run is its event's
+token as written, and only a bare sign (read as ``+``) or a bare ``T``
+(given its assigned id) is rewritten.  No ``token()`` call is made per
+event, so neither output of a dance request formats a token.
 
 ``trace_to_json`` formats each step from the schedule's move columns (see
 ``scheduler``), never from ``Step`` objects: one fixed template per step,
@@ -85,22 +95,35 @@ _SIGN = {b"": CrossingSign.POSITIVE, b"+": CrossingSign.POSITIVE, b"-": Crossing
 
 
 def parse(text: str | bytes) -> Diagram:
-    """Parse a Gauss-code string into a validated Diagram.
+    """Parse a Gauss-code string into a validated Diagram that holds its
+    token table.
 
-    Raises LexError for unrecognized tokens and the model's DiagramError
-    subclasses (annotated with the offending token's span) for structural
-    violations.  A ``str`` is encoded with ``surrogateescape``, so the
-    undecodable bytes of a command-line argument come back as themselves;
-    a lone surrogate that no byte maps to is a LexError.
+    ``text`` is a ``str`` or a bytes-like object (``bytes``, ``bytearray``,
+    ``memoryview``, ...); anything else, an int, a list of ints or
+    ``None`` included, is refused with ``ValueError`` before any
+    conversion.  Raises LexError for unrecognized tokens and the model's
+    DiagramError subclasses (annotated with the offending token's span)
+    for structural violations.  A ``str`` is encoded with
+    ``surrogateescape``, so the undecodable bytes of a command-line
+    argument come back as themselves; a lone surrogate that no byte maps
+    to is a LexError.
     """
-    try:
-        data = text.encode("utf-8", "surrogateescape") if isinstance(text, str) else bytes(text)
-    except UnicodeEncodeError as err:
-        start = len(text[: err.start].encode("utf-8", "surrogateescape"))
-        raise LexError(
-            f"unencodable character {text[err.start]!r}",
-            SourceSpan(start, start + 3),  # a surrogate's three bytes in UTF-8 form
-        ) from None
+    if isinstance(text, str):
+        try:
+            data = text.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError as err:
+            start = len(text[: err.start].encode("utf-8", "surrogateescape"))
+            raise LexError(
+                f"unencodable character {text[err.start]!r}",
+                SourceSpan(start, start + 3),  # a surrogate's three bytes in UTF-8 form
+            ) from None
+    else:
+        try:
+            data = bytes(memoryview(text))
+        except TypeError:  # ``bytes(text)`` would read an int as that many NUL bytes
+            raise ValueError(
+                f"text must be a str or a bytes-like object, got {type(text).__name__}"
+            ) from None
     # each event filled through its class's slots, bypassing the frozen
     # __init__ (see ``model``)
     new = object.__new__
@@ -111,6 +134,7 @@ def parse(text: str | bytes) -> Diagram:
     set_bar = TwistBar.bar_id.__set__
     events: list[Event] = []
     append = events.append
+    bare: list[int] = []  # positions of the events written with a bare sign or a bare T
     next_auto_bar = 1
     for at, (strand, digits, sign, virtual, bar, bad) in enumerate(_LEX_RE.findall(data)):
         if bad:
@@ -126,6 +150,8 @@ def parse(text: str | bytes) -> Diagram:
             set_crossing(ev, ident)
             set_strand(ev, _STRAND[strand])
             set_sign(ev, _SIGN[sign])
+            if not sign:
+                bare.append(at)
         elif virtual:
             ev = new(VirtualPass)
             set_virtual(ev, ident)
@@ -134,14 +160,22 @@ def parse(text: str | bytes) -> Diagram:
             if not bar:
                 ident = next_auto_bar
                 next_auto_bar += 1
+                bare.append(at)
             set_bar(ev, ident)
         append(ev)
     try:
-        return validate(events)
+        diagram = validate(events)
     except DiagramError as err:
         if err.event_index is not None:
             err.span = _span(data, err.event_index)
         raise
+    # every run lexed as a token, so the text is ASCII and its runs are the
+    # events' tokens as written
+    table = data.decode().replace(",", " ").split()
+    for at in bare:  # a bare sign reads as '+', a bare T as its assigned id
+        table[at] = f"T{events[at].bar_id}" if table[at] == "T" else table[at] + "+"
+    diagram.__dict__["_token_table"] = tuple(table)
+    return diagram
 
 
 def _span(data: bytes, at: int) -> SourceSpan:
@@ -168,14 +202,15 @@ def _tokens(diagram: Diagram) -> tuple[str, ...]:
     """The canonical token of every event, in event order: the token table
     that the JSON trace and the SVG timeline index by ``event_index``.
 
-    It is built once per diagram, on first read, and kept on the diagram,
-    the way a witness keeps its ``steps``; a diagram made by
-    ``dataclasses.replace``, ``retrograde`` or a copy starts without one
-    (see ``model.Diagram``)."""
+    A diagram from ``parse`` holds it from the start, split from the lexed
+    text.  Any other diagram, one made by ``validate``,
+    ``dataclasses.replace``, ``retrograde`` or a copy, starts without one
+    (see ``model.Diagram``), and it is built here with ``token()``, once,
+    on first read, and kept on the diagram, the way a witness keeps its
+    ``steps``."""
     table = diagram.__dict__.get("_token_table")
     if table is None:
-        table = tuple(token(ev) for ev in diagram.events)
-        object.__setattr__(diagram, "_token_table", table)
+        table = diagram.__dict__["_token_table"] = tuple(token(ev) for ev in diagram.events)
     return table
 
 

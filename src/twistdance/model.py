@@ -141,10 +141,12 @@ class Diagram:
     Construct through :func:`validate` or ``codec.parse``; the dataclass
     itself does not re-check invariants.
 
-    The codec keeps the diagram's token table on it once first read (see
-    ``codec._tokens``), outside the fields: equality, hash, repr and
-    ``dataclasses.replace`` read the fields alone, and pickling and copying
-    carry the events alone, so a copy builds its own table when asked.
+    The codec keeps the diagram's token table on it, outside the fields
+    (see ``codec._tokens``): ``codec.parse`` sets it from the lexed text,
+    and any other diagram gets it once first read.  Equality, hash, repr
+    and ``dataclasses.replace`` read the fields alone, and pickling and
+    copying carry the events alone, so a copy builds its own table when
+    asked.
     """
 
     events: tuple[Event, ...]

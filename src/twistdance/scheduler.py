@@ -80,7 +80,10 @@ deadlocks too.
 Only a feasible plan is searched, for its witness: a depth-first search
 over the vector of per-dancer route positions, memoizing states proven
 dead.  Successors are tried in dancer-id order, so it yields the
-lexicographically least witness interleaving.
+lexicographically least witness interleaving.  A plan with no balance
+slot (the unrestricted rule, or no classical crossing) is not searched:
+nothing can block, so that witness is each dancer's whole route in
+dancer-id order (see ``_moves``).
 
 A safe move (an over pass under over-first, an under pass under under-first,
 a virtual pass, a twist bar, any step under unrestricted) is never blocked
@@ -103,10 +106,10 @@ A witness is stored as its move columns, three int sequences with one
 entry per step: the dancer, the event index and the facing bit after the
 step (0 forward, 1 backward).  They are read off the search's dancer
 sequence in one loop with no object per step: each move takes the next
-event of its dancer's route and XORs that event's twist-bar flag into the
-dancer's facing bit.  ``Schedule.steps`` is derived from them once, on
-first read, and the JSON trace and the SVG timeline format from the
-columns without it.
+event of its dancer's route and XORs that event's twist-bar flag, read
+off the compiled bar prefix, into the dancer's facing bit.
+``Schedule.steps`` is derived from them once, on first read, and the JSON
+trace and the SVG timeline format from the columns without it.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -121,6 +124,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations, count
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .facing import Facing, _bar_prefix, _parities, matching_check
@@ -297,12 +301,21 @@ class Schedule:
         return [s.dancer for s in steps], [s.event_index for s in steps], [s.facing_after for s in steps]
 
 
-def _from_moves(plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int]) -> Schedule:
+def _from_moves(
+    plan: DancePlan,
+    routes: list[tuple[int, ...]],
+    moves: list[int],
+    prefix: Sequence[int] | None = None,
+) -> Schedule:
     """The witness whose dancer sequence is ``moves``, as its columns: each
     move takes the next event of its dancer's route and XORs that event's
     twist-bar flag into the dancer's facing bit, which starts at the
-    dancer's designated facing."""
-    bars = [isinstance(ev, TwistBar) for ev in plan.diagram.events]
+    dancer's designated facing.  The flags are read off the diagram's bar
+    prefix (see ``facing``), event e's as ``prefix[e] ^ prefix[e + 1]``:
+    the compiled ``prefix`` when the caller has one, else built here."""
+    if prefix is None:
+        prefix = _bar_prefix(plan.diagram)
+    bars = list(map(xor, prefix, prefix[1:]))
     walks = [iter(route) for route in routes]
     bits = [int(f) for f in plan.designated]  # each dancer's facing bit
     events: list[int] = []
@@ -399,9 +412,11 @@ class _Compiled:
     """A diagram compiled once under a crossing rule and applied to any
     number of its placements: its twist-bar ``prefix`` parities (see
     ``facing``) and its ``table``, one ``(slot, delta)`` per event (see
-    ``schedule_search``), with the slot count.  The steps of an arc or a
-    route are its walk over the table, cut by ``model._walks`` as paths and
-    routes are cut from the events.  Every caller reads a placement's path
+    ``schedule_search``), with the slot count, and each slot's ``deposit``
+    and ``consumer`` event index, the chord d(c) -> e(c) of its crossing
+    (see the module docstring).  The steps of an arc or a route are its
+    walk over the table, cut by ``model._walks`` as paths and routes are
+    cut from the events.  Every caller reads a placement's path
     parities off ``prefix`` with ``_parities`` (for the facing gate), then
     asks its ``waits``, then the ``witness`` of a plan that passed both.
     The ``wait_cycle`` of deadlocked points is walked from their ``waits``.
@@ -435,13 +450,27 @@ class _Compiled:
         self.m = len(diagram.events)
         self.gaps = diagram.gap_count
         self.prefix = _bar_prefix(diagram)
-        consumer = _CONSUMER.get(crossing_rule)
+        spender = _CONSUMER.get(crossing_rule)
         slots: dict[int, int] = {}  # classical crossing id -> balance slot
-        self.table = [
-            (slots.setdefault(ev.crossing_id, len(slots) + 1), -1 if ev.strand is consumer else 1)
-            if consumer is not None and isinstance(ev, ClassicalPass) else (0, 0)
-            for ev in diagram.events
-        ]
+        self.table = table = [(0, 0)] * self.m
+        # each slot's chord d(c) -> e(c): the event indices of its (slot, 1)
+        # and (slot, -1) entries, filled in the same pass; entry 0 stands
+        # for no slot
+        self.deposit = deposit = [0]
+        self.consumer = consumer = [0]
+        for e, ev in enumerate(diagram.events if spender is not None else ()):
+            if type(ev) is ClassicalPass:
+                slot = slots.get(ev.crossing_id)
+                if slot is None:  # the crossing's first pass
+                    slot = slots[ev.crossing_id] = len(deposit)
+                    deposit.append(0)
+                    consumer.append(0)
+                if ev.strand is spender:
+                    table[e] = (slot, -1)
+                    consumer[slot] = e
+                else:
+                    table[e] = (slot, 1)
+                    deposit[slot] = e
         self.slot_count = len(slots)
 
     def waits(self, points: Sequence[int]) -> dict[int, int]:
@@ -464,21 +493,22 @@ class _Compiled:
         relaxation is not run again.  From the first waiting dancer, each
         step finds the arc that holds d(e) by bisecting the points and moves
         to the event its dancer waits at, until a dancer repeats: at most n
-        steps.  A slot's consuming event and deposit are its two entries in
-        the event table, ``(slot, -1)`` and ``(slot, 1)``, found where asked.
-        Points in any cyclic order name the same arcs, so they are sorted
-        first, as ``waits`` sorts them.  Points that do not deadlock wait on
+        steps.  A slot's deposit and consuming event are read off
+        ``deposit`` and ``consumer``, compiled once, not searched for in
+        the table.  Points in any cyclic order name the same arcs, so they
+        are sorted first, as ``waits`` sorts them.  Points that do not deadlock wait on
         nothing, and their cycle is empty."""
         if not waits:
             return []
         points = sorted(points)
+        deposit, consumer = self.deposit, self.consumer
         walk: list[int] = []  # the dancers walked, in order
         dancer = min(waits)
         while dancer not in walk:
             walk.append(dancer)
-            held = self.table.index((waits[dancer], 1))
+            held = deposit[waits[dancer]]
             dancer = (bisect_right(points, held) - 1) % len(points)  # -1: the last arc, which wraps
-        loop = [self.table.index((waits[d], -1)) for d in walk[walk.index(dancer) :]]
+        loop = [consumer[waits[d]] for d in walk[walk.index(dancer) :]]
         return list(zip(loop, loop[1:] + loop[:1]))
 
     def placements(
@@ -515,10 +545,10 @@ class _Compiled:
                 return True
         waits = self.waits(points)
         if waits:
-            m, table, clause = self.m, self.table, 0
+            m, table, deposit, clause = self.m, self.table, self.deposit, 0
             for e, after in self.wait_cycle(points, waits):
                 first = after + 1
-                span = (table.index((table[e][0], 1)) - first) % m + 1
+                span = (deposit[table[e][0]] - first) % m + 1
                 gaps = ((1 << span) - 1) << first % m
                 clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
             clause &= (1 << m) - 1
@@ -529,11 +559,14 @@ class _Compiled:
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,
         searched by ``_moves`` on each route's k-lap walk over the event
-        table, ended with ``(0, -1)``; Deadlock only if the plan's points have
+        table, ended with ``(0, -1)``, and built by ``_from_moves`` with the
+        compiled ``prefix``; Deadlock only if the plan's points have
         ``waits``."""
         lowered = [walk + [(0, -1)] for walk in _walks(self.table, plan.points, plan.k)]
         moves = _moves(lowered, self.slot_count)
-        return moves if isinstance(moves, Infeasible) else _from_moves(plan, routes_of(plan), moves)
+        if isinstance(moves, Infeasible):
+            return moves
+        return _from_moves(plan, routes_of(plan), moves, self.prefix)
 
 
 def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, int]:
@@ -581,7 +614,17 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[
     ended with ``(0, -1)``.  It reads only those steps, never facings, and
     runs only on routes whose arcs leave ``_waiting`` nobody waiting, which
     are feasible; its Deadlock, with the states it entered, is reached only
-    with the relaxation disabled."""
+    with the relaxation disabled.
+
+    With no slot (the unrestricted rule, or no classical crossing) nothing
+    can block, so the search would move dancer 0 to its route end, then
+    dancer 1, and so on: that sequence is returned without a search, as
+    ``_Compiled.waits`` answers such points without the relaxation."""
+    if not slot_count:
+        order: list[int] = []
+        for d, steps in enumerate(lowered):
+            order += [d] * (len(steps) - 1)
+        return order
     n = len(lowered)
     total = sum(map(len, lowered)) - n  # the ends never run
     if total == 0:

@@ -7,10 +7,14 @@ runs for identical inputs so it can be golden-file tested.
 
 Steps are read from the schedule's move columns (see ``scheduler``), never
 from ``Step`` objects, and labels from the diagram's token table, which the
-JSON trace of the same diagram shares (see ``codec._tokens``).  Each lane's
-constant fragments (its colour, its y position and the dash pattern) are
-formatted once, so a step adds one line segment and one dot-and-label
-entry, each joined from those fragments and the step's x position.
+JSON trace of the same diagram shares and which a parsed diagram already
+holds (see ``codec._tokens``).  Each lane's constant fragments (its colour,
+its y position and the dash pattern) are formatted once, before any step.
+Then one pass over the steps formats each step once, straight into its
+lane's lists: one line segment, from the x position and facing the lane's
+previous step left, and one dot-and-label entry, each joined from those
+fragments and the step's x position.  The lanes' lists are then joined in
+lane order, each lane's segments before its dots.
 """
 
 from __future__ import annotations
@@ -53,41 +57,48 @@ def svg_timeline(schedule: Schedule) -> str:
     ]
 
     labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if total else []
-    by_lane: list[list[tuple[str, str, int]]] = [[] for _ in range(lanes)]
-    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2  # each step's x, made text once
-    for d, e, f in zip(dancers, events, facings):
-        if 0 <= d < lanes:
-            by_lane[d].append((str(step_x), labels[e], f))
-        step_x += _STEP_WIDTH
-
-    for d, mine in enumerate(by_lane):
+    # per lane: its label and segments, its dots and its constant fragments
+    lines: list[list[str]] = []
+    dots: list[list[str]] = []
+    fragments = []
+    for d in range(lanes):
         color = _PALETTE[d % len(_PALETTE)]
         cy = _MARGIN + d * _LANE_HEIGHT + _LANE_HEIGHT // 2
-        out.append(
+        lines.append([
             f'<text x="{_MARGIN}" y="{cy + _FONT_SIZE // 2}" '
             f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{color}">dancer {d}</text>'
-        )
-        if not mine:
+        ])
+        dots.append([])
+        if not total:  # the fragments serve steps only
             continue
-        # the lane's constant fragments: a segment's middle and its end, solid
-        # after a forward facing and dashed after a backward one (indexed by
-        # the facing bit), and a dot's middle and the start of its label
-        line_mid = f'" y1="{cy}" x2="'
+        # a segment's middle and its end, solid after a forward facing and
+        # dashed after a backward one (indexed by the facing bit), and a
+        # dot's middle and the start of its label
         stroke = f'" y2="{cy}" stroke="{color}" stroke-width="2"'
-        line_end = (f"{stroke}/>", f'{stroke} stroke-dasharray="{_DASH}"/>')
-        dot_mid = f'" cy="{cy}" r="4" fill="{color}"/>\n<text x="'
-        label_start = (
+        fragments.append((
+            f'" y1="{cy}" x2="',
+            (f"{stroke}/>", f'{stroke} stroke-dasharray="{_DASH}"/>'),
+            f'" cy="{cy}" r="4" fill="{color}"/>\n<text x="',
             f'" y="{cy - 8}" text-anchor="middle" '
-            f'font-family="monospace" font-size="{_FONT_SIZE}" fill="#333333">'
-        )
-        facing_before = plan.designated[d]
-        prev_x = str(_MARGIN + _LABEL_WIDTH)
-        for x, _, facing_after in mine:
-            out.append(f'<line x1="{prev_x}{line_mid}{x}{line_end[facing_before]}')
-            facing_before = facing_after
-            prev_x = x
-        out += [f'<circle cx="{x}{dot_mid}{x}{label_start}{label}</text>' for x, label, _ in mine]
+            f'font-family="monospace" font-size="{_FONT_SIZE}" fill="#333333">',
+        ))
+
+    prev_x = [str(_MARGIN + _LABEL_WIDTH)] * lanes  # where each lane's next segment starts
+    before = list(plan.designated) if lanes else []  # and the facing it starts from
+    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2
+    for d, e, f in zip(dancers, events, facings):
+        if 0 <= d < lanes:
+            x = str(step_x)  # made text once, for both of the step's entries
+            line_mid, line_end, dot_mid, label_start = fragments[d]
+            lines[d].append(f'<line x1="{prev_x[d]}{line_mid}{x}{line_end[before[d]]}')
+            dots[d].append(f'<circle cx="{x}{dot_mid}{x}{label_start}{labels[e]}</text>')
+            prev_x[d] = x
+            before[d] = f
+        step_x += _STEP_WIDTH
+    for mine, my_dots in zip(lines, dots):
+        out += mine
+        out += my_dots
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

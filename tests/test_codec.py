@@ -1,10 +1,13 @@
 import json
+import pickle
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistdance.codec import LexError, SourceSpan, parse, serialize, token, trace_to_json
+from twistdance.codec import LexError, SourceSpan, _tokens, parse, serialize, token, trace_to_json
 from twistdance.model import (
     ClassicalPass,
     CrossingSign,
@@ -16,7 +19,14 @@ from twistdance.model import (
     VirtualPass,
     validate,
 )
-from twistdance.scheduler import DancePlan, RuleKind, Schedule, routes_of, schedule_search
+from twistdance.scheduler import (
+    DancePlan,
+    RuleKind,
+    Schedule,
+    retrograde,
+    routes_of,
+    schedule_search,
+)
 from twistdance.facing import Facing
 
 from strategies import diagrams, loose_events
@@ -107,6 +117,20 @@ def test_parse_accepts_bytes():
     assert parse(b"T1 T2").events == (TwistBar(1), TwistBar(2))
 
 
+@pytest.mark.parametrize("text", [0, 123, True, None, 1.5, [79, 49, 32, 85, 49]])
+def test_parse_refuses_what_is_neither_text_nor_bytes(text):
+    # ``bytes(text)`` read an int as that many NUL bytes and a list of ints
+    # as their bytes; neither is converted now
+    with pytest.raises(ValueError, match="str or a bytes-like object") as exc:
+        parse(text)
+    assert not isinstance(exc.value, (LexError, DiagramError))
+
+
+def test_parse_accepts_any_bytes_like_object():
+    for text in bytearray(b"O1 U1"), memoryview(b"O1 U1"):
+        assert serialize(parse(text)) == "O1+ U1+"
+
+
 def test_serialize_examples():
     assert serialize(parse(TREFOIL)) == TREFOIL
     assert serialize(parse("")) == ""
@@ -126,6 +150,48 @@ def test_every_diagram_validate_accepts_survives_a_round_trip(events):
         assert 0 <= err.event_index < len(events)
     else:
         assert parse(serialize(d)) == d
+
+
+_SEPARATORS = st.sampled_from([" ", ",", "\t", "\n", ", ", " ,\t", "\n\n", ",,"])
+
+
+@st.composite
+def written_diagrams(draw):
+    """A diagram's text with bare signs, bare ``T`` bars and mixed separators.
+
+    A positive sign may be left out, and a bar may be written bare, the
+    bare ones taking 1, 2, ... in reading order; the others keep their ids,
+    raised past the bar count so that none collides with a bare one."""
+    d = draw(diagrams(max_events=10))
+    bars = sum(isinstance(ev, TwistBar) for ev in d.events)
+    runs = []
+    for ev in d.events:
+        run = token(ev)
+        if isinstance(ev, TwistBar):
+            run = "T" if draw(st.booleans()) else f"T{ev.bar_id + bars}"
+        elif run.endswith("+") and draw(st.booleans()):
+            run = run[:-1]
+        runs.append(run)
+    ends = draw(st.lists(st.sampled_from(["", " ", ",", "\n"]), min_size=2, max_size=2))
+    separators = draw(st.lists(_SEPARATORS, min_size=len(runs), max_size=len(runs)))
+    return ends[0] + "".join(r + sep for r, sep in zip(runs, separators)).rstrip(" \t\n,") + ends[1]
+
+
+@given(written_diagrams())
+def test_parse_keeps_the_token_table_and_copies_build_their_own(text):
+    d = parse(text)
+    table = d.__dict__["_token_table"]  # set by parse, not by a first read
+    assert table == tuple(token(ev) for ev in d.events)
+    assert serialize(d) == " ".join(table)
+    plain = validate(d.events)  # the same diagram with no table kept
+    assert "_token_table" not in plain.__dict__
+    unread = hash(plain), repr(plain), pickle.dumps(plain)
+    assert (hash(d), repr(d), pickle.dumps(d)) == unread
+    for copy in plain, replace(d), deepcopy(d), pickle.loads(pickle.dumps(d)), retrograde(d):
+        assert "_token_table" not in copy.__dict__
+        assert _tokens(copy) == tuple(token(ev) for ev in copy.events)
+        if copy.events == d.events:
+            assert (hash(copy), repr(copy), pickle.dumps(copy)) == unread
 
 
 @given(diagrams())

@@ -38,6 +38,7 @@ from twistdance.scheduler import (
     Schedule,
     Step,
     _Compiled,
+    _moves,
     _waiting,
     _from_moves,
     oracle_schedule,
@@ -49,7 +50,7 @@ from twistdance.scheduler import (
 )
 
 from corpus import all_placements, diagram_corpus, random_diagram
-from strategies import plan_geometries
+from strategies import diagrams, plan_geometries
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -594,6 +595,55 @@ def test_points_that_do_not_deadlock_have_an_empty_wait_for_cycle():
     clauses = []
     assert waits and compiled.wait_cycle((0,), waits)
     assert compiled.deadlocks((0,), clauses) and len(clauses) == 1 and clauses[0]
+
+
+@given(diagrams(max_events=10), st.sampled_from(CrossingRule))
+def test_the_compiled_chords_are_each_slots_table_entries(d, rule):
+    compiled = _Compiled(d, rule)
+    deposit, consumer = compiled.deposit, compiled.consumer
+    assert len(deposit) == len(consumer) == compiled.slot_count + 1
+    for slot in range(1, compiled.slot_count + 1):
+        assert deposit[slot] == compiled.table.index((slot, 1))
+        assert consumer[slot] == compiled.table.index((slot, -1))
+
+
+def test_with_no_slot_the_witness_is_the_searchs_own_at_40_events():
+    # unrestricted plans, and diagrams with no classical crossing under every
+    # rule, are answered without a search; one spare slot that no step uses
+    # makes _moves run its depth-first search on the same routes instead
+    rng = random.Random(41)
+    checked = Counter()
+    for i in range(24):
+        if i % 2:  # no classical crossing: 40 events of virtual pairs and bars
+            v = rng.randint(0, 20)
+            events = [VirtualPass(j) for j in range(1, v + 1) for _ in (0, 1)]
+            events += [TwistBar(b) for b in range(1, 41 - 2 * v)]
+            rng.shuffle(events)
+            d = validate(events)
+        else:
+            d = random_diagram(rng, 40, allow_empty=False)
+        m = len(d.events)
+        if m <= ORACLE_STEP_LIMIT:  # beyond the oracle's guard at every k
+            continue
+        crossings = any(isinstance(ev, ClassicalPass) for ev in d.events)
+        rules = [CrossingRule.UNRESTRICTED] if crossings else list(CrossingRule)
+        for _ in range(4):
+            points = tuple(sorted(rng.sample(range(m), rng.randint(1, min(4, m)))))
+            n = len(points)
+            for k, rule in product(range(1, 2 * n + 2), rules):
+                facings = matching_solve(parity_vector(d, points), k)
+                if facings is None:
+                    continue
+                plan = DancePlan(d, points, k, RuleKind.MATCHING, facings, rule)
+                assert k * m > ORACLE_STEP_LIMIT
+                compiled = _Compiled(d, rule)
+                assert compiled.slot_count == 0
+                searched = _moves(_lower(compiled.table, routes_of(plan)), 1)
+                witness = schedule_search(plan)
+                assert witness._columns() == _from_moves(plan, routes_of(plan), searched)._columns()
+                assert verify_schedule(witness) == []
+                checked[crossings] += 1
+    assert min(checked[True], checked[False]) >= 50, checked
 
 
 @given(
