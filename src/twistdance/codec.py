@@ -59,6 +59,7 @@ from .model import (
     Strand,
     TwistBar,
     VirtualPass,
+    _check_member,
     validate,
 )
 
@@ -194,7 +195,10 @@ def token(event: Event) -> str:
 
 
 def serialize(diagram: Diagram) -> str:
-    """Canonical single-space-separated token string; empty diagram -> ''."""
+    """Canonical single-space-separated token string; empty diagram -> ''.
+
+    A diagram that is not a ``Diagram`` is refused with ``ValueError``."""
+    _check_member("diagram", diagram, Diagram)
     return " ".join(_tokens(diagram))
 
 

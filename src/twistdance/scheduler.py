@@ -83,7 +83,7 @@ dead.  Successors are tried in dancer-id order, so it yields the
 lexicographically least witness interleaving.  A plan with no balance
 slot (the unrestricted rule, or no classical crossing) is not searched:
 nothing can block, so that witness is each dancer's whole route in
-dancer-id order (see ``_moves``).
+dancer-id order (see ``_Compiled.witness``).
 
 A safe move (an over pass under over-first, an under pass under under-first,
 a virtual pass, a twist bar, any step under unrestricted) is never blocked
@@ -302,19 +302,15 @@ class Schedule:
 
 
 def _from_moves(
-    plan: DancePlan,
-    routes: list[tuple[int, ...]],
-    moves: list[int],
-    prefix: Sequence[int] | None = None,
+    plan: DancePlan, routes: list[tuple[int, ...]], moves: list[int], prefix: Sequence[int]
 ) -> Schedule:
     """The witness whose dancer sequence is ``moves``, as its columns: each
     move takes the next event of its dancer's route and XORs that event's
     twist-bar flag into the dancer's facing bit, which starts at the
-    dancer's designated facing.  The flags are read off the diagram's bar
-    prefix (see ``facing``), event e's as ``prefix[e] ^ prefix[e + 1]``:
-    the compiled ``prefix`` when the caller has one, else built here."""
-    if prefix is None:
-        prefix = _bar_prefix(plan.diagram)
+    dancer's designated facing.  The flags are read off ``prefix``, the
+    diagram's bar prefix (see ``facing``), event e's as
+    ``prefix[e] ^ prefix[e + 1]``.  The caller supplies it: the search its
+    compiled ``prefix``, the oracle one it builds with ``_bar_prefix``."""
     bars = list(map(xor, prefix, prefix[1:]))
     walks = [iter(route) for route in routes]
     bits = [int(f) for f in plan.designated]  # each dancer's facing bit
@@ -384,10 +380,10 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     the 1 counts the root, the only state entered.  No wait-for cycle is
     walked: the verdict is all a plan needs.
 
-    Otherwise the plan is feasible, and ``_Compiled.witness`` searches depth
-    first only to build the witness, the lexicographically least feasible
-    dancer-id sequence.  Balances are pure functions of the position vector,
-    so a set of dead states is a sound memo.
+    Otherwise the plan is feasible, and ``_Compiled.witness`` builds the
+    witness, the lexicographically least feasible dancer-id sequence, by a
+    depth-first search when a slot exists.  Balances are pure functions of
+    the position vector, so a set of dead states is a sound memo.
 
     Steps with ``delta >= 0`` are safe: never blocked, and they only raise
     balances, so a state is feasible exactly when the state after any one of
@@ -558,15 +554,25 @@ class _Compiled:
 
     def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
         """The lex-least witness of a plan of this diagram and crossing rule,
-        searched by ``_moves`` on each route's k-lap walk over the event
-        table, ended with ``(0, -1)``, and built by ``_from_moves`` with the
+        built by ``_from_moves`` from the plan's ``routes_of`` and the
         compiled ``prefix``; Deadlock only if the plan's points have
-        ``waits``."""
-        lowered = [walk + [(0, -1)] for walk in _walks(self.table, plan.points, plan.k)]
-        moves = _moves(lowered, self.slot_count)
-        if isinstance(moves, Infeasible):
-            return moves
-        return _from_moves(plan, routes_of(plan), moves, self.prefix)
+        ``waits``.  This is the one place that chooses how its moves are
+        found.  With no slot (the unrestricted rule, or no classical
+        crossing) nothing can block, so the search would move dancer 0 to
+        its route end, then dancer 1, and so on: each dancer's whole route
+        is read off the routes in dancer order, with no table walked, as
+        ``waits`` answers such points without the relaxation.  Otherwise
+        ``_moves`` searches each route's k-lap walk over the event table,
+        ended with ``(0, -1)``."""
+        routes = routes_of(plan)
+        if not self.slot_count:
+            moves = [d for d, route in enumerate(routes) for _ in route]
+        else:
+            lowered = [walk + [(0, -1)] for walk in _walks(self.table, plan.points, plan.k)]
+            moves = _moves(lowered, self.slot_count)
+            if isinstance(moves, Infeasible):
+                return moves
+        return _from_moves(plan, routes, moves, self.prefix)
 
 
 def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int, int]:
@@ -616,19 +622,17 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[
     are feasible; its Deadlock, with the states it entered, is reached only
     with the relaxation disabled.
 
-    With no slot (the unrestricted rule, or no classical crossing) nothing
-    can block, so the search would move dancer 0 to its route end, then
-    dancer 1, and so on: that sequence is returned without a search, as
-    ``_Compiled.waits`` answers such points without the relaxation."""
-    if not slot_count:
-        order: list[int] = []
-        for d, steps in enumerate(lowered):
-            order += [d] * (len(steps) - 1)
-        return order
+    It runs only when a slot exists (``_Compiled.witness`` answers a plan
+    with none), so every route has at least one event and there is a move
+    to make.
+
+    A new state is scanned from dancer 0, except after a move that changes
+    no balance (a virtual pass or a twist bar): it moves no other dancer
+    and keeps the memo key, and the dead set only grows, so every dancer
+    below the mover, blocked or memo-dead before it, still is, and the
+    scan resumes at the mover."""
     n = len(lowered)
     total = sum(map(len, lowered)) - n  # the ends never run
-    if total == 0:
-        return []
 
     # dancer d's memo stride: the product, over earlier dancers, of their
     # consuming steps plus one, the never-running route end counting as one
@@ -659,7 +663,7 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[
                 moves.append(d)
                 if len(moves) == total:
                     return moves
-                resume.append(0)
+                resume.append(0 if delta else d)  # delta 0 leaves the dancers below d blocked
                 break
             d += 1
         else:
@@ -744,11 +748,14 @@ def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:
     moves = extend()
     if moves is None:
         return Infeasible(InfeasibleReason.DEADLOCK, nodes)
-    return _from_moves(plan, routes, moves)
+    return _from_moves(plan, routes, moves, _bar_prefix(plan.diagram))
 
 
 def retrograde(diagram: Diagram) -> Diagram:
-    """Orientation reversal: the event order flips, nothing else changes."""
+    """Orientation reversal: the event order flips, nothing else changes.
+
+    A diagram that is not a ``Diagram`` is refused with ``ValueError``."""
+    _check_member("diagram", diagram, Diagram)
     return Diagram(tuple(reversed(diagram.events)))
 
 

@@ -23,7 +23,8 @@ from twistdance.model import (
     validate,
 )
 from twistdance.facing import parity_vector
-from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, retrograde_points
+from twistdance.codec import serialize
+from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, retrograde, retrograde_points
 from twistdance.solver import min_dancers, survey
 
 from strategies import arbitrary_events, diagrams, plan_geometries
@@ -204,6 +205,13 @@ def test_points_must_be_ints():
     ],
 )
 def test_a_diagram_that_is_not_a_diagram_is_refused(call, diagram):
+    with pytest.raises(ValueError, match="diagram must be a Diagram"):
+        call(diagram)
+
+
+@pytest.mark.parametrize("diagram", ["O1+ U1+", None], ids=["str", "None"])
+@pytest.mark.parametrize("call", [retrograde, serialize], ids=["retrograde", "serialize"])
+def test_retrograde_and_serialize_refuse_a_diagram_that_is_not_a_diagram(call, diagram):
     with pytest.raises(ValueError, match="diagram must be a Diagram"):
         call(diagram)
 

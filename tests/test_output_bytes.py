@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistdance.codec import parse, serialize, token, trace_to_json
-from twistdance.facing import Facing
+from twistdance.facing import Facing, _bar_prefix
 from twistdance.model import ClassicalPass, TwistBar, VirtualPass, validate
 from twistdance.scheduler import (
     CrossingRule,
@@ -137,7 +137,7 @@ def test_a_dance_request_builds_the_token_table_once(monkeypatch):
         plan = replace(schedule.plan, diagram=built)
         moves = schedule._columns()[0]
         if moves:
-            rebuilt = _from_moves(plan, routes_of(plan), moves)
+            rebuilt = _from_moves(plan, routes_of(plan), moves, _bar_prefix(built))
         else:
             rebuilt = replace(schedule, plan=plan)
         outputs = trace_to_json(rebuilt), svg_timeline(rebuilt)

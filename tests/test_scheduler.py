@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twistdance.codec import parse, serialize, token
 from twistdance.facing import (
     Facing,
+    _bar_prefix,
     forward_rule_ok,
     matching_check,
     matching_solve,
@@ -366,7 +367,7 @@ def _unreduced_search(plan):
             slot, delta = lowered[d][positions[d]]
             balance[slot] -= delta
             key -= stride[d]
-    return _from_moves(plan, routes, moves)
+    return _from_moves(plan, routes, moves, _bar_prefix(plan.diagram))
 
 
 def test_reduced_search_agrees_with_the_unreduced_search_beyond_the_oracle():
@@ -640,10 +641,37 @@ def test_with_no_slot_the_witness_is_the_searchs_own_at_40_events():
                 assert compiled.slot_count == 0
                 searched = _moves(_lower(compiled.table, routes_of(plan)), 1)
                 witness = schedule_search(plan)
-                assert witness._columns() == _from_moves(plan, routes_of(plan), searched)._columns()
+                assert witness._columns() == _from_moves(plan, routes_of(plan), searched, compiled.prefix)._columns()
                 assert verify_schedule(witness) == []
                 checked[crossings] += 1
     assert min(checked[True], checked[False]) >= 50, checked
+
+
+def test_a_plan_nothing_can_block_never_enters_the_search(monkeypatch):
+    import twistdance.scheduler
+    from twistdance.solver import min_dancers
+
+    def no_search(lowered, slot_count):
+        raise AssertionError("a plan with no balance slot needs no search")
+
+    monkeypatch.setattr(twistdance.scheduler, "_moves", no_search)
+    checked = Counter()
+    for d in diagram_corpus(47, 60, max_events=10):
+        crossings = any(isinstance(ev, ClassicalPass) for ev in d.events)
+        rules = [CrossingRule.UNRESTRICTED] if crossings else list(CrossingRule)
+        for rule in rules:
+            for points, k in product(all_placements(d, n_max=2), (1, 2, 3)):
+                facings = matching_solve(parity_vector(d, points), k)
+                if facings is not None:
+                    plan = DancePlan(d, points, k, RuleKind.MATCHING, facings, rule)
+                    assert verify_schedule(schedule_search(plan)) == []
+                    checked[crossings] += 1
+            for dance_rule in RuleKind:
+                report = min_dancers(d, dance_rule, rule, k_max=4, n_max=2)
+                if report.schedule is not None:
+                    assert verify_schedule(report.schedule) == []
+                    checked["min_dancers"] += 1
+    assert min(checked[True], checked[False], checked["min_dancers"]) >= 50, checked
 
 
 @given(
@@ -671,7 +699,7 @@ def _phase_witness(plan):
     assert not isinstance(one_lap, Infeasible), plan
     moves = [step.dancer for step in one_lap.steps]
     phases = [(a - j) % plan.n for j in range(plan.k) for a in moves]
-    return _from_moves(plan, routes_of(plan), phases)
+    return _from_moves(plan, routes_of(plan), phases, _bar_prefix(plan.diagram))
 
 
 def _gated_plan(geometry, rule):
