@@ -9,13 +9,12 @@ Each module's ``__all__`` is the one list of its public names; the package
 re-exports every one of them.
 """
 
-from . import codec, facing, model, scheduler, solver, timeline
+from . import codec, facing, model, scheduler, solver
 from .codec import *
 from .facing import *
 from .model import *
 from .scheduler import *
 from .solver import *
-from .timeline import *
 
 __version__ = "0.1.0"
 
@@ -25,4 +24,3 @@ __all__ += facing.__all__
 __all__ += model.__all__
 __all__ += scheduler.__all__
 __all__ += solver.__all__
-__all__ += timeline.__all__

@@ -23,7 +23,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .codec import LexError, parse, serialize, trace_to_json
+from .codec import LexError, parse, serialize, svg_timeline, trace_to_json
 from .facing import Facing
 from .model import Diagram, DiagramError
 from .scheduler import (
@@ -35,7 +35,6 @@ from .scheduler import (
     schedule_search,
 )
 from .solver import min_dancers
-from .timeline import svg_timeline
 
 __all__ = ["main"]
 

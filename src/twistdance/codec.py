@@ -1,4 +1,5 @@
-"""Text codec for twisted virtual Gauss codes, plus the JSON trace format.
+"""Text codec for twisted virtual Gauss codes, plus the two outputs of a
+schedule: the JSON trace and the SVG timeline.
 
 Grammar (case-sensitive; separators are runs of space, tab, newline or
 comma):
@@ -35,11 +36,25 @@ token as written, and only a bare sign (read as ``+``) or a bare ``T``
 (given its assigned id) is rewritten.  No ``token()`` call is made per
 event, so neither output of a dance request formats a token.
 
-``trace_to_json`` formats each step from the schedule's move columns (see
-``scheduler``), never from ``Step`` objects: one fixed template per step,
-joined with the dancer's head and the event's cell, each built once per
-call, and the facing's tail.  A canonical token matches
+Both outputs read a schedule's steps from its move columns (see
+``scheduler``), never from ``Step`` objects, and label events from the
+token table; both refuse a schedule that is not a ``Schedule`` with
+``ValueError``.  ``trace_to_json`` formats each step from one fixed
+template, joined with the dancer's head and the event's cell, each built
+once per call, and the facing's tail.  A canonical token matches
 ``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
+
+``svg_timeline`` draws one horizontal lane per dancer, x position equal to
+the linearization index.  Forward-facing travel is drawn solid,
+backward-facing travel dashed; colors distinguish dancers.  Output is
+plain SVG 1.1 text, byte-identical across runs for identical inputs so it
+can be golden-file tested.  Each lane's constant fragments (its colour,
+its y position and the dash pattern) are formatted once, before any step.
+Then one pass over the steps formats each step once, straight into its
+lane's lists: one line segment, from the x position and facing the lane's
+previous step left, and one dot-and-label entry, each joined from those
+fragments and the step's x position.  The lanes' lists are then joined in
+lane order, each lane's segments before its dots.
 """
 
 from __future__ import annotations
@@ -48,7 +63,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING
 
 from .model import (
     ClassicalPass,
@@ -62,11 +76,9 @@ from .model import (
     _check_member,
     validate,
 )
+from .scheduler import Schedule
 
-if TYPE_CHECKING:
-    from .scheduler import Schedule
-
-__all__ = ["SourceSpan", "LexError", "parse", "serialize", "token", "trace_to_json"]
+__all__ = ["SourceSpan", "LexError", "parse", "serialize", "token", "trace_to_json", "svg_timeline"]
 
 
 @dataclass(frozen=True)
@@ -223,15 +235,16 @@ _FACING_NAMES = ("forward", "backward")
 _FACING_TAILS = ('forward"}', 'backward"}')  # by facing bit
 
 
-def trace_to_json(schedule: "Schedule") -> str:
+def trace_to_json(schedule: Schedule) -> str:
     """Serialize a schedule as a compact JSON trace.
 
     Logical timestamps are the linearization indices; step facings are the
     dancer's facing after executing the step.  The ``plan`` object is
-    omitted for bare schedules that carry none.  A non-empty step list
-    requires a plan (the diagram supplies the event tokens), its dancer ids
-    and event indices must be ints (not bools), its event indices must lie
-    in ``0..m-1`` and its facings must be ``Facing`` members; otherwise
+    omitted for bare schedules that carry none.  ``schedule`` must be a
+    ``Schedule``, and a non-empty step list requires a plan (the diagram
+    supplies the event tokens) and ``Step`` entries whose dancer ids and
+    event indices are ints (not bools), whose event indices lie in
+    ``0..m-1`` and whose facings are ``Facing`` members; otherwise
     ``ValueError`` (see ``Schedule._columns``).
 
     Each step is formatted from one fixed template, reading its dancer,
@@ -242,6 +255,7 @@ def trace_to_json(schedule: "Schedule") -> str:
     need JSON escaping.  One module-level ``json.JSONEncoder`` writes the
     rest.
     """
+    _check_member("schedule", schedule, Schedule)
     dancers, events, facings = schedule._columns()
     plan = schedule.plan
     tail: dict = {"feasible": schedule.feasible}
@@ -260,3 +274,85 @@ def trace_to_json(schedule: "Schedule") -> str:
         for t, d, e, f in zip(count(), dancers, events, facings)
     ])
     return '{"steps":[' + steps + "]," + _ENCODER.encode(tail)[1:]
+
+
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+_DASH = "6,4"  # backward-facing stroke pattern; forward is solid
+# layout, in SVG user units
+_LANE_HEIGHT = 44
+_STEP_WIDTH = 46
+_MARGIN = 16
+_LABEL_WIDTH = 72
+_FONT_SIZE = 12
+
+
+def svg_timeline(schedule: Schedule) -> str:
+    """Render a schedule as an SVG timeline string.
+
+    As in ``trace_to_json``, the schedule must be a ``Schedule``, and one
+    with steps needs its plan, which gives the lanes, the start facings and
+    the event labels, and ``Step`` entries with int dancer ids and event
+    indices, event indices in ``0..m-1`` and ``Facing`` facings; otherwise
+    ``ValueError``.  A step whose dancer has no lane is left out.
+    """
+    _check_member("schedule", schedule, Schedule)
+    dancers, events, facings = schedule._columns()
+    plan = schedule.plan
+    lanes = plan.n if plan is not None else 0
+
+    total = len(dancers)
+    width = 2 * _MARGIN + _LABEL_WIDTH + max(total, 1) * _STEP_WIDTH
+    height = 2 * _MARGIN + lanes * _LANE_HEIGHT
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+
+    labels = [tok.rstrip("+-") for tok in _tokens(plan.diagram)] if total else []
+    # per lane: its label and segments, its dots and its constant fragments
+    lines: list[list[str]] = []
+    dots: list[list[str]] = []
+    fragments = []
+    for d in range(lanes):
+        color = _PALETTE[d % len(_PALETTE)]
+        cy = _MARGIN + d * _LANE_HEIGHT + _LANE_HEIGHT // 2
+        lines.append([
+            f'<text x="{_MARGIN}" y="{cy + _FONT_SIZE // 2}" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" '
+            f'fill="{color}">dancer {d}</text>'
+        ])
+        dots.append([])
+        if not total:  # the fragments serve steps only
+            continue
+        # a segment's middle and its end, solid after a forward facing and
+        # dashed after a backward one (indexed by the facing bit), and a
+        # dot's middle and the start of its label
+        stroke = f'" y2="{cy}" stroke="{color}" stroke-width="2"'
+        fragments.append((
+            f'" y1="{cy}" x2="',
+            (f"{stroke}/>", f'{stroke} stroke-dasharray="{_DASH}"/>'),
+            f'" cy="{cy}" r="4" fill="{color}"/>\n<text x="',
+            f'" y="{cy - 8}" text-anchor="middle" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" fill="#333333">',
+        ))
+
+    prev_x = [str(_MARGIN + _LABEL_WIDTH)] * lanes  # where each lane's next segment starts
+    before = list(plan.designated) if lanes else []  # and the facing it starts from
+    step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2
+    for d, e, f in zip(dancers, events, facings):
+        if 0 <= d < lanes:
+            x = str(step_x)  # made text once, for both of the step's entries
+            line_mid, line_end, dot_mid, label_start = fragments[d]
+            lines[d].append(f'<line x1="{prev_x[d]}{line_mid}{x}{line_end[before[d]]}')
+            dots[d].append(f'<circle cx="{x}{dot_mid}{x}{label_start}{labels[e]}</text>')
+            prev_x[d] = x
+            before[d] = f
+        step_x += _STEP_WIDTH
+    for mine, my_dots in zip(lines, dots):
+        out += mine
+        out += my_dots
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -277,11 +277,11 @@ class Schedule:
 
         A witness returns its own columns; a schedule built from steps has
         them read off its steps, refusing with ``ValueError``, at the first
-        step that has one, steps without a plan to name their events, a
-        dancer id or event index that is not an ``int`` (a ``bool``
-        included), an event index outside the diagram's ``0..m-1`` and a
-        facing that is not a ``Facing``.  The range of dancer ids is not
-        checked here.
+        step that has one, steps without a plan to name their events, an
+        entry that is not a ``Step``, a dancer id or event index that is not
+        an ``int`` (a ``bool`` included), an event index outside the
+        diagram's ``0..m-1`` and a facing that is not a ``Facing``.  The
+        range of dancer ids is not checked here.
         """
         columns = self.__dict__.get("_move_columns")
         if columns is not None:
@@ -290,6 +290,7 @@ class Schedule:
         if steps and self.plan is None:
             raise ValueError("a schedule with steps needs its plan to name events")
         for s in steps:
+            _check_member("step", s, Step)
             for name, value in ("dancer", s.dancer), ("event index", s.event_index):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"{name} {value!r} is not an int")
@@ -357,13 +358,17 @@ _CONSUMER = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: St
 
 
 def routes_of(plan: DancePlan) -> list[tuple[int, ...]]:
-    """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n)."""
+    """Per-dancer event-index routes: dancer i walks paths i..i+k-1 (mod n).
+
+    A plan that is not a ``DancePlan`` is refused with ``ValueError``."""
+    _check_member("plan", plan, DancePlan)
     return _walks(tuple(range(len(plan.diagram.events))), plan.points, plan.k)
 
 
 def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     """Decide the plan and produce a witness schedule or a certified failure.
 
+    A plan that is not a ``DancePlan`` is refused with ``ValueError``.
     The facing gate runs first: a plan whose path parities refuse its
     designated facings is ``Infeasible(FACING_PARITY, 0)`` without a search.
 
@@ -396,6 +401,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     later dancer is tried there.  ``states_explored`` counts the states the
     reduced search enters.
     """
+    _check_member("plan", plan, DancePlan)
     compiled = _Compiled(plan.diagram, plan.crossing_rule)
     if not matching_check(_parities(compiled.prefix, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
@@ -687,15 +693,18 @@ def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:
 
     Facing feasibility is likewise re-derived by walking each route and
     counting its twist bars, with no parity-vector algebra.  Guarded to
-    ``ORACLE_STEP_LIMIT`` total steps; must agree with ``schedule_search``
-    on every plan within the guard.
+    ``ORACLE_STEP_LIMIT`` total steps, k * m, refused before any route is
+    built; must agree with ``schedule_search`` on every plan within the
+    guard.  A plan that is not a ``DancePlan`` is refused with
+    ``ValueError``.
     """
-    routes = routes_of(plan)
-    total = sum(len(r) for r in routes)
+    _check_member("plan", plan, DancePlan)
+    total = plan.k * len(plan.diagram.events)  # the routes' total length
     if total > ORACLE_STEP_LIMIT:
         raise InstanceTooLarge(
             f"{total} total steps exceeds the oracle guard of {ORACLE_STEP_LIMIT}"
         )
+    routes = routes_of(plan)
     events = plan.diagram.events
     n = len(routes)
     k = plan.k
@@ -774,12 +783,15 @@ def retrograde_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...
 def verify_schedule(schedule: Schedule) -> list[str]:
     """Independently re-check a schedule against its plan.
 
-    Returns a list of violation descriptions (empty means clean): a dancer
-    id or event index that is not an ``int`` (a ``bool`` included) or is out
-    of range, per-dancer route completeness and order, facing evolution
-    from the rule's start facings with a flip at every twist bar and nowhere
-    else, end-facing conformance, and the crossing rule's prefix inequality.
+    A schedule that is not a ``Schedule`` is refused with ``ValueError``.
+    Returns a list of violation descriptions (empty means clean): a step
+    that is not a ``Step``, a dancer id or event index that is not an
+    ``int`` (a ``bool`` included) or is out of range, per-dancer route
+    completeness and order, facing evolution from the rule's start facings
+    with a flip at every twist bar and nowhere else, end-facing
+    conformance, and the crossing rule's prefix inequality.
     """
+    _check_member("schedule", schedule, Schedule)
     problems: list[str] = []
     plan = schedule.plan
     if plan is None:
@@ -789,6 +801,8 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     n = len(routes)
 
     for step in schedule.steps:
+        if not isinstance(step, Step):
+            return [f"step {step!r} is not a Step"]
         ids = ("dancer id", step.dancer, n), ("event index", step.event_index, len(events))
         for name, value, bound in ids:
             if isinstance(value, bool) or not isinstance(value, int):

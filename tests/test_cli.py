@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from twistdance.cli import main
-from twistdance.codec import parse, trace_to_json
+from twistdance.codec import parse, svg_timeline, trace_to_json
 from twistdance.facing import Facing
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
@@ -22,7 +22,6 @@ from twistdance.scheduler import (
     verify_schedule,
 )
 from twistdance.solver import min_dancers
-from twistdance.timeline import svg_timeline
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 BAR_TREFOIL = "O1+ U2+ O3+ T1 U1+ O2+ U3+"
@@ -437,6 +436,10 @@ def test_svg_with_steps_requires_plan():
             pytest.param(Step(0, 0, 1, facing), f"facing {facing!r} is not a Facing",
                          id=f"facing {facing!r}")
             for facing in (2, "F", None)
+        ),
+        *(
+            pytest.param(step, f"step must be a Step, got {step!r}", id=f"step {step!r}")
+            for step in (1, None, (0, 0, 1, Facing.FORWARD))
         ),
     ],
 )

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistdance.codec import parse, serialize, token, trace_to_json
+from twistdance.codec import parse, serialize, svg_timeline, token, trace_to_json
 from twistdance.facing import Facing, _bar_prefix
 from twistdance.model import ClassicalPass, TwistBar, VirtualPass, validate
 from twistdance.scheduler import (
@@ -35,7 +35,6 @@ from twistdance.scheduler import (
     schedule_search,
     verify_schedule,
 )
-from twistdance.timeline import svg_timeline
 
 from strategies import plan_geometries
 

@@ -1,9 +1,9 @@
-"""The package exports every public name of its six modules, and no other."""
+"""The package exports every public name of its five modules, and no other."""
 
 import twistdance
-from twistdance import codec, facing, model, scheduler, solver, timeline
+from twistdance import codec, facing, model, scheduler, solver
 
-MODULES = (codec, facing, model, scheduler, solver, timeline)
+MODULES = (codec, facing, model, scheduler, solver)
 
 
 def test_the_package_exports_each_modules_public_names_once():

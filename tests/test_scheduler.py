@@ -280,6 +280,17 @@ def test_oracle_guard():
         oracle_schedule(DancePlan(parse(TREFOIL), (0,), 3))
 
 
+def test_the_oracle_refuses_before_it_builds_any_route(monkeypatch):
+    import twistdance.scheduler
+
+    def no_routes(plan):
+        raise AssertionError("a refused plan needs no routes")
+
+    monkeypatch.setattr(twistdance.scheduler, "routes_of", no_routes)
+    with pytest.raises(InstanceTooLarge, match="^18 total steps"):  # k * m = 3 * 6
+        oracle_schedule(DancePlan(parse(TREFOIL), (0, 3), 3))
+
+
 def test_oracle_agrees_with_search_on_corpus():
     disagreements = []
     for d in diagram_corpus(7, 10):
@@ -1007,7 +1018,8 @@ def test_verifier_flags_a_wrong_end_facing_under_both_rules():
 
 def test_verifier_requires_plan():
     # what the verifier cannot check is reported, not raised: a schedule with
-    # no plan, and a step whose dancer id or event index is not an int
+    # no plan, a step that is not a Step, and a step whose dancer id or event
+    # index is not an int
     assert verify_schedule(Schedule((), True, None))
     plan = DancePlan(parse(BAR_TREFOIL), (0,), 1)
     for dancer, event_index in [(0.0, 0), (None, 0), (True, 0), (0, 0.5), (0, "1"), (0, False)]:
@@ -1017,6 +1029,29 @@ def test_verifier_requires_plan():
     for dancer, event_index in [(5, 0), (-1, 0), (0, 6)]:
         problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
         assert len(problems) == 1 and problems[0].endswith("out of range"), (dancer, event_index)
+    for step in (1, None, (0, 0, 0, F)):
+        problems = verify_schedule(Schedule((Step(0, 0, 0, F), step), True, plan))
+        assert problems == [f"step {step!r} is not a Step"], step
+
+
+@pytest.mark.parametrize("value", [TREFOIL, None], ids=["Gauss code", "None"])
+@pytest.mark.parametrize(
+    "function, error",
+    [
+        ("schedule_search", "plan must be a DancePlan"),
+        ("oracle_schedule", "plan must be a DancePlan"),
+        ("routes_of", "plan must be a DancePlan"),
+        ("verify_schedule", "schedule must be a Schedule"),
+        ("trace_to_json", "schedule must be a Schedule"),
+        ("svg_timeline", "schedule must be a Schedule"),
+    ],
+)
+def test_a_plan_or_schedule_of_another_type_is_refused(function, error, value):
+    import twistdance
+
+    with pytest.raises(ValueError) as refused:
+        getattr(twistdance, function)(value)
+    assert str(refused.value) == f"{error}, got {value!r}"
 
 
 # ------------------------------------------------------------- properties
