@@ -25,21 +25,34 @@ with ``ValueError`` before any conversion.  Given text, it never raises
 anything other than :class:`LexError` or a ``model.DiagramError``; spans
 are byte offsets into the (UTF-8 encoded) input.  A ``str`` is encoded
 with ``surrogateescape``, so a command-line argument's undecodable bytes
-are lexed as the bytes they were.  The lexer keeps no spans: one
-``findall`` yields each run's groups, and a span is found only for the
+are lexed as the bytes they were.  The lexer keeps no spans: one split at
+the four separators yields the runs, and a span is found only for the
 error raised.
 
+Each run is looked up in ``_EVENTS``, one module-level table from a
+canonical token to its event, shared by every parse in the process and
+bounded by ``_EVENT_CAP``.  A bare sign is read as ``+`` and a bare ``T``
+takes the next bar id in reading order, and each is looked up as the token
+it stands for, so every key is canonical.  A run not in the table is
+checked against the grammar, the whole text at once and the run alone only
+when the text fails, and its event is filled through its class's slots
+(see ``model``) and added while the table is below its cap.  So once a
+process has parsed diagrams with the same tokens, ``parse`` reads another
+such diagram, written in canonical tokens, without making an event or
+running a regular expression.  What the table holds never changes a
+diagram, a token table, an error or its span.  Events are frozen values,
+and two diagrams may hold the same event object: nothing may rely on event
+identity.
+
 The diagram ``parse`` returns already holds its token table, the
-canonical token of every event (see ``_tokens``), taken from one split of
-the lexed text: every run lexed as a token, so each run is its event's
-token as written, and only a bare sign (read as ``+``) or a bare ``T``
-(given its assigned id) is rewritten.  No ``token()`` call is made per
-event, so neither output of a dance request formats a token.
+canonical token of every event (see ``_tokens``): the runs themselves, a
+bare one rewritten as the token it was looked up as.  No ``token()`` call
+is made per event, so neither output of a dance request formats a token.
 
 Both outputs read a schedule's steps from its move columns (see
 ``scheduler``), never from ``Step`` objects, and label events from the
-token table; both refuse a schedule that is not a ``Schedule`` with
-``ValueError``.  ``trace_to_json`` formats each step from one fixed
+token table; both refuse a schedule that is not a ``Schedule``, or whose
+plan or steps are of another type, with ``ValueError``.  ``trace_to_json`` formats each step from one fixed
 template, joined with the dancer's head and the event's cell, each built
 once per call, and the facing's tail.  A canonical token matches
 ``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
@@ -62,7 +75,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
+from threading import Lock
 
 from .model import (
     ClassicalPass,
@@ -97,14 +111,31 @@ class LexError(ValueError):
         self.span = span
 
 
-# One match per maximal run of non-separator bytes: a token, or else the whole
-# run in the last group.  ``findall`` reads an unmatched group as b"".
-_LEX_RE = re.compile(
-    rb"(?:([OU])([1-9][0-9]*)([+-]?)|V([1-9][0-9]*)|T([1-9][0-9]*)?)(?![^ \t\n,])"
-    rb"|([^ \t\n,]+)"
+# Matches a text exactly when every run of it is a token.  No token starts
+# with a separator, and the lookahead ends each token at the end of its run.
+_TEXT_RE = re.compile(
+    r"(?:[ \t\n,]*(?:[OU][1-9][0-9]*[+-]?|V[1-9][0-9]*|T(?:[1-9][0-9]*)?)(?![^ \t\n,]))*[ \t\n,]*"
 )
-_STRAND = {b"O": Strand.OVER, b"U": Strand.UNDER}
-_SIGN = {b"": CrossingSign.POSITIVE, b"+": CrossingSign.POSITIVE, b"-": CrossingSign.NEGATIVE}
+_STRAND = {"O": Strand.OVER, "U": Strand.UNDER}  # by a run's first character
+_SIGN = {"+": CrossingSign.POSITIVE, "-": CrossingSign.NEGATIVE}  # by its last
+# The grammar's separators become spaces, and the other ASCII bytes that
+# ``str.split()`` cuts at become NUL, which no token holds.  Decoded as ASCII
+# with ``surrogateescape``, the text then has no other whitespace, so
+# ``split()`` cuts at the four separators alone, and a run that held such a
+# byte is still one run, which the lexer refuses.
+_SEPARATE = bytes.maketrans(b"\t\n,\v\f\r\x1c\x1d\x1e\x1f", b"   " + bytes(7))
+
+_EVENTS: dict[str, Event] = {}  # a canonical token -> its event
+_EVENTS_LOCK = Lock()  # held to check the cap and add entries
+_EVENT_CAP = 4096
+"""The most tokens ``_EVENTS`` keeps.  Crossing ids are dense small ints
+numbered from 1, so a few hundred tokens make up nearly every diagram a
+process parses (299 over the seed-1 dance-trace benchmark); once the table
+is full, a token not in it is lexed on every parse.  Filled with every
+token of the ids 1 to 683 (both signs on both strands, a virtual crossing
+and a bar), ``tracemalloc`` reads about 147 bytes per entry (the event,
+its key and the dict's slots) on CPython 3.11, so about 600 kB at the
+cap."""
 
 
 def parse(text: str | bytes) -> Diagram:
@@ -137,6 +168,33 @@ def parse(text: str | bytes) -> Diagram:
             raise ValueError(
                 f"text must be a str or a bytes-like object, got {type(text).__name__}"
             ) from None
+    line = data.translate(_SEPARATE).decode("ascii", "surrogateescape")
+    runs = line.split()
+    events = list(map(_EVENTS.get, runs))
+    if None in events:  # a run not in the table, or a bare one, which never is
+        _lex(data, line, runs, events)
+    try:
+        diagram = validate(events)
+    except DiagramError as err:
+        if err.event_index is not None:
+            err.span = _span(data, err.event_index)
+        raise
+    diagram.__dict__["_token_table"] = tuple(runs)
+    return diagram
+
+
+def _lex(data: bytes, line: str, runs: list[str], events: list[Event | None]) -> None:
+    """Fill each ``None`` of ``events``, the ``_EVENTS`` entries of
+    ``runs``, with its run's event, and make each run its canonical token;
+    raises LexError at the first run in reading order that is no token or
+    whose id is too long for an int.  ``runs`` are the runs of ``line``, the
+    text ``data`` with its separators made spaces.
+
+    A bare sign is read as '+' and a bare ``T`` takes the next bar id; each
+    is then looked up as that canonical token.  A run still not found is
+    checked against the grammar, the whole line at once and the run alone
+    only when the line fails, and its new event is kept while the table is
+    below its cap."""
     # each event filled through its class's slots, bypassing the frozen
     # __init__ (see ``model``)
     new = object.__new__
@@ -145,56 +203,53 @@ def parse(text: str | bytes) -> Diagram:
     set_sign = ClassicalPass.sign.__set__
     set_virtual = VirtualPass.crossing_id.__set__
     set_bar = TwistBar.bar_id.__set__
-    events: list[Event] = []
-    append = events.append
-    bare: list[int] = []  # positions of the events written with a bare sign or a bare T
+    get = _EVENTS.get
+    every_run_a_token = _TEXT_RE.fullmatch(line) is not None
     next_auto_bar = 1
-    for at, (strand, digits, sign, virtual, bar, bad) in enumerate(_LEX_RE.findall(data)):
-        if bad:
-            raise LexError(f"unrecognized token {bad!r}", _span(data, at))
+    for at, ev in enumerate(events):
+        if ev is not None:
+            continue
+        run = runs[at]
+        sign = _SIGN.get(run[-1])
+        if sign is None:
+            if run == "T":
+                run = runs[at] = f"T{next_auto_bar}"
+                next_auto_bar += 1
+                ev = events[at] = get(run)
+            elif run[0] in _STRAND:
+                sign = CrossingSign.POSITIVE
+                run = runs[at] = run + "+"
+                ev = events[at] = get(run)
+            if ev is not None:
+                continue
+        if not every_run_a_token and _TEXT_RE.fullmatch(run) is None:
+            span = _span(data, at)
+            raise LexError(f"unrecognized token {data[span.byte_start : span.byte_end]!r}", span)
         try:
-            ident = int(digits or virtual or bar or b"0")
+            if sign is not None:
+                ev = new(ClassicalPass)
+                set_crossing(ev, int(run[1:-1]))
+                set_strand(ev, _STRAND[run[0]])
+                set_sign(ev, sign)
+            elif run[0] == "V":
+                ev = new(VirtualPass)
+                set_virtual(ev, int(run[1:]))
+            else:
+                ev = new(TwistBar)
+                set_bar(ev, int(run[1:]))
         except ValueError:  # more digits than the interpreter's int-string limit
             span = _span(data, at)
             run = data[span.byte_start : span.byte_end]
             raise LexError(f"id too long in token {run[:12]!r}...", span) from None
-        if strand:
-            ev = new(ClassicalPass)
-            set_crossing(ev, ident)
-            set_strand(ev, _STRAND[strand])
-            set_sign(ev, _SIGN[sign])
-            if not sign:
-                bare.append(at)
-        elif virtual:
-            ev = new(VirtualPass)
-            set_virtual(ev, ident)
-        else:
-            ev = new(TwistBar)
-            if not bar:
-                ident = next_auto_bar
-                next_auto_bar += 1
-                bare.append(at)
-            set_bar(ev, ident)
-        append(ev)
-    try:
-        diagram = validate(events)
-    except DiagramError as err:
-        if err.event_index is not None:
-            err.span = _span(data, err.event_index)
-        raise
-    # every run lexed as a token, so the text is ASCII and its runs are the
-    # events' tokens as written
-    table = data.decode().replace(",", " ").split()
-    for at in bare:  # a bare sign reads as '+', a bare T as its assigned id
-        table[at] = f"T{events[at].bar_id}" if table[at] == "T" else table[at] + "+"
-    diagram.__dict__["_token_table"] = tuple(table)
-    return diagram
+        events[at] = ev
+    with _EVENTS_LOCK:
+        _EVENTS.update(islice(zip(runs, events), max(_EVENT_CAP - len(_EVENTS), 0)))
 
 
 def _span(data: bytes, at: int) -> SourceSpan:
-    """The span of the run at token position ``at``, found by lexing again:
-    spans are needed only on the way out with an error."""
-    return SourceSpan(*list(_LEX_RE.finditer(data))[at].span())
+    """The span of the run at token position ``at``, found by matching the
+    runs again: spans are needed only on the way out with an error."""
+    return SourceSpan(*list(re.finditer(rb"[^ \t\n,]+", data))[at].span())
 
 
 def token(event: Event) -> str:
@@ -218,8 +273,8 @@ def _tokens(diagram: Diagram) -> tuple[str, ...]:
     """The canonical token of every event, in event order: the token table
     that the JSON trace and the SVG timeline index by ``event_index``.
 
-    A diagram from ``parse`` holds it from the start, split from the lexed
-    text.  Any other diagram, one made by ``validate``,
+    A diagram from ``parse`` holds it from the start, taken from the runs
+    of its text.  Any other diagram, one made by ``validate``,
     ``dataclasses.replace``, ``retrograde`` or a copy, starts without one
     (see ``model.Diagram``), and it is built here with ``token()``, once,
     on first read, and kept on the diagram, the way a witness keeps its
@@ -241,7 +296,8 @@ def trace_to_json(schedule: Schedule) -> str:
     Logical timestamps are the linearization indices; step facings are the
     dancer's facing after executing the step.  The ``plan`` object is
     omitted for bare schedules that carry none.  ``schedule`` must be a
-    ``Schedule``, and a non-empty step list requires a plan (the diagram
+    ``Schedule`` whose plan is ``None`` or a ``DancePlan`` and whose steps
+    are an iterable, and a non-empty step list requires a plan (the diagram
     supplies the event tokens) and ``Step`` entries whose dancer ids and
     event indices are ints (not bools), whose event indices lie in
     ``0..m-1`` and whose facings are ``Facing`` members; otherwise
@@ -289,7 +345,8 @@ _FONT_SIZE = 12
 def svg_timeline(schedule: Schedule) -> str:
     """Render a schedule as an SVG timeline string.
 
-    As in ``trace_to_json``, the schedule must be a ``Schedule``, and one
+    As in ``trace_to_json``, the schedule must be a ``Schedule`` whose plan
+    is ``None`` or a ``DancePlan`` and whose steps are an iterable, and one
     with steps needs its plan, which gives the lanes, the start facings and
     the event labels, and ``Step`` entries with int dancer ids and event
     indices, event indices in ``0..m-1`` and ``Facing`` facings; otherwise

@@ -18,12 +18,16 @@ Classical and virtual crossings are labelled in separate namespaces, so
 ``O1`` pairs with ``U1`` while ``V1`` pairs with the other ``V1``.
 
 The three event classes are frozen dataclasses with slots: an event has no
-``__dict__``.  ``codec.parse`` makes each event with ``object.__new__``
-and fills its fields through the class's slot descriptors, which is what
-the frozen ``__init__`` does through ``object.__setattr__``, at a fraction
-of the cost; parsing is the largest fixed cost of every request.  So the
-classes declare no ``__post_init__`` and no field beyond the ones
-``parse`` sets, and ``validate``, not a constructor, checks every event.
+``__dict__``.  ``codec.parse`` keeps one event per token in a bounded
+table and hands the same event object to every diagram that holds that
+token, so events may be shared between diagrams, and nothing may rely on
+event identity; equality and hash read the fields.  A token not in the
+table gets a new event, made with ``object.__new__`` and filled through the
+class's slot descriptors, which is what the frozen ``__init__`` does
+through ``object.__setattr__``, at a fraction of the cost; parsing is the
+largest fixed cost of every request.  So the classes declare no
+``__post_init__`` and no field beyond the ones ``parse`` sets, and
+``validate``, not a constructor, checks every event.
 """
 
 from __future__ import annotations

@@ -256,6 +256,11 @@ class Schedule:
     so the JSON trace and the SVG timeline read every schedule the same way.
     Equality, hash, repr, pickling and ``dataclasses.replace`` go through
     the fields and read ``steps`` as any caller does.
+
+    The constructor checks no field.  Both outputs refuse, with
+    ``ValueError``, a plan that is neither ``None`` nor a ``DancePlan`` and
+    steps that are not an iterable, and ``verify_schedule`` reports either
+    as its one problem (see ``_check_fields``).
     """
 
     steps: tuple[Step, ...]
@@ -272,20 +277,32 @@ class Schedule:
         object.__setattr__(self, "steps", steps)
         return steps
 
+    def _check_fields(self) -> None:
+        """Refuse, with ``ValueError``, a plan that is neither ``None`` nor a
+        ``DancePlan`` and steps that are not an iterable."""
+        if self.plan is not None:
+            _check_member("plan", self.plan, DancePlan)
+        try:
+            iter(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an iterable of Step, got {self.steps!r}") from None
+
     def _columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """The dancer, event index and facing bit of every step, in order.
 
         A witness returns its own columns; a schedule built from steps has
-        them read off its steps, refusing with ``ValueError``, at the first
-        step that has one, steps without a plan to name their events, an
-        entry that is not a ``Step``, a dancer id or event index that is not
-        an ``int`` (a ``bool`` included), an event index outside the
-        diagram's ``0..m-1`` and a facing that is not a ``Facing``.  The
-        range of dancer ids is not checked here.
+        them read off its steps, refusing with ``ValueError`` the fields
+        that ``_check_fields`` refuses and then, at the first step that has
+        one, steps without a plan to name their events, an entry that is not
+        a ``Step``, a dancer id or event index that is not an ``int`` (a
+        ``bool`` included), an event index outside the diagram's ``0..m-1``
+        and a facing that is not a ``Facing``.  The range of dancer ids is
+        not checked here.
         """
         columns = self.__dict__.get("_move_columns")
         if columns is not None:
             return columns
+        self._check_fields()
         steps = self.steps
         if steps and self.plan is None:
             raise ValueError("a schedule with steps needs its plan to name events")
@@ -784,14 +801,20 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     """Independently re-check a schedule against its plan.
 
     A schedule that is not a ``Schedule`` is refused with ``ValueError``.
-    Returns a list of violation descriptions (empty means clean): a step
-    that is not a ``Step``, a dancer id or event index that is not an
+    Returns a list of violation descriptions (empty means clean): a plan
+    that is neither ``None`` nor a ``DancePlan`` or steps that are not an
+    iterable (each the one problem reported), no plan, a step that is not a
+    ``Step``, a dancer id or event index that is not an
     ``int`` (a ``bool`` included) or is out of range, per-dancer route
     completeness and order, facing evolution from the rule's start facings
     with a flip at every twist bar and nowhere else, end-facing
     conformance, and the crossing rule's prefix inequality.
     """
     _check_member("schedule", schedule, Schedule)
+    try:
+        schedule._check_fields()
+    except ValueError as err:
+        return [str(err)]
     problems: list[str] = []
     plan = schedule.plan
     if plan is None:

@@ -1,12 +1,15 @@
 import json
 import pickle
+import re
 from copy import deepcopy
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twistdance import codec
 from twistdance.codec import LexError, SourceSpan, _tokens, parse, serialize, token, trace_to_json
 from twistdance.model import (
     ClassicalPass,
@@ -192,6 +195,73 @@ def test_parse_keeps_the_token_table_and_copies_build_their_own(text):
         assert _tokens(copy) == tuple(token(ev) for ev in copy.events)
         if copy.events == d.events:
             assert (hash(copy), repr(copy), pickle.dumps(copy)) == unread
+
+
+# Runs that are no token: the id too long for an int, and runs holding a
+# byte that ``bytes.split()`` or ``str.split()`` would cut at but the grammar
+# does not, included.
+_NON_TOKENS = [
+    "X9", "O0", "O01+", "o1", "O1++", "T0", "V", "V1+", "O", "+", "\xff", "\udcff",
+    "O1\r", "\x0bT", "U1\x0c", "\x1cV1", "T1\x1f", "O1\x85", "O" + "9" * 5000,
+]
+
+
+@st.composite
+def texts_with_a_stray_run(draw):
+    """A written diagram with at most one of its runs replaced by a non-token
+    or by a token that may break the diagram's structure, and the byte span
+    of the non-token, if any."""
+    text = draw(written_diagrams())
+    runs = list(re.finditer(r"[^ \t\n,]+", text))
+    if not runs or draw(st.booleans()):
+        return text, None
+    run = runs[draw(st.integers(0, len(runs) - 1))]
+    stray = draw(st.sampled_from(_NON_TOKENS + ["O1+", "U1-", "V1", "T1", "T", "O2"]))
+    text = text[: run.start()] + stray + text[run.end() :]
+    if stray not in _NON_TOKENS:
+        return text, None
+    start = len(text[: run.start()].encode("utf-8", "surrogateescape"))
+    return text, SourceSpan(start, start + len(stray.encode("utf-8", "surrogateescape")))
+
+
+def _outcome(text):
+    try:
+        d = parse(text)
+    except (LexError, DiagramError) as err:
+        return type(err), str(err), err.span
+    return d.events, d.__dict__["_token_table"]
+
+
+@given(texts_with_a_stray_run())
+def test_parse_reads_the_same_whatever_the_event_table_holds(case):
+    text, stray = case
+    with patch.dict(codec._EVENTS, clear=True):
+        empty = _outcome(text)
+        if stray is not None:  # the one run that is no token is the error
+            assert empty[0] is LexError and empty[2] == stray
+        assert _outcome(text) == empty  # the text's own tokens in the table
+        for cap in 0, 3:
+            with patch.object(codec, "_EVENT_CAP", cap):
+                codec._EVENTS.clear()
+                assert _outcome(text) == empty
+                assert _outcome(text) == empty  # the table as full as the cap lets it be
+                assert len(codec._EVENTS) <= cap
+
+
+def test_the_event_table_never_grows_past_its_cap():
+    with patch.dict(codec._EVENTS, clear=True), patch.object(codec, "_EVENT_CAP", 10):
+        for i in range(1, 40):
+            parse(f"O{i}+ U{i}+ O{i + 40} U{i + 40} V{i} V{i} T{i + 1} T")
+            assert len(codec._EVENTS) <= 10
+        assert len(codec._EVENTS) == 10
+
+
+def test_a_bare_sign_or_bar_shares_the_event_of_its_canonical_token():
+    # events are frozen values, so two diagrams may hold the same one
+    with patch.dict(codec._EVENTS, clear=True):
+        bare, signed = parse("O1 U1 T"), parse("O1+ U1+ T1")
+        assert all(a is b for a, b in zip(bare.events, signed.events, strict=True))
+        assert _tokens(bare) == _tokens(signed) == ("O1+", "U1+", "T1")
 
 
 @given(diagrams())

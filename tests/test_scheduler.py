@@ -1054,6 +1054,27 @@ def test_a_plan_or_schedule_of_another_type_is_refused(function, error, value):
     assert str(refused.value) == f"{error}, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "steps, plan, error",
+    [
+        ((), "x", "plan must be a DancePlan, got 'x'"),
+        ((), TREFOIL, f"plan must be a DancePlan, got {TREFOIL!r}"),
+        (5, DancePlan(parse(TREFOIL), (0, 3), 1), "steps must be an iterable of Step, got 5"),
+        (None, None, "steps must be an iterable of Step, got None"),
+    ],
+    ids=["plan 'x'", "plan a Gauss code", "steps 5", "steps None"],
+)
+def test_a_schedule_whose_plan_or_steps_are_of_another_type_is_refused(steps, plan, error):
+    import twistdance
+
+    schedule = Schedule(steps, True, plan)
+    for render in twistdance.trace_to_json, twistdance.svg_timeline:
+        with pytest.raises(ValueError) as refused:
+            render(schedule)
+        assert str(refused.value) == error
+    assert verify_schedule(schedule) == [error]
+
+
 # ------------------------------------------------------------- properties
 
 
