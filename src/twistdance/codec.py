@@ -51,10 +51,12 @@ is made per event, so neither output of a dance request formats a token.
 
 Both outputs read a schedule's steps from its move columns (see
 ``scheduler``), never from ``Step`` objects, and label events from the
-token table; both refuse a schedule that is not a ``Schedule``, or whose
-plan or steps are of another type, with ``ValueError``.  ``trace_to_json`` formats each step from one fixed
-template, joined with the dancer's head and the event's cell, each built
-once per call, and the facing's tail.  A canonical token matches
+token table.  Both refuse a schedule that is not a ``Schedule`` with
+``ValueError``, and check nothing else: a ``Schedule`` is checked when it
+is built, so its steps name a dancer of its plan and an event of its
+diagram.  ``trace_to_json`` formats each step from one fixed template,
+joined with the dancer's head and the event's cell, each built once per
+call, and the facing's tail.  A canonical token matches
 ``[OUVT][0-9]+[+-]?`` and so needs no JSON escaping.
 
 ``svg_timeline`` draws one horizontal lane per dancer, x position equal to
@@ -296,23 +298,19 @@ def trace_to_json(schedule: Schedule) -> str:
     Logical timestamps are the linearization indices; step facings are the
     dancer's facing after executing the step.  The ``plan`` object is
     omitted for bare schedules that carry none.  ``schedule`` must be a
-    ``Schedule`` whose plan is ``None`` or a ``DancePlan`` and whose steps
-    are an iterable, and a non-empty step list requires a plan (the diagram
-    supplies the event tokens) and ``Step`` entries whose dancer ids and
-    event indices are ints (not bools), whose event indices lie in
-    ``0..m-1`` and whose facings are ``Facing`` members; otherwise
-    ``ValueError`` (see ``Schedule._columns``).
+    ``Schedule``, otherwise ``ValueError``; its constructor has checked the
+    rest (see ``Schedule``), so a schedule with steps has a plan whose
+    diagram supplies the event tokens.
 
     Each step is formatted from one fixed template, reading its dancer,
     event index and facing bit from the schedule's columns, which hold ints;
     an event's cell (its index and token) and a dancer's head (its id) are
-    formatted once per call, the heads for the dancer ids present, whatever
-    their range; canonical tokens match ``[OUVT][0-9]+[+-]?``, so they never
-    need JSON escaping.  One module-level ``json.JSONEncoder`` writes the
-    rest.
+    formatted once per call, for every event and every dancer of the plan;
+    canonical tokens match ``[OUVT][0-9]+[+-]?``, so they never need JSON
+    escaping.  One module-level ``json.JSONEncoder`` writes the rest.
     """
     _check_member("schedule", schedule, Schedule)
-    dancers, events, facings = schedule._columns()
+    dancers, events, facings = schedule._move_columns
     plan = schedule.plan
     tail: dict = {"feasible": schedule.feasible}
     if plan is not None:
@@ -320,11 +318,10 @@ def trace_to_json(schedule: Schedule) -> str:
         if plan.facings is not None:
             plan_obj["facings"] = [_FACING_NAMES[f] for f in plan.facings]
         tail["plan"] = plan_obj
-    cells = (
-        [f'{e},"event":"{tok}","facing":"' for e, tok in enumerate(_tokens(plan.diagram))]
-        if dancers else []
-    )
-    heads = {d: f',"dancer":{d},"event_index":' for d in set(dancers)}
+    cells = heads = []
+    if dancers:  # then the schedule has a plan
+        cells = [f'{e},"event":"{tok}","facing":"' for e, tok in enumerate(_tokens(plan.diagram))]
+        heads = [f',"dancer":{d},"event_index":' for d in range(plan.n)]
     steps = ",".join([
         f'{{"t":{t}{heads[d]}{cells[e]}{_FACING_TAILS[f]}'
         for t, d, e, f in zip(count(), dancers, events, facings)
@@ -345,15 +342,13 @@ _FONT_SIZE = 12
 def svg_timeline(schedule: Schedule) -> str:
     """Render a schedule as an SVG timeline string.
 
-    As in ``trace_to_json``, the schedule must be a ``Schedule`` whose plan
-    is ``None`` or a ``DancePlan`` and whose steps are an iterable, and one
-    with steps needs its plan, which gives the lanes, the start facings and
-    the event labels, and ``Step`` entries with int dancer ids and event
-    indices, event indices in ``0..m-1`` and ``Facing`` facings; otherwise
-    ``ValueError``.  A step whose dancer has no lane is left out.
+    As in ``trace_to_json``, the schedule must be a ``Schedule``, otherwise
+    ``ValueError``.  Its plan gives one lane per dancer, the start facings
+    and the event labels; a schedule with steps has one, and each step's
+    dancer has its lane (see ``Schedule``).
     """
     _check_member("schedule", schedule, Schedule)
-    dancers, events, facings = schedule._columns()
+    dancers, events, facings = schedule._move_columns
     plan = schedule.plan
     lanes = plan.n if plan is not None else 0
 
@@ -399,13 +394,12 @@ def svg_timeline(schedule: Schedule) -> str:
     before = list(plan.designated) if lanes else []  # and the facing it starts from
     step_x = _MARGIN + _LABEL_WIDTH + _STEP_WIDTH // 2
     for d, e, f in zip(dancers, events, facings):
-        if 0 <= d < lanes:
-            x = str(step_x)  # made text once, for both of the step's entries
-            line_mid, line_end, dot_mid, label_start = fragments[d]
-            lines[d].append(f'<line x1="{prev_x[d]}{line_mid}{x}{line_end[before[d]]}')
-            dots[d].append(f'<circle cx="{x}{dot_mid}{x}{label_start}{labels[e]}</text>')
-            prev_x[d] = x
-            before[d] = f
+        x = str(step_x)  # made text once, for both of the step's entries
+        line_mid, line_end, dot_mid, label_start = fragments[d]
+        lines[d].append(f'<line x1="{prev_x[d]}{line_mid}{x}{line_end[before[d]]}')
+        dots[d].append(f'<circle cx="{x}{dot_mid}{x}{label_start}{labels[e]}</text>')
+        prev_x[d] = x
+        before[d] = f
         step_x += _STEP_WIDTH
     for mine, my_dots in zip(lines, dots):
         out += mine

@@ -102,14 +102,16 @@ prefix by ``facing._parities``, its ``waits`` on its arcs (never on the
 facings or k), and, for a feasible plan only, its ``witness``, the one
 place where routes are built and searched.
 
-A witness is stored as its move columns, three int sequences with one
+Every schedule holds its move columns, three int sequences with one
 entry per step: the dancer, the event index and the facing bit after the
-step (0 forward, 1 backward).  They are read off the search's dancer
-sequence in one loop with no object per step: each move takes the next
-event of its dancer's route and XORs that event's twist-bar flag, read
-off the compiled bar prefix, into the dancer's facing bit.
-``Schedule.steps`` is derived from them once, on first read, and the JSON
-trace and the SVG timeline format from the columns without it.
+step (0 forward, 1 backward).  A schedule built from its steps has them
+read off the steps, once, when its constructor has checked them.  A
+witness has them read off the search's dancer sequence in one loop with no
+object per step: each move takes the next event of its dancer's route and
+XORs that event's twist-bar flag, read off the compiled bar prefix, into
+the dancer's facing bit; its ``Schedule.steps`` is derived from them once,
+on first read.  The JSON trace and the SVG timeline format from the
+columns alone.
 
 ``oracle_schedule`` answers the same question by brute force over
 interleavings, with no memoization and with crossing counts recounted from
@@ -248,24 +250,66 @@ class Schedule:
     non-feasible placeholder schedules so infeasible runs still produce a
     trace file.
 
-    A witness from the search holds its move columns (see the module
-    docstring) and no ``Step``: ``steps`` is built from the columns with
-    ``Step``'s own constructor, each route position counted per dancer,
-    once, on first read, and then kept.  A schedule built from its steps
-    gets its columns from them whenever they are asked for (``_columns``),
-    so the JSON trace and the SVG timeline read every schedule the same way.
-    Equality, hash, repr, pickling and ``dataclasses.replace`` go through
-    the fields and read ``steps`` as any caller does.
+    The constructor alone decides what a schedule is.  It makes ``steps`` a
+    tuple, once, and refuses with ``ValueError``: steps that are not an
+    iterable, a ``feasible`` that is not a ``bool``, a plan that is neither
+    ``None`` nor a ``DancePlan``, steps without a plan to name their events,
+    and, at the first step that has one, an entry that is not a ``Step``, a
+    dancer, route position or event index that is not an ``int`` (a
+    ``bool`` included), a dancer outside the plan's ``0..n-1``, an event
+    index outside the diagram's ``0..m-1`` and a facing that is not a
+    ``Facing``.  It then keeps the schedule's move columns (see the module
+    docstring), which the JSON trace and the SVG timeline read, so neither
+    checks a field again.  Whether the steps follow the plan's routes, its
+    facings and its crossing rule is left to ``verify_schedule``.
 
-    The constructor checks no field.  Both outputs refuse, with
-    ``ValueError``, a plan that is neither ``None`` nor a ``DancePlan`` and
-    steps that are not an iterable, and ``verify_schedule`` reports either
-    as its one problem (see ``_check_fields``).
+    A witness from the search is made by ``_from_moves`` from its columns,
+    past the constructor, and holds no ``Step``: ``steps`` is built from
+    the columns with ``Step``'s own constructor, each route position
+    counted per dancer, once, on first read, and then kept.  Equality,
+    hash, repr, pickling and ``dataclasses.replace`` go through the fields
+    and read ``steps`` as any caller does.
     """
 
     steps: tuple[Step, ...]
     feasible: bool = True
     plan: DancePlan | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            steps = iter(self.steps)
+        except TypeError:  # not iterable
+            raise ValueError(f"steps must be an iterable of Step, got {self.steps!r}") from None
+        steps = tuple(steps)  # read once, so a generator is not used up by a check
+        object.__setattr__(self, "steps", steps)
+        _check_member("feasible", self.feasible, bool)
+        plan = self.plan
+        if plan is not None:
+            _check_member("plan", plan, DancePlan)
+        elif steps:
+            raise ValueError("a schedule with steps needs its plan to name events")
+        columns: tuple[tuple[int, ...], ...] = ((), (), ())
+        if steps:
+            lanes, m = plan.n, len(plan.diagram.events)
+            for s in steps:
+                _check_member("step", s, Step)
+                # a route position may be any int: its order is ``verify_schedule``'s
+                for name, value, bound in [
+                    ("dancer", s.dancer, lanes),
+                    ("route position", s.route_position, None),
+                    ("event index", s.event_index, m),
+                ]:
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise ValueError(f"{name} {value!r} is not an int")
+                    if bound is not None and not 0 <= value < bound:
+                        raise ValueError(f"{name} {value} outside 0..{bound - 1}")
+                _check_member("facing", s.facing_after, Facing)
+            columns = (
+                tuple(s.dancer for s in steps),
+                tuple(s.event_index for s in steps),
+                tuple(int(s.facing_after) for s in steps),
+            )
+        object.__setattr__(self, "_move_columns", columns)
 
     def __getattr__(self, name: str) -> tuple[Step, ...]:
         # reached only for an attribute not set: ``steps`` of a witness not yet read
@@ -276,47 +320,6 @@ class Schedule:
         steps = tuple(Step(d, next(positions[d]), e, Facing(f)) for d, e, f in zip(*columns))
         object.__setattr__(self, "steps", steps)
         return steps
-
-    def _check_fields(self) -> None:
-        """Refuse, with ``ValueError``, a plan that is neither ``None`` nor a
-        ``DancePlan`` and steps that are not an iterable."""
-        if self.plan is not None:
-            _check_member("plan", self.plan, DancePlan)
-        try:
-            iter(self.steps)
-        except TypeError:
-            raise ValueError(f"steps must be an iterable of Step, got {self.steps!r}") from None
-
-    def _columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """The dancer, event index and facing bit of every step, in order.
-
-        A witness returns its own columns; a schedule built from steps has
-        them read off its steps, refusing with ``ValueError`` the fields
-        that ``_check_fields`` refuses and then, at the first step that has
-        one, steps without a plan to name their events, an entry that is not
-        a ``Step``, a dancer id or event index that is not an ``int`` (a
-        ``bool`` included), an event index outside the diagram's ``0..m-1``
-        and a facing that is not a ``Facing``.  The range of dancer ids is
-        not checked here.
-        """
-        columns = self.__dict__.get("_move_columns")
-        if columns is not None:
-            return columns
-        self._check_fields()
-        steps = self.steps
-        if steps and self.plan is None:
-            raise ValueError("a schedule with steps needs its plan to name events")
-        for s in steps:
-            _check_member("step", s, Step)
-            for name, value in ("dancer", s.dancer), ("event index", s.event_index):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{name} {value!r} is not an int")
-            m = len(self.plan.diagram.events)
-            if not 0 <= s.event_index < m:
-                raise ValueError(f"event index {s.event_index} outside 0..{m - 1}")
-            if not isinstance(s.facing_after, Facing):
-                raise ValueError(f"facing {s.facing_after!r} is not a Facing")
-        return [s.dancer for s in steps], [s.event_index for s in steps], [s.facing_after for s in steps]
 
 
 def _from_moves(
@@ -354,8 +357,9 @@ class Infeasible:
     ``states_explored`` counts the states a deadlocked search entered, the
     root included.  A Deadlock from ``schedule_search`` always has 1, the
     root alone, since the relaxation decides it before any search (see the
-    module docstring); ``oracle_schedule`` reports its own brute-force nodes.
-    It is 0 for a facing-parity failure.
+    module docstring), and the witness search, run only on feasible plans,
+    never answers one; ``oracle_schedule`` reports its own brute-force
+    nodes.  It is 0 for a facing-parity failure.
     """
 
     reason: InfeasibleReason
@@ -364,6 +368,16 @@ class Infeasible:
 
 class InstanceTooLarge(ValueError):
     """The brute-force oracle refuses plans beyond its step guard."""
+
+
+class _SearchExhausted(RuntimeError):
+    """The witness search ran out of states on routes the relaxation calls
+    feasible, which the module docstring proves cannot happen; ``states``
+    counts the states it entered, the root included."""
+
+    def __init__(self, states: int) -> None:
+        super().__init__(f"the witness search exhausted {states} states of a feasible plan")
+        self.states = states
 
 
 ORACLE_STEP_LIMIT = 16
@@ -575,11 +589,11 @@ class _Compiled:
             clauses.append(clause)
         return bool(waits)
 
-    def witness(self, plan: DancePlan) -> Union[Schedule, Infeasible]:
-        """The lex-least witness of a plan of this diagram and crossing rule,
-        built by ``_from_moves`` from the plan's ``routes_of`` and the
-        compiled ``prefix``; Deadlock only if the plan's points have
-        ``waits``.  This is the one place that chooses how its moves are
+    def witness(self, plan: DancePlan) -> Schedule:
+        """The lex-least witness of a plan of this diagram and crossing rule
+        whose points have no ``waits`` and so is feasible, built by
+        ``_from_moves`` from the plan's ``routes_of`` and the compiled
+        ``prefix``.  This is the one place that chooses how its moves are
         found.  With no slot (the unrestricted rule, or no classical
         crossing) nothing can block, so the search would move dancer 0 to
         its route end, then dancer 1, and so on: each dancer's whole route
@@ -593,8 +607,6 @@ class _Compiled:
         else:
             lowered = [walk + [(0, -1)] for walk in _walks(self.table, plan.points, plan.k)]
             moves = _moves(lowered, self.slot_count)
-            if isinstance(moves, Infeasible):
-                return moves
         return _from_moves(plan, routes, moves, self.prefix)
 
 
@@ -637,13 +649,15 @@ def _waiting(lowered: list[list[tuple[int, int]]], slot_count: int) -> dict[int,
     return {d: slot for slot, dancers in waiting.items() for d in dancers}
 
 
-def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[int], Infeasible]:
+def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> list[int]:
     """The witness search: the lexicographically least dancer-id sequence
     that completes every route, given as its lowered steps, each route
     ended with ``(0, -1)``.  It reads only those steps, never facings, and
     runs only on routes whose arcs leave ``_waiting`` nobody waiting, which
-    are feasible; its Deadlock, with the states it entered, is reached only
-    with the relaxation disabled.
+    are feasible (see the module docstring), so it always finds one.  If it
+    ever runs out of states, the proof or the code is wrong, and it raises
+    ``_SearchExhausted`` with the count of states it entered, the root
+    included; no caller turns that into a verdict.
 
     It runs only when a slot exists (``_Compiled.witness`` answers a plan
     with none), so every route has at least one event and there is a move
@@ -693,7 +707,7 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> Union[list[
             dead.add(key)
             resume.pop()
             if not moves:
-                return Infeasible(InfeasibleReason.DEADLOCK, explored)
+                raise _SearchExhausted(explored)
             d = moves.pop()
             positions[d] -= 1
             slot, delta = lowered[d][positions[d]]
@@ -801,20 +815,15 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     """Independently re-check a schedule against its plan.
 
     A schedule that is not a ``Schedule`` is refused with ``ValueError``.
-    Returns a list of violation descriptions (empty means clean): a plan
-    that is neither ``None`` nor a ``DancePlan`` or steps that are not an
-    iterable (each the one problem reported), no plan, a step that is not a
-    ``Step``, a dancer id or event index that is not an
-    ``int`` (a ``bool`` included) or is out of range, per-dancer route
-    completeness and order, facing evolution from the rule's start facings
-    with a flip at every twist bar and nowhere else, end-facing
-    conformance, and the crossing rule's prefix inequality.
+    The types and ranges of its fields were checked when it was built (see
+    ``Schedule``), so what is left is whether it follows its plan.  Returns
+    a list of violation descriptions (empty means clean): no plan to verify
+    against, per-dancer route completeness and order, facing evolution from
+    the rule's start facings with a flip at every twist bar and nowhere
+    else, end-facing conformance, and the crossing rule's prefix
+    inequality.
     """
     _check_member("schedule", schedule, Schedule)
-    try:
-        schedule._check_fields()
-    except ValueError as err:
-        return [str(err)]
     problems: list[str] = []
     plan = schedule.plan
     if plan is None:
@@ -822,16 +831,6 @@ def verify_schedule(schedule: Schedule) -> list[str]:
     routes = routes_of(plan)
     events = plan.diagram.events
     n = len(routes)
-
-    for step in schedule.steps:
-        if not isinstance(step, Step):
-            return [f"step {step!r} is not a Step"]
-        ids = ("dancer id", step.dancer, n), ("event index", step.event_index, len(events))
-        for name, value, bound in ids:
-            if isinstance(value, bool) or not isinstance(value, int):
-                return [f"{name} {value!r} is not an int"]
-            if not 0 <= value < bound:
-                return [f"{name} {value} out of range"]
 
     by_dancer: list[list[Step]] = [[] for _ in range(n)]
     for step in schedule.steps:

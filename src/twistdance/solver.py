@@ -124,7 +124,10 @@ class SolveReport:
     """Outcome of a bounded minimization.
 
     ``plan``/``schedule`` hold the first feasible hit in lexicographic
-    (n, k, placement) order, or None when the bounds were exhausted.
+    (n, k, placement) order, or None when the bounds were exhausted; the
+    schedule is the hit's witness ``Schedule``, never an ``Infeasible``,
+    since only a plan that passed the facing gate and does not deadlock is
+    searched (see ``_Compiled.witness``).
     ``n_searched`` and ``k_searched`` are ``(1, n_max)`` and ``(1, k_max)``
     when the bounds were exhausted, and ``(1, n)`` and ``(1, k)`` of the hit
     otherwise.  The hit is the first feasible row of ``survey`` at (1, 1),

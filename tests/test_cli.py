@@ -408,9 +408,9 @@ def test_svg_empty_schedule_fixed_output():
 
 
 def test_svg_with_steps_requires_plan():
-    bare = Schedule(_witness().steps, True, None)
+    # refused when the schedule is built, so no output is ever handed one
     with pytest.raises(ValueError, match="needs its plan"):
-        svg_timeline(bare)
+        Schedule(_witness().steps, True, None)
 
 
 @pytest.mark.parametrize(
@@ -433,7 +433,7 @@ def test_svg_with_steps_requires_plan():
             for index in (True, 0.5, "1")
         ),
         *(
-            pytest.param(Step(0, 0, 1, facing), f"facing {facing!r} is not a Facing",
+            pytest.param(Step(0, 0, 1, facing), f"facing must be a Facing, got {facing!r}",
                          id=f"facing {facing!r}")
             for facing in (2, "F", None)
         ),
@@ -441,14 +441,25 @@ def test_svg_with_steps_requires_plan():
             pytest.param(step, f"step must be a Step, got {step!r}", id=f"step {step!r}")
             for step in (1, None, (0, 0, 1, Facing.FORWARD))
         ),
+        # the plan has one dancer: an id with no lane
+        *(
+            pytest.param(Step(dancer, 0, 1, Facing.FORWARD), f"dancer {dancer} outside 0..0",
+                         id=f"dancer {dancer}")
+            for dancer in (-1, 1)
+        ),
+        # a bool route position would pass the verifier, since [False, True] == [0, 1]
+        *(
+            pytest.param(Step(0, position, 1, Facing.FORWARD),
+                         f"route position {position!r} is not an int", id=f"route position {position!r}")
+            for position in (False, True, None, 0.0)
+        ),
     ],
 )
 def test_output_layers_refuse_an_event_index_outside_the_diagram(step, error):
+    # the constructor refuses the schedule, so neither output is ever handed it
     plan = DancePlan(parse("O1+ U1+ T1"), (0,), 1)
-    bad = Schedule((step,), True, plan)
-    for render in (trace_to_json, svg_timeline):
-        with pytest.raises(ValueError, match=re.escape(error)):
-            render(bad)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Schedule((step,), True, plan)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from copy import deepcopy
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from twistdance.codec import parse, serialize, svg_timeline, token, trace_to_json
@@ -134,7 +134,7 @@ def test_a_dance_request_builds_the_token_table_once(monkeypatch):
         # a diagram built by validate builds its table once, on first read
         built = validate(d.events)
         plan = replace(schedule.plan, diagram=built)
-        moves = schedule._columns()[0]
+        moves = schedule._move_columns[0]
         if moves:
             rebuilt = _from_moves(plan, routes_of(plan), moves, _bar_prefix(built))
         else:
@@ -227,9 +227,8 @@ def _ref_svg(schedule: Schedule) -> str:
     ]
     by_lane: list[list] = [[] for _ in range(lanes)]
     for t, step in enumerate(schedule.steps):
-        if 0 <= step.dancer < lanes:
-            label = _ref_token(plan.diagram.events[step.event_index]).rstrip("+-")
-            by_lane[step.dancer].append((16 + 72 + t * 46 + 23, label, step.facing_after))
+        label = _ref_token(plan.diagram.events[step.event_index]).rstrip("+-")
+        by_lane[step.dancer].append((16 + 72 + t * 46 + 23, label, step.facing_after))
     for d, mine in enumerate(by_lane):
         color = _PALETTE[d % len(_PALETTE)]
         cy = 16 + d * 44 + 22
@@ -265,20 +264,28 @@ def test_the_reference_matches_the_golden_schedules(name):
 
 
 @st.composite
-def schedules(draw):
-    """Plans of any rule, each with an arbitrary step list: dancer ids one
-    beyond either end of the lanes, any event index, any facings."""
+def plans(draw):
+    """Plans of any rule on diagrams of at most 10 events."""
     diagram, points, k = draw(plan_geometries(max_events=10, n_max=7, k_max=3))
     rule = draw(st.sampled_from(RuleKind))
     facings = (
         tuple(draw(st.lists(st.sampled_from(Facing), min_size=len(points), max_size=len(points))))
         if rule is RuleKind.MATCHING else None
     )
-    plan = DancePlan(diagram, points, k, rule, facings, draw(st.sampled_from(CrossingRule)))
-    m = len(diagram.events)
+    return DancePlan(diagram, points, k, rule, facings, draw(st.sampled_from(CrossingRule)))
+
+
+@st.composite
+def schedules(draw):
+    """Plans of any rule, each with an arbitrary step list: any dancer id
+    of the plan, any route position, any event index, any facings.  The
+    constructor refuses a dancer id outside the lanes (see
+    ``test_output_layers_refuse_an_event_index_outside_the_diagram``)."""
+    plan = draw(plans())
+    m = len(plan.diagram.events)
     step = st.builds(
         Step,
-        st.integers(-1, len(points)),
+        st.integers(0, plan.n - 1),
         st.integers(0, 40),
         st.integers(0, m - 1) if m else st.nothing(),
         st.sampled_from(Facing),
@@ -299,3 +306,33 @@ def test_witnesses_match_per_step_formatting(schedule):
     if isinstance(result, Schedule):
         assert trace_to_json(result) == _ref_json(result)
         assert svg_timeline(result) == _ref_svg(result)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """A plan, or one time in four none, and steps whose dancers, route
+    positions and event indices are any ints and whose facings are any
+    facing.  Seven steps in eight have their dancer and event index drawn
+    from the plan's ranges, so that schedules with several steps are
+    accepted too."""
+    plan = draw(plans()) if draw(st.integers(0, 3)) else None
+    facing = st.sampled_from(Facing)
+    loose = st.builds(Step, st.integers(), st.integers(), st.integers(), facing)
+    step = loose
+    if plan is not None and plan.diagram.events:
+        lanes, events = st.integers(0, plan.n - 1), st.integers(0, len(plan.diagram.events) - 1)
+        in_range = st.builds(Step, lanes, st.integers(), events, facing)
+        step = st.integers(0, 7).flatmap(lambda i: in_range if i else loose)
+    return draw(st.lists(step, max_size=12)), draw(st.booleans()), plan
+
+
+@given(constructor_inputs())
+def test_every_schedule_the_constructor_accepts_is_written_and_verified(inputs):
+    try:
+        schedule = Schedule(*inputs)
+    except ValueError:
+        reject()
+    trace, svg = trace_to_json(schedule), svg_timeline(schedule)
+    assert len(json.loads(trace)["steps"]) == svg.count("<circle ") == len(schedule.steps)
+    problems = verify_schedule(schedule)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from twistdance.codec import parse, serialize, token
+from twistdance.codec import parse, serialize, token, trace_to_json
 from twistdance.facing import (
     Facing,
     _bar_prefix,
@@ -451,11 +452,14 @@ def test_search_state_counts_on_deep_deadlocks(monkeypatch):
     import twistdance.scheduler
 
     # with the relaxation off, the memo alone bounds these searches; a memo key
-    # that merged distinct states, or split one, would change the counts
+    # that merged distinct states, or split one, would change the counts.  The
+    # search runs only on feasible plans, so it raises when it exhausts, and
+    # its error carries the count
     monkeypatch.setattr(twistdance.scheduler, "_waiting", lambda lowered, slot_count: {})
     d = parse(TAIL_DIAGRAM)
-    result = schedule_search(DancePlan(d, TAIL_POINTS, 4))
-    assert result == Infeasible(InfeasibleReason.DEADLOCK, 5778)
+    with pytest.raises(RuntimeError) as exhausted:
+        schedule_search(DancePlan(d, TAIL_POINTS, 4))
+    assert exhausted.value.states == 5778
     d = parse(TAIL_80_DIAGRAM)
     dual = DancePlan(
         retrograde(d),
@@ -463,7 +467,9 @@ def test_search_state_counts_on_deep_deadlocks(monkeypatch):
         4,
         crossing_rule=CrossingRule.UNDER_FIRST,
     )
-    assert schedule_search(dual) == Infeasible(InfeasibleReason.DEADLOCK, 365571)
+    with pytest.raises(RuntimeError) as exhausted:
+        schedule_search(dual)
+    assert exhausted.value.states == 365571
 
 
 def test_deadlocks_are_decided_without_building_routes(monkeypatch):
@@ -652,7 +658,7 @@ def test_with_no_slot_the_witness_is_the_searchs_own_at_40_events():
                 assert compiled.slot_count == 0
                 searched = _moves(_lower(compiled.table, routes_of(plan)), 1)
                 witness = schedule_search(plan)
-                assert witness._columns() == _from_moves(plan, routes_of(plan), searched, compiled.prefix)._columns()
+                assert witness._move_columns == _from_moves(plan, routes_of(plan), searched, compiled.prefix)._move_columns
                 assert verify_schedule(witness) == []
                 checked[crossings] += 1
     assert min(checked[True], checked[False]) >= 50, checked
@@ -1017,21 +1023,26 @@ def test_verifier_flags_a_wrong_end_facing_under_both_rules():
 
 
 def test_verifier_requires_plan():
-    # what the verifier cannot check is reported, not raised: a schedule with
-    # no plan, a step that is not a Step, and a step whose dancer id or event
-    # index is not an int
-    assert verify_schedule(Schedule((), True, None))
+    # a schedule with no plan is reported, not raised; a step that is not a
+    # Step, or whose dancer id or event index is not an int or is out of
+    # range, is refused when the schedule is built, so the verifier never
+    # sees one
+    assert verify_schedule(Schedule((), True, None)) == ["schedule carries no plan to verify against"]
     plan = DancePlan(parse(BAR_TREFOIL), (0,), 1)
     for dancer, event_index in [(0.0, 0), (None, 0), (True, 0), (0, 0.5), (0, "1"), (0, False)]:
-        problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
-        assert len(problems) == 1 and "is not an int" in problems[0], (dancer, event_index)
+        with pytest.raises(ValueError, match="is not an int"):
+            Schedule((Step(dancer, 0, event_index, F),), True, plan)
     plan = DancePlan(parse(TREFOIL), (0, 3), 1)  # 2 dancers, 6 events
-    for dancer, event_index in [(5, 0), (-1, 0), (0, 6)]:
-        problems = verify_schedule(Schedule((Step(dancer, 0, event_index, F),), True, plan))
-        assert len(problems) == 1 and problems[0].endswith("out of range"), (dancer, event_index)
+    for dancer, event_index, error in [
+        (5, 0, "dancer 5 outside 0..1"),
+        (-1, 0, "dancer -1 outside 0..1"),
+        (0, 6, "event index 6 outside 0..5"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            Schedule((Step(dancer, 0, event_index, F),), True, plan)
     for step in (1, None, (0, 0, 0, F)):
-        problems = verify_schedule(Schedule((Step(0, 0, 0, F), step), True, plan))
-        assert problems == [f"step {step!r} is not a Step"], step
+        with pytest.raises(ValueError, match=re.escape(f"step must be a Step, got {step!r}")):
+            Schedule((Step(0, 0, 0, F), step), True, plan)
 
 
 @pytest.mark.parametrize("value", [TREFOIL, None], ids=["Gauss code", "None"])
@@ -1055,24 +1066,41 @@ def test_a_plan_or_schedule_of_another_type_is_refused(function, error, value):
 
 
 @pytest.mark.parametrize(
-    "steps, plan, error",
+    "steps, feasible, plan, error",
     [
-        ((), "x", "plan must be a DancePlan, got 'x'"),
-        ((), TREFOIL, f"plan must be a DancePlan, got {TREFOIL!r}"),
-        (5, DancePlan(parse(TREFOIL), (0, 3), 1), "steps must be an iterable of Step, got 5"),
-        (None, None, "steps must be an iterable of Step, got None"),
+        ((), True, "x", "plan must be a DancePlan, got 'x'"),
+        ((), True, TREFOIL, f"plan must be a DancePlan, got {TREFOIL!r}"),
+        (5, True, DancePlan(parse(TREFOIL), (0, 3), 1), "steps must be an iterable of Step, got 5"),
+        (None, True, None, "steps must be an iterable of Step, got None"),
+        # a trace would write ``"feasible":"yes"``, which is not a JSON boolean
+        ((), "yes", None, "feasible must be a bool, got 'yes'"),
+        ((), 1, None, "feasible must be a bool, got 1"),
+        ((), None, DancePlan(parse(TREFOIL), (0, 3), 1), "feasible must be a bool, got None"),
     ],
-    ids=["plan 'x'", "plan a Gauss code", "steps 5", "steps None"],
+    ids=[
+        "plan 'x'", "plan a Gauss code", "steps 5", "steps None",
+        "feasible 'yes'", "feasible 1", "feasible None",
+    ],
 )
-def test_a_schedule_whose_plan_or_steps_are_of_another_type_is_refused(steps, plan, error):
-    import twistdance
+def test_a_schedule_whose_plan_or_steps_are_of_another_type_is_refused(steps, feasible, plan, error):
+    # refused when the schedule is built, so neither output nor the verifier
+    # is ever handed one
+    with pytest.raises(ValueError) as refused:
+        Schedule(steps, feasible, plan)
+    assert str(refused.value) == error
 
-    schedule = Schedule(steps, True, plan)
-    for render in twistdance.trace_to_json, twistdance.svg_timeline:
-        with pytest.raises(ValueError) as refused:
-            render(schedule)
-        assert str(refused.value) == error
-    assert verify_schedule(schedule) == [error]
+
+def test_steps_given_as_a_generator_are_kept():
+    # the steps are made a tuple once, so a generator is not used up by a
+    # first pass over it
+    plan = DancePlan(parse("O1+ U1+"), (0,), 1)
+    witness = schedule_search(plan)
+    assert len(witness.steps) == 2
+    schedule = Schedule((s for s in witness.steps), True, plan)
+    assert schedule.steps == witness.steps
+    assert trace_to_json(schedule) == trace_to_json(witness)
+    assert trace_to_json(schedule).count('"t":') == 2
+    assert verify_schedule(schedule) == []
 
 
 # ------------------------------------------------------------- properties

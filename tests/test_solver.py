@@ -606,9 +606,16 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
                 twin.plan,
             )
             assert Facing.BACKWARD in {s.facing_after for s in built.steps}
-            for value in (witness, *copies):
+            # steps given as a list (which would make the schedule unhashable
+            # and unequal to the witness) or as a generator are kept as the
+            # same tuple
+            listed = Schedule(list(twin.steps), twin.feasible, twin.plan)
+            generated = Schedule((s for s in twin.steps), twin.feasible, twin.plan)
+            for value in (witness, *copies, listed, generated):
                 assert type(value) is Schedule
                 assert value == built and hash(value) == hash(built) and repr(value) == repr(built)
+                assert value._move_columns == built._move_columns
+                assert {type(i) for column in value._move_columns for i in column} == {int}
                 assert verify_schedule(value) == []
                 with pytest.raises(FrozenInstanceError):
                     setattr(value, "steps", ())
