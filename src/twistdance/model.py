@@ -145,12 +145,15 @@ class Diagram:
     Construct through :func:`validate` or ``codec.parse``; the dataclass
     itself does not re-check invariants.
 
-    The codec keeps the diagram's token table on it, outside the fields
-    (see ``codec._tokens``): ``codec.parse`` sets it from the lexed text,
-    and any other diagram gets it once first read.  Equality, hash, repr
-    and ``dataclasses.replace`` read the fields alone, and pickling and
-    copying carry the events alone, so a copy builds its own table when
-    asked.
+    Two forms derived from the events are kept on it, outside the fields.
+    The codec keeps the diagram's token table (see ``codec._tokens``):
+    ``codec.parse`` sets it from the lexed text, and any other diagram gets
+    it once first read.  The scheduler keeps one compiled form per crossing
+    rule, with the wait-for clauses and live sets its relaxations proved
+    (see ``scheduler._Compiled``), made on the first search, minimization
+    or survey under that rule.  Equality, hash, repr and
+    ``dataclasses.replace`` read the fields alone, and pickling and copying
+    carry the events alone, so a copy builds its own forms when asked.
     """
 
     events: tuple[Event, ...]

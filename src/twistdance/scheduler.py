@@ -95,12 +95,13 @@ and once one safe move from a state has failed it tries no further dancer
 there.  Only dead states are pruned, so the witness stays the
 lexicographically least one.
 
-``schedule_search``, ``min_dancers`` and ``survey`` compile the diagram once
-under the crossing rule and ask each placement the same three questions in
-order: the facing gate on its path parities, read off the compiled bar
-prefix by ``facing._parities``, its ``waits`` on its arcs (never on the
-facings or k), and, for a feasible plan only, its ``witness``, the one
-place where routes are built and searched.
+``schedule_search``, ``min_dancers`` and ``survey`` take the diagram's one
+compiled form under the crossing rule, kept on the diagram (see
+``_Compiled``), and ask each placement the same three questions in order:
+the facing gate on its path parities, read off the compiled bar prefix by
+``facing._parities``, its ``waits`` on its arcs (never on the facings or
+k), and, for a feasible plan only, its ``witness``, the one place where
+routes are built and searched.
 
 Every schedule holds its move columns, three int sequences with one
 entry per step: the dancer, the event index and the facing bit after the
@@ -433,7 +434,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     reduced search enters.
     """
     _check_member("plan", plan, DancePlan)
-    compiled = _Compiled(plan.diagram, plan.crossing_rule)
+    compiled = _Compiled.of(plan.diagram, plan.crossing_rule)
     if not matching_check(_parities(compiled.prefix, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
     if compiled.waits(plan.points):
@@ -462,21 +463,32 @@ class _Compiled:
     walk runs ``_parities`` once per distinct tuple of those bits and the
     caller's function of t once per distinct t, at most 2**n times each.
 
-    They ask Deadlock through ``deadlocks``, which learns clauses as it
-    goes.  When a placement's ``waits`` are not empty it deadlocks, and its
-    ``wait_cycle``, walked from those same waits with no second run of the
-    relaxation, names a set of gaps, the clause, such that every placement
-    of the diagram missing it deadlocks too (see the module docstring).  A
-    later placement whose gap mask misses a clause learned so far is
-    answered Deadlock without the relaxation, at one ``&`` per clause.  So
-    each placement is relaxed at most once per call.  The clauses live in
-    the caller's list, a local of one call, never on the instance, and the
-    answer is the one the relaxation gives, so no row, plan, witness or
-    count changes.
+    They ask Deadlock through ``deadlocks``, which keeps what each
+    relaxation proves, as gap masks (bit g for gap g), and answers from it
+    where it can.  Deadlock is monotone in the point set: a new point can
+    only cut wait-for edges (see the module docstring).  So when a
+    placement's ``waits`` are not empty, its ``wait_cycle``, walked from
+    those same waits with no second run of the relaxation, names a set of
+    gaps, a clause, such that every placement of the diagram missing it
+    deadlocks too; and when they are empty, every placement holding a live
+    set, points that do not deadlock, does not deadlock either.  A later
+    placement whose mask misses a kept clause, or holds a kept live set, is
+    answered without the relaxation, at one ``&`` per fact.  So each point
+    set is relaxed at most once per instance, and the answer is the one the
+    relaxation gives, so no row, plan, witness or count changes.  Each
+    relaxation keeps at most one fact, so the kept facts grow only with the
+    relaxations run.
 
-    An instance keeps no answer: ``schedule_search``, ``survey`` and
-    ``min_dancers`` each ask ``waits`` about a placement at most once, and
-    the relaxation runs nowhere else.
+    One instance per diagram and crossing rule is kept on the diagram,
+    outside its fields, and ``of`` hands it out (see ``model.Diagram``):
+    ``schedule_search``, ``min_dancers`` and ``survey`` on one diagram
+    compile it once, and a solve request, which asks ``min_dancers`` under
+    both dance rules and then ``survey``, shares its clauses and live sets
+    between the three calls.  ``schedule_search`` asks ``waits`` once, as it
+    always did, and keeps nothing.  An instance keeps only proved facts,
+    each written by rebinding its whole list, so threads that share a
+    diagram never read a fact that is not proved: an update lost to a race
+    costs a relaxation later, never a verdict.
     """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
@@ -505,6 +517,18 @@ class _Compiled:
                     table[e] = (slot, 1)
                     deposit[slot] = e
         self.slot_count = len(slots)
+        self.clauses: list[int] = []  # gap masks: points that miss one deadlock
+        self.live: list[int] = []  # gap masks: points that hold one do not
+
+    @classmethod
+    def of(cls, diagram: Diagram, crossing_rule: CrossingRule) -> _Compiled:
+        """The instance kept on ``diagram`` for ``crossing_rule``, compiled
+        on first use (see ``model.Diagram``)."""
+        kept = diagram.__dict__.setdefault("_compiled", {})
+        compiled = kept.get(crossing_rule)
+        if compiled is None:
+            compiled = kept[crossing_rule] = cls(diagram, crossing_rule)
+        return compiled
 
     def waits(self, points: Sequence[int]) -> dict[int, int]:
         """``_waiting`` on the n arcs of checked points, sorted first: each
@@ -558,24 +582,34 @@ class _Compiled:
                 by_bits[bits] = of_t(_parities(self.prefix, placement))
             yield placement, by_bits[bits]
 
-    def deadlocks(self, points: tuple[int, ...], clauses: list[int]) -> bool:
-        """Whether checked points deadlock, learning into ``clauses``, the
-        caller's list of gap masks (bit g for gap g; see above).
+    def deadlocks(self, points: Sequence[int]) -> bool:
+        """Whether checked points deadlock, answered from the facts kept so
+        far where one decides them, and otherwise by one relaxation, whose
+        outcome is kept as a new fact (see above).
 
-        Points whose gaps miss a clause learned so far are answered without
-        the relaxation.  Any others are asked their ``waits``, and if some
-        dancer waits, the clause of their ``wait_cycle``, the gaps e' + 1,
-        ..., d(e) of each of its edges, is learned.  It replaces every
-        clause that contains it, since points that miss one of those miss
-        it too; it is never itself contained in one already kept, since the
-        points hit each of those and miss it.
+        Points whose gaps miss a kept clause deadlock, and points that hold
+        a kept live set do not.  Any others are asked their ``waits``.  If
+        some dancer waits, the clause of their ``wait_cycle``, the gaps
+        e' + 1, ..., d(e) of each of its edges, is kept.  If none does, the
+        points less each point are asked in turn: the first that does not
+        deadlock has kept a live set inside it, and if every one deadlocks,
+        so does every smaller set, and the points themselves are kept as a
+        minimal live set.  A new fact replaces each kept one of its kind
+        that contains it, since it decides every placement that one does.
+        No kept fact lies inside it: a clause there would be missed by the
+        points, a live set there held by them, and neither decided them.
         """
+        if not self.slot_count:  # nothing ever waits
+            return False
         mask = 0  # bit g set for a point at gap g
         for p in points:
             mask |= 1 << p
-        for clause in clauses:
+        for clause in self.clauses:
             if not mask & clause:
                 return True
+        for live in self.live:
+            if live & mask == live:
+                return False
         waits = self.waits(points)
         if waits:
             m, table, deposit, clause = self.m, self.table, self.deposit, 0
@@ -585,9 +619,13 @@ class _Compiled:
                 gaps = ((1 << span) - 1) << first % m
                 clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
             clause &= (1 << m) - 1
-            clauses[:] = [c for c in clauses if c & clause != clause]
-            clauses.append(clause)
-        return bool(waits)
+            self.clauses = [c for c in self.clauses if c & clause != clause] + [clause]
+            return True
+        points = sorted(points)
+        fewer = (points[:i] + points[i + 1 :] for i in range(len(points)))
+        if len(points) == 1 or all(map(self.deadlocks, fewer)):
+            self.live = [live for live in self.live if live & mask != mask] + [mask]
+        return False
 
     def witness(self, plan: DancePlan) -> Schedule:
         """The lex-least witness of a plan of this diagram and crossing rule

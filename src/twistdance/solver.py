@@ -10,25 +10,27 @@ deadlocking as points are added.  The facing gate at a bounded k is not
 monotone in n, so the n bound is exhausted rather than pruned.  Iteration
 orders are fixed, making both results deterministic.
 
-Each call compiles its diagram once into a ``_Compiled``, which keeps no
-answer, walks the n-placements in ascending order with its
+Each call takes its diagram's one ``_Compiled`` under the crossing rule,
+compiled on the diagram's first call under that rule and kept on it
+(``_Compiled.of``), walks the n-placements in ascending order with its
 ``placements``, and asks each placement what ``schedule_search`` asks of
 one plan, in the same order: the facing gate on its path parities t, then
-``deadlocks``, which learns clauses into a list that is a local of the
-call, so each placement is relaxed at most once per call (see
-``_Compiled``).  The forward gate is the matching gate, the forward rule
-being the matching rule with every point designated forward; ``_gate`` is
-that test for a placement's one row when facings are not enumerated.  At a
-fixed (n, k) the gate reads a placement only through t, of which there are
-at most 2**n, and the walk hands each placement beside what the caller
-makes of its t, made once per distinct t.  ``survey`` passes its row
-templates: the rows of a placement depend on it only through t, so they
-are built once per distinct t as ``(facings, gate passes)`` pairs, every
-placement that has t shares them, and its rows share its one Deadlock
-verdict.  ``min_dancers`` passes the least lap count whose gate passes t.
-Deadlock is asked where the relaxation would be: in ``survey`` only past
-the gate, and in ``min_dancers`` only of a placement whose least passing k
-is below the best so far.
+``deadlocks``.  That instance keeps each wait-for clause and each live set
+a relaxation proves, so a solve request, ``min_dancers`` under both dance
+rules and then ``survey`` on one diagram, relaxes each point set at most
+once between its three calls (see ``_Compiled``).  The forward gate is the
+matching gate, the forward rule being the matching rule with every point
+designated forward; ``_gate`` is that test for a placement's one row when
+facings are not enumerated.  At a fixed (n, k) the gate reads a placement
+only through t, of which there are at most 2**n, and the walk hands each
+placement beside what the caller makes of its t, made once per distinct t.
+``survey`` passes its row templates: the rows of a placement depend on it
+only through t, so they are built once per distinct t as ``(facings, gate
+passes)`` pairs, every placement that has t shares them, and its rows
+share its one Deadlock verdict.  ``min_dancers`` passes the least lap
+count whose gate passes t.  Deadlock is asked where the relaxation would
+be: in ``survey`` only past the gate, and in ``min_dancers`` only of a
+placement whose least passing k is below the best so far.
 
 ``min_dancers`` returns the first feasible row of the surveys at (1, 1),
 (1, 2), ..., (n_max, k_max), and searches that one placement for its
@@ -196,8 +198,7 @@ def min_dancers(
     _check_bound("k_max", k_max)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
-    compiled = _Compiled(diagram, crossing_rule)
-    clauses: list[int] = []  # learned in this call, and good for every n
+    compiled = _Compiled.of(diagram, crossing_rule)
     matching = rule is RuleKind.MATCHING
 
     def least(t: tuple[int, ...]) -> tuple[int, tuple[Facing, ...] | None]:
@@ -212,7 +213,7 @@ def min_dancers(
         # and facings; (k_max + 1, -1) if none, which counts every row below
         best = k_max + 1, -1, (), None
         for index, (placement, (k, facings)) in enumerate(compiled.placements(n, least)):
-            if k < best[0] and not compiled.deadlocks(placement, clauses):
+            if k < best[0] and not compiled.deadlocks(placement):
                 best = k, index, placement, facings
                 if k == 1:
                     break
@@ -271,8 +272,7 @@ def survey(
     set_reason = SurveyRow.reason.__set__
     rows: list[SurveyRow] = []
     append = rows.append
-    compiled = _Compiled(diagram, crossing_rule)
-    clauses: list[int] = []  # learned in this call
+    compiled = _Compiled.of(diagram, crossing_rule)
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
 
     def template(t: tuple[int, ...]) -> tuple[list[_Row], bool]:
@@ -286,7 +286,7 @@ def survey(
 
     for placement, (rows_of_t, any_passes) in compiled.placements(n, template):
         # a placement whose rows all fail the gate is not asked whether it deadlocks
-        verdict = decided[any_passes and compiled.deadlocks(placement, clauses)]
+        verdict = decided[any_passes and compiled.deadlocks(placement)]
         for facings, ok in rows_of_t:
             feasible, reason = verdict if ok else refused
             row = new(SurveyRow)

@@ -601,18 +601,21 @@ def test_waits_is_the_acyclicity_of_the_event_graph_at_40_events():
 
 def test_points_that_do_not_deadlock_have_an_empty_wait_for_cycle():
     # walked from waits that are empty, the cycle has no edge, and points
-    # that do not deadlock learn no clause
-    compiled = _Compiled(parse(BAR_TREFOIL), CrossingRule.OVER_FIRST)
+    # that do not deadlock keep no clause they miss: they keep themselves as
+    # a live set, both points alone deadlocking
+    d = parse(BAR_TREFOIL)
     for points in [(0, 2), (2, 0)]:
+        compiled = _Compiled(d, CrossingRule.OVER_FIRST)
         waits = compiled.waits(points)
         assert waits == {}
         assert compiled.wait_cycle(points, waits) == []
-        clauses = []
-        assert not compiled.deadlocks(points, clauses) and clauses == []
+        assert not compiled.deadlocks(points) and compiled.live == [0b101]
+        assert all(clause & 0b101 for clause in compiled.clauses), compiled.clauses
+    compiled = _Compiled(d, CrossingRule.OVER_FIRST)
     waits = compiled.waits((0,))
-    clauses = []
     assert waits and compiled.wait_cycle((0,), waits)
-    assert compiled.deadlocks((0,), clauses) and len(clauses) == 1 and clauses[0]
+    assert compiled.deadlocks((0,)) and len(compiled.clauses) == 1 and compiled.clauses[0]
+    assert compiled.live == []
 
 
 @given(diagrams(max_events=10), st.sampled_from(CrossingRule))

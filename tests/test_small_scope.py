@@ -7,6 +7,7 @@ the census (``-k census``) at 8; the oracle, ``min_dancers`` and diagram
 move checks stop at 5, past which their counts below are not pinned.
 """
 
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -195,13 +196,13 @@ def _has_cycle(edges):
 def _check_cycle(compiled, d, rule, points, waits):
     """``wait_cycle`` of deadlocked points, walked from their ``waits``, is
     a closed walk of edges of their wait-for graph, and the one clause that
-    ``deadlocks`` learns of them into a fresh list misses them."""
+    a fresh instance keeps when ``deadlocks`` is asked of them misses them."""
     edges = compiled.wait_cycle(points, waits)
     assert edges and set(edges) <= _wait_for(d, rule, set(points)), (d, rule, points)
     assert [after for _, after in edges] == [e for e, _ in edges[1:] + edges[:1]]
-    clauses = []
-    assert compiled.deadlocks(points, clauses), (d, rule, points)
-    [clause] = clauses
+    fresh = _Compiled(d, rule)
+    assert fresh.deadlocks(points), (d, rule, points)
+    [clause] = fresh.clauses
     assert not clause & sum(1 << p for p in points), (d, rule, points)
     return clause
 
@@ -246,6 +247,46 @@ def test_every_deadlock_has_a_wait_for_cycle_whose_clause_decides_the_diagram(ma
                         assert not dead[tuple(sorted((*points, g)))], (d, rule, points, g)
         assert deadlocked == DEADLOCKED[m], m
         assert bounded == DEPOSITED[m], m
+
+
+def test_kept_facts_answer_every_placement_as_a_fresh_relaxation_does(max_events):
+    # one kept instance per diagram and rule is asked whether every
+    # placement deadlocks, at every n, in a seeded shuffled order; each
+    # answer, from a kept clause, a kept live set or a relaxation, is the
+    # relaxation's of a fresh instance, and past 2 events at most half are
+    # relaxed; asked again, it relaxes none
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    rng = random.Random(37)
+    for m in range(1, max_events + 1):
+        asked = relaxed = 0
+        for d, rule in product(small_diagrams(m), rules):
+            kept = _Compiled(d, rule)
+            waits = kept.waits
+
+            def counted(points):
+                nonlocal relaxed
+                relaxed += 1
+                return waits(points)
+
+            kept.waits = counted
+            placements = [points for n in range(1, m + 1) for points in combinations(range(m), n)]
+            rng.shuffle(placements)
+            for points in placements:
+                fresh = bool(_Compiled(d, rule).waits(points))
+                assert kept.deadlocks(points) == fresh, (d, rule, points)
+            asked += len(placements)
+            # asked again, in a new order, every answer is a kept fact's, and
+            # each kept fact decides every placement it speaks for
+            before = relaxed
+            rng.shuffle(placements)
+            for points in placements:
+                dead = bool(waits(points))
+                assert kept.deadlocks(points) == dead, (d, rule, points)
+                mask = sum(1 << p for p in points)
+                assert dead or all(mask & clause for clause in kept.clauses), (d, rule, points)
+                assert not dead or all(live & ~mask for live in kept.live), (d, rule, points)
+            assert relaxed == before, (d, rule)
+        assert m < 3 or relaxed <= asked // 2, (m, relaxed, asked)
 
 
 def test_the_wait_for_cycle_agrees_with_an_independent_cycle_search():

@@ -1,5 +1,8 @@
 import pickle
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
@@ -786,37 +789,122 @@ def test_min_dancers_is_the_first_feasible_survey_row():
     assert len(outcomes) == 4, outcomes
 
 
-def test_survey_and_min_dancers_keep_no_answer(monkeypatch):
-    made = []
+def _solve_request(d, crossing, n):
+    """What one solve request asks of a diagram: the least dancer count under
+    both dance rules, then every facing assignment at (n, 2)."""
+    reports = [min_dancers(d, rule, crossing, k_max=2, n_max=n) for rule in RuleKind]
+    return reports, survey(d, RuleKind.MATCHING, crossing, n, 2, enumerate_facings=True)
+
+
+def test_a_solve_request_compiles_each_diagram_once_per_crossing_rule(monkeypatch):
+    made = Counter()  # (diagram object, crossing rule) -> instances built
     init = _Compiled.__init__
 
-    def recorded(self, *args):
-        init(self, *args)
-        made.append(self)
+    def counted(self, diagram, crossing):
+        made[id(diagram), crossing] += 1
+        init(self, diagram, crossing)
 
-    reasons = set()
-    feasible = set()
+    monkeypatch.setattr(_Compiled, "__init__", counted)
+    outcomes = set()
     for d in [parse(BAR_TREFOIL), *diagram_corpus(97, 12, max_events=10)]:
         n = min(3, d.gap_count)
-        for rule, crossing in product(RuleKind, CrossingRule):
-            fresh = vars(_Compiled(d, crossing))
-            monkeypatch.setattr(_Compiled, "__init__", recorded)
-            for enumerate_facings in (False, True):
-                rows = survey(d, rule, crossing, n, 2, enumerate_facings=enumerate_facings)
-                reasons.update(row.reason for row in rows)
-                [compiled] = made
-                made.clear()
-                # survey's instance holds what compiling alone put there
-                assert vars(compiled) == fresh, (d, rule, crossing)
-            report = min_dancers(d, rule, crossing, k_max=2, n_max=n)
-            feasible.add(report.feasible)
-            [compiled] = made
-            made.clear()
-            # and so does min_dancers'
-            assert vars(compiled) == fresh, (d, rule, crossing)
-            monkeypatch.undo()
-    assert reasons == {None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
-    assert feasible == {False, True}
+        for crossing in CrossingRule:
+            reports, rows = _solve_request(d, crossing, n)
+            outcomes.update(report.feasible for report in reports)
+            outcomes.update(row.reason for row in rows)
+            # and a dance request on the same diagram and rule compiles nothing more
+            schedule_search(DancePlan(d, (0,), 1, crossing_rule=crossing))
+            assert made[id(d), crossing] == 1, (d, crossing)
+        assert sum(made[id(d), crossing] for crossing in CrossingRule) == 3
+    assert outcomes == {False, True, None, InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK}
+
+
+def test_a_solve_request_relaxes_each_point_set_at_most_once_per_crossing_rule(monkeypatch):
+    # a clause or a live set kept from one call decides the same points in
+    # the next, so min_dancers twice and survey relax a point set at most
+    # once between them, and each relaxation keeps at most one fact
+    relaxed = Counter()  # (instance, sorted points) -> relaxation runs
+    waits = _Compiled.waits
+
+    def counted(self, points):
+        relaxed[id(self), tuple(sorted(points))] += 1
+        return waits(self, points)
+
+    monkeypatch.setattr(_Compiled, "waits", counted)
+    kept = 0
+    for d in [parse(BAR_TREFOIL), *diagram_corpus(97, 30, max_events=10)]:
+        n = min(3, d.gap_count)
+        for crossing in CrossingRule:
+            relaxed.clear()
+            _solve_request(d, crossing, n)
+            for n_survey in range(1, n + 1):  # more surveys relax nothing they share
+                survey(d, RuleKind.FORWARD, crossing, n_survey, 1)
+            assert max(relaxed.values(), default=0) <= 1, (d, crossing)
+            compiled = _Compiled.of(d, crossing)
+            facts = len(compiled.clauses) + len(compiled.live)
+            assert facts <= sum(relaxed.values()), (d, crossing)
+            kept += facts
+    assert kept >= 100, kept
+
+
+def _solved(text):
+    """A parsed diagram that has kept its compiled form under every rule."""
+    d = parse(text)
+    for crossing in CrossingRule:
+        _solve_request(d, crossing, min(2, d.gap_count))
+    assert set(d.__dict__["_compiled"]) == set(CrossingRule)
+    return d
+
+
+def test_the_kept_compiled_form_is_absent_from_every_copy():
+    d = _solved(BAR_TREFOIL)
+    copies = [pickle.loads(pickle.dumps(d)), deepcopy(d), replace(d), retrograde(retrograde(d))]
+    for copy in copies:
+        assert copy == d and "_compiled" not in copy.__dict__, copy
+        # each copy compiles its own when asked, and answers the same
+        assert _solve_request(copy, CrossingRule.OVER_FIRST, 2) == _solve_request(
+            d, CrossingRule.OVER_FIRST, 2
+        )
+        assert _Compiled.of(copy, CrossingRule.OVER_FIRST) is not _Compiled.of(d, CrossingRule.OVER_FIRST)
+
+
+def test_the_kept_compiled_form_changes_no_equality_hash_or_repr():
+    for text in [BAR_TREFOIL, TREFOIL, "U1+ O1+ U2+ T1 O2+", ""]:
+        fresh = parse(text)
+        d = _solved(text)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh), text
+        assert {d: 1}[fresh] == 1
+        assert DancePlan(d, (0,), 1) == DancePlan(fresh, (0,), 1)
+
+
+def test_threads_sharing_one_diagram_answer_as_one_thread_does():
+    # four threads ask surveys and minima of one parsed diagram at once; the
+    # facts they keep are each proved, so a lost update costs a relaxation
+    # and every answer equals a sequential run on a fresh parse
+    texts = [BAR_TREFOIL, TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2"]
+
+    def request(d, crossing):
+        reports = [min_dancers(d, rule, crossing, k_max=3, n_max=3) for rule in RuleKind]
+        rows = [survey(d, RuleKind.MATCHING, crossing, n, 2, enumerate_facings=True) for n in (1, 2, 3)]
+        return reports, rows
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
+    try:
+        for text, crossing in product(texts, CrossingRule):
+            shared = parse(text)
+            start = threading.Barrier(4)
+
+            def run():
+                start.wait()
+                return request(shared, crossing)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = [f.result() for f in [pool.submit(run) for _ in range(4)]]
+            expected = request(parse(text), crossing)
+            assert all(answer == expected for answer in answers), (text, crossing)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def _bars(m):
