@@ -34,15 +34,14 @@ canonical token to its event, shared by every parse in the process and
 bounded by ``_EVENT_CAP``.  A bare sign is read as ``+`` and a bare ``T``
 takes the next bar id in reading order, and each is looked up as the token
 it stands for, so every key is canonical.  A run not in the table is
-checked against the grammar, the whole text at once and the run alone only
-when the text fails, and its event is filled through its class's slots
-(see ``model``) and added while the table is below its cap.  So once a
-process has parsed diagrams with the same tokens, ``parse`` reads another
-such diagram, written in canonical tokens, without making an event or
-running a regular expression.  What the table holds never changes a
-diagram, a token table, an error or its span.  Events are frozen values,
-and two diagrams may hold the same event object: nothing may rely on event
-identity.
+checked alone against the canonical-token pattern, and its event is made
+by its class's constructor and added while the table is below its cap.
+So once a process has parsed diagrams with the same tokens, ``parse``
+reads another such diagram, written in canonical tokens, without making an
+event or running a regular expression.  What the table holds never
+changes a diagram, a token table, an error or its span.  Events are frozen
+values, and two diagrams may hold the same event object: nothing may rely
+on event identity.
 
 The diagram ``parse`` returns already holds its token table, the
 canonical token of every event (see ``_tokens``): the runs themselves, a
@@ -113,13 +112,11 @@ class LexError(ValueError):
         self.span = span
 
 
-# Matches a text exactly when every run of it is a token.  No token starts
-# with a separator, and the lookahead ends each token at the end of its run.
-_TEXT_RE = re.compile(
-    r"(?:[ \t\n,]*(?:[OU][1-9][0-9]*[+-]?|V[1-9][0-9]*|T(?:[1-9][0-9]*)?)(?![^ \t\n,]))*[ \t\n,]*"
-)
-_STRAND = {"O": Strand.OVER, "U": Strand.UNDER}  # by a run's first character
-_SIGN = {"+": CrossingSign.POSITIVE, "-": CrossingSign.NEGATIVE}  # by its last
+_TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]|V[1-9][0-9]*|T[1-9][0-9]*")  # a canonical token
+# a classical token's strand, by its first character, and its sign, by its
+# last: a dict read costs a fraction of the enum's own value lookup
+_STRAND = {"O": Strand.OVER, "U": Strand.UNDER}
+_SIGN = {"+": CrossingSign.POSITIVE, "-": CrossingSign.NEGATIVE}
 # The grammar's separators become spaces, and the other ASCII bytes that
 # ``str.split()`` cuts at become NUL, which no token holds.  Decoded as ASCII
 # with ``surrogateescape``, the text then has no other whitespace, so
@@ -170,11 +167,10 @@ def parse(text: str | bytes) -> Diagram:
             raise ValueError(
                 f"text must be a str or a bytes-like object, got {type(text).__name__}"
             ) from None
-    line = data.translate(_SEPARATE).decode("ascii", "surrogateescape")
-    runs = line.split()
+    runs = data.translate(_SEPARATE).decode("ascii", "surrogateescape").split()
     events = list(map(_EVENTS.get, runs))
     if None in events:  # a run not in the table, or a bare one, which never is
-        _lex(data, line, runs, events)
+        _lex(data, runs, events)
     try:
         diagram = validate(events)
     except DiagramError as err:
@@ -185,64 +181,42 @@ def parse(text: str | bytes) -> Diagram:
     return diagram
 
 
-def _lex(data: bytes, line: str, runs: list[str], events: list[Event | None]) -> None:
+def _lex(data: bytes, runs: list[str], events: list[Event | None]) -> None:
     """Fill each ``None`` of ``events``, the ``_EVENTS`` entries of
     ``runs``, with its run's event, and make each run its canonical token;
     raises LexError at the first run in reading order that is no token or
-    whose id is too long for an int.  ``runs`` are the runs of ``line``, the
-    text ``data`` with its separators made spaces.
+    whose id is too long for an int.  ``runs`` are the runs of the text
+    ``data``.
 
     A bare sign is read as '+' and a bare ``T`` takes the next bar id; each
     is then looked up as that canonical token.  A run still not found is
-    checked against the grammar, the whole line at once and the run alone
-    only when the line fails, and its new event is kept while the table is
-    below its cap."""
-    # each event filled through its class's slots, bypassing the frozen
-    # __init__ (see ``model``)
-    new = object.__new__
-    set_crossing = ClassicalPass.crossing_id.__set__
-    set_strand = ClassicalPass.strand.__set__
-    set_sign = ClassicalPass.sign.__set__
-    set_virtual = VirtualPass.crossing_id.__set__
-    set_bar = TwistBar.bar_id.__set__
-    get = _EVENTS.get
-    every_run_a_token = _TEXT_RE.fullmatch(line) is not None
-    next_auto_bar = 1
+    checked alone against ``_TOKEN_RE``, its event is made by its class's
+    constructor, and it is kept while the table is below its cap."""
+    bars = count(1)
     for at, ev in enumerate(events):
         if ev is not None:
             continue
         run = runs[at]
-        sign = _SIGN.get(run[-1])
-        if sign is None:
-            if run == "T":
-                run = runs[at] = f"T{next_auto_bar}"
-                next_auto_bar += 1
-                ev = events[at] = get(run)
-            elif run[0] in _STRAND:
-                sign = CrossingSign.POSITIVE
-                run = runs[at] = run + "+"
-                ev = events[at] = get(run)
-            if ev is not None:
-                continue
-        if not every_run_a_token and _TEXT_RE.fullmatch(run) is None:
-            span = _span(data, at)
-            raise LexError(f"unrecognized token {data[span.byte_start : span.byte_end]!r}", span)
-        try:
-            if sign is not None:
-                ev = new(ClassicalPass)
-                set_crossing(ev, int(run[1:-1]))
-                set_strand(ev, _STRAND[run[0]])
-                set_sign(ev, sign)
-            elif run[0] == "V":
-                ev = new(VirtualPass)
-                set_virtual(ev, int(run[1:]))
-            else:
-                ev = new(TwistBar)
-                set_bar(ev, int(run[1:]))
-        except ValueError:  # more digits than the interpreter's int-string limit
-            span = _span(data, at)
-            run = data[span.byte_start : span.byte_end]
-            raise LexError(f"id too long in token {run[:12]!r}...", span) from None
+        if run == "T":
+            run = runs[at] = f"T{next(bars)}"
+        elif run[0] in "OU" and run[-1] not in "+-":
+            run = runs[at] = run + "+"
+        ev = _EVENTS.get(run)
+        if ev is None:
+            if _TOKEN_RE.fullmatch(run) is None:
+                span = _span(data, at)
+                raise LexError(f"unrecognized token {data[span.byte_start : span.byte_end]!r}", span)
+            try:
+                if run[0] == "V":
+                    ev = VirtualPass(int(run[1:]))
+                elif run[0] == "T":
+                    ev = TwistBar(int(run[1:]))
+                else:
+                    ev = ClassicalPass(int(run[1:-1]), _STRAND[run[0]], _SIGN[run[-1]])
+            except ValueError:  # more digits than the interpreter's int-string limit
+                span = _span(data, at)
+                run = data[span.byte_start : span.byte_end]
+                raise LexError(f"id too long in token {run[:12]!r}...", span) from None
         events[at] = ev
     with _EVENTS_LOCK:
         _EVENTS.update(islice(zip(runs, events), max(_EVENT_CAP - len(_EVENTS), 0)))
@@ -255,12 +229,16 @@ def _span(data: bytes, at: int) -> SourceSpan:
 
 
 def token(event: Event) -> str:
-    """Canonical token for one event (explicit sign and bar id)."""
-    if isinstance(event, ClassicalPass):  # ``_value_``: ``.value`` is a property call per read
-        return f"{event.strand._value_}{event.crossing_id}{event.sign._value_}"
+    """Canonical token for one event (explicit sign and bar id).  Anything
+    that is not a ``ClassicalPass``, ``VirtualPass`` or ``TwistBar`` is
+    refused with ``ValueError``."""
+    if isinstance(event, ClassicalPass):
+        return f"{event.strand.value}{event.crossing_id}{event.sign.value}"
     if isinstance(event, VirtualPass):
         return f"V{event.crossing_id}"
-    return f"T{event.bar_id}"
+    if isinstance(event, TwistBar):
+        return f"T{event.bar_id}"
+    raise ValueError(f"event must be a ClassicalPass, VirtualPass or TwistBar, got {event!r}")
 
 
 def serialize(diagram: Diagram) -> str:

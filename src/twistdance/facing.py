@@ -30,9 +30,10 @@ Fact 2 (forward).  ``forward_rule_ok(t, 2n)`` always holds, and
 W(i) = 0 for every i.  A window of n paths is one whole traversal, with
 parity T, and a window of 2n paths is two, with parity 2T = 0 mod 2.
 
-The public functions refuse an empty t, a k that is not an ``int`` >= 1 (a
-``bool`` included) and facings that are not ``Facing`` members with
-``ValueError``.
+The public functions refuse with ``ValueError`` a t that is not a
+non-empty tuple or list of 0/1 ints, a k that is not an ``int`` >= 1 (a
+``bool`` included), a path index i that is not an ``int`` (a ``bool``
+included) and facings that are not ``Facing`` members.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class Facing(IntEnum):
 
     @classmethod
     def from_letter(cls, text: str) -> "Facing":
-        cleaned = text.strip().upper()
+        cleaned = text.strip().upper() if isinstance(text, str) else None
         if cleaned in ("F", "FORWARD"):
             return cls.FORWARD
         if cleaned in ("B", "BACKWARD"):
@@ -108,10 +109,17 @@ def _parities(prefix: Sequence[int], pts: Sequence[int]) -> tuple[int, ...]:
     return tuple(prefix[a] ^ prefix[b] ^ (total if b <= a else 0) for a, b in zip(pts, ends))
 
 
-def _check_laps(t: Sequence[int], k: int) -> int:
-    """``len(t)``, refusing an empty t or a k that is not an ``int`` >= 1
-    with ``ValueError``."""
+def _check_laps(t: Sequence[int], k: int, i: int = 0) -> int:
+    """``len(t)``, refusing with ``ValueError`` a k that is not an ``int``
+    >= 1, a path index i that is not an ``int``, a t that is not a tuple or
+    list of 0/1 ints, and an empty t.  A tuple or a list, not any
+    ``Sequence``: the ABC's ``isinstance`` would more than double the cost
+    of the check, which the solver pays for each parity vector it gates."""
     _check_bound("k", k)
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise ValueError(f"path index must be an int, got {i!r}")
+    if not isinstance(t, (tuple, list)) or not all(isinstance(x, int) and x in (0, 1) for x in t):
+        raise ValueError(f"path parities must be a tuple or list of 0/1 ints, got {t!r}")
     if not len(t):
         raise ValueError("need at least one path parity")
     return len(t)
@@ -119,7 +127,7 @@ def _check_laps(t: Sequence[int], k: int) -> int:
 
 def window_parity(t: Sequence[int], i: int, k: int) -> int:
     """Net facing flip over the k paths starting at path i, wrapping cyclically."""
-    _check_laps(t, k)
+    _check_laps(t, k, i)
     return _window_parity(t, i, k)
 
 
@@ -138,7 +146,7 @@ def _window_parity(t: Sequence[int], i: int, k: int) -> int:
 def forward_rule_ok(t: Sequence[int], k: int) -> bool:
     """True iff every dancer's k-path route flips its facing an even number
     of times, i.e. everyone who starts forward also ends forward."""
-    return matching_check(t, (Facing.FORWARD,) * len(t), k)
+    return not any(_window_parity(t, i, k) for i in range(_check_laps(t, k)))
 
 
 def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:

@@ -22,12 +22,8 @@ The three event classes are frozen dataclasses with slots: an event has no
 table and hands the same event object to every diagram that holds that
 token, so events may be shared between diagrams, and nothing may rely on
 event identity; equality and hash read the fields.  A token not in the
-table gets a new event, made with ``object.__new__`` and filled through the
-class's slot descriptors, which is what the frozen ``__init__`` does
-through ``object.__setattr__``, at a fraction of the cost; parsing is the
-largest fixed cost of every request.  So the classes declare no
-``__post_init__`` and no field beyond the ones ``parse`` sets, and
-``validate``, not a constructor, checks every event.
+table gets a new event from its class's constructor, and ``validate``, not
+a constructor, checks every event.
 """
 
 from __future__ import annotations
@@ -170,11 +166,13 @@ class Diagram:
 def validate(events: Iterable[Event]) -> Diagram:
     """Check the structural invariants and wrap the sequence in a Diagram.
 
-    The sequence is preserved verbatim.  A malformed event is refused first,
-    with :class:`DiagramError` itself, at the first such index: an object
-    whose type is not exactly ``ClassicalPass``, ``VirtualPass`` or
-    ``TwistBar``, an id that is not an ``int`` >= 1 (a ``bool`` is refused),
-    or a strand or sign that is not a ``Strand`` or ``CrossingSign`` member.
+    The sequence is preserved verbatim.  ``events`` that are not an
+    iterable, such as ``None``, are refused with :class:`DiagramError`
+    itself and no index.  A malformed event is refused first, with
+    :class:`DiagramError` itself, at the first such index: an object whose
+    type is not exactly ``ClassicalPass``, ``VirtualPass`` or ``TwistBar``,
+    an id that is not an ``int`` >= 1 (a ``bool`` is refused), or a strand
+    or sign that is not a ``Strand`` or ``CrossingSign`` member.
     Otherwise raises the subclass of :class:`DiagramError` for the first
     violated check, in the order: DuplicateStrand, UnpairedCrossing (a
     virtual crossing seen three times, then a crossing seen once),
@@ -184,7 +182,10 @@ def validate(events: Iterable[Event]) -> Diagram:
     and bar; each group then names its first failure as a (check, index)
     pair, the checks numbered in the order above, and the least is raised.
     """
-    evs = tuple(events)
+    try:
+        evs = tuple(events)
+    except TypeError:  # not iterable
+        raise DiagramError(f"events must be an iterable of events, got {events!r}") from None
     groups: dict[type, dict[int, list[int]]] = {ClassicalPass: {}, VirtualPass: {}, TwistBar: {}}
     for i, ev in enumerate(evs):
         kind = type(ev)

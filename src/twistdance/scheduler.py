@@ -588,16 +588,18 @@ class _Compiled:
         outcome is kept as a new fact (see above).
 
         Points whose gaps miss a kept clause deadlock, and points that hold
-        a kept live set do not.  Any others are asked their ``waits``.  If
-        some dancer waits, the clause of their ``wait_cycle``, the gaps
-        e' + 1, ..., d(e) of each of its edges, is kept.  If none does, the
-        points less each point are asked in turn: the first that does not
-        deadlock has kept a live set inside it, and if every one deadlocks,
-        so does every smaller set, and the points themselves are kept as a
-        minimal live set.  A new fact replaces each kept one of its kind
-        that contains it, since it decides every placement that one does.
-        No kept fact lies inside it: a clause there would be missed by the
-        points, a live set there held by them, and neither decided them.
+        a kept live set do not.  Any others are relaxed: if they deadlock,
+        ``_relaxed`` keeps the clause of their wait-for cycle.  If they do
+        not, a deletion loop finds a minimal live set inside them: each
+        point in ascending order is dropped for good when the points left,
+        at least one, do not deadlock, decided from a kept clause or else
+        by one relaxation, whose clause is kept when they do.  By
+        monotonicity a point kept once stays needed, so the points left
+        are a minimal live set, and it is kept.  A new fact replaces each
+        kept one of its kind that contains it, since it decides every
+        placement that one does.  No kept fact lies inside it: a clause
+        there would be missed by the points, a live set there held by
+        them, and neither decided them.
         """
         if not self.slot_count:  # nothing ever waits
             return False
@@ -610,22 +612,33 @@ class _Compiled:
         for live in self.live:
             if live & mask == live:
                 return False
-        waits = self.waits(points)
-        if waits:
-            m, table, deposit, clause = self.m, self.table, self.deposit, 0
-            for e, after in self.wait_cycle(points, waits):
-                first = after + 1
-                span = (deposit[table[e][0]] - first) % m + 1
-                gaps = ((1 << span) - 1) << first % m
-                clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
-            clause &= (1 << m) - 1
-            self.clauses = [c for c in self.clauses if c & clause != clause] + [clause]
+        if self._relaxed(points):
             return True
-        points = sorted(points)
-        fewer = (points[:i] + points[i + 1 :] for i in range(len(points)))
-        if len(points) == 1 or all(map(self.deadlocks, fewer)):
-            self.live = [live for live in self.live if live & mask != mask] + [mask]
+        left = sorted(points)
+        for p in sorted(points):
+            fewer = [q for q in left if q != p]
+            kept = mask & ~(1 << p)
+            if fewer and all(kept & clause for clause in self.clauses) and not self._relaxed(fewer):
+                left, mask = fewer, kept
+        self.live = [live for live in self.live if live & mask != mask] + [mask]
         return False
+
+    def _relaxed(self, points: Sequence[int]) -> bool:
+        """Whether checked points deadlock, by one relaxation; when they
+        do, the clause of their ``wait_cycle``, the gaps e' + 1, ..., d(e)
+        of each of its edges, is kept."""
+        waits = self.waits(points)
+        if not waits:
+            return False
+        m, table, deposit, clause = self.m, self.table, self.deposit, 0
+        for e, after in self.wait_cycle(points, waits):
+            first = after + 1
+            span = (deposit[table[e][0]] - first) % m + 1
+            gaps = ((1 << span) - 1) << first % m
+            clause |= gaps | gaps >> m  # the part past gap m - 1 wraps to gap 0
+        clause &= (1 << m) - 1
+        self.clauses = [c for c in self.clauses if c & clause != clause] + [clause]
+        return True
 
     def witness(self, plan: DancePlan) -> Schedule:
         """The lex-least witness of a plan of this diagram and crossing rule

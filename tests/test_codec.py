@@ -343,3 +343,10 @@ def test_token_forms():
     assert token(ClassicalPass(2, Strand.UNDER, CrossingSign.NEGATIVE)) == "U2-"
     assert token(VirtualPass(7)) == "V7"
     assert token(TwistBar(3)) == "T3"
+
+
+@pytest.mark.parametrize("event", [None, "O1+", 3, Strand.OVER, validate([])])
+def test_token_refuses_what_is_not_an_event(event):
+    # None and a token string used to raise AttributeError
+    with pytest.raises(ValueError, match="event must be a ClassicalPass"):
+        token(event)

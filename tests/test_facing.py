@@ -43,8 +43,9 @@ def test_facing_letters():
     assert F.letter == "F" and B.letter == "B"
     assert Facing.from_letter("f") is F
     assert Facing.from_letter("BACKWARD") is B
-    with pytest.raises(ValueError):
-        Facing.from_letter("x")
+    for text in ("x", 5, None, b"F"):  # a non-str raised AttributeError
+        with pytest.raises(ValueError):
+            Facing.from_letter(text)
 
 
 def test_parity_vector_bar_trefoil():
@@ -80,6 +81,9 @@ def test_window_parity_rejects_bad_args():
         window_parity((1,), 0, 0)
     with pytest.raises(ValueError):
         window_parity((), 0, 1)
+    for i in (1.0, True, None, "0"):  # a path index that is not an int
+        with pytest.raises(ValueError, match="path index"):
+            window_parity((0, 1), i, 1)
 
 
 @given(parity_vectors())
@@ -185,11 +189,13 @@ def test_the_facing_gate_has_period_2n_in_k(t, k, data):
 def test_the_facing_functions_refuse_an_empty_vector_or_a_k_that_is_not_a_count():
     # an empty t used to pass forward_rule_ok and matching_check, whose loops
     # never reached window_parity's check; True was read as k = 1, and a float
-    # k raised TypeError
+    # k raised TypeError; a t of other entries than 0 and 1 was answered
+    # ((0, 2) by matching_solve, as all forward), and a t of None raised
+    # TypeError
     calls = [
         lambda t, k: window_parity(t, 0, k),
         forward_rule_ok,
-        lambda t, k: matching_check(t, (F,) * len(t), k),
+        lambda t, k: matching_check(t, (F, F), k),
         matching_solve,
     ]
     for call in calls:
@@ -198,6 +204,10 @@ def test_the_facing_functions_refuse_an_empty_vector_or_a_k_that_is_not_a_count(
         for k in (0, -1, True, False, 1.0, 2.5, "1", None):
             with pytest.raises(ValueError):
                 call((0, 1), k)
+        for t in ((0, 2), (1, -1), (0, 1.0), (0, "1"), (None, 0), "01", None, 3, {0, 1}, iter((0, 1))):
+            with pytest.raises(ValueError, match="tuple or list of 0/1 ints"):
+                call(t, 1)
+        assert call([0, True], 1) == call((0, 1), 1)  # bools are ints
 
 
 def test_matching_check_refuses_facings_that_are_not_facing_members():

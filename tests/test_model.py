@@ -116,6 +116,8 @@ def test_virtual_and_classical_ids_are_separate_namespaces():
         ([ClassicalPass(1, O), ClassicalPass(1, U, "+")], 1),
         # malformed outranks an earlier structural failure
         ([ClassicalPass(1, O, POS), ClassicalPass(1, O, POS), TwistBar(0)], 2),
+        (None, None),  # not an iterable, which raised TypeError
+        (3, None),
     ],
 )
 def test_malformed_events_are_refused_first_with_the_base_class(events, at):

@@ -548,8 +548,8 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
         assert type(row) is SurveyRow
         built = SurveyRow(row.placement, row.facings, row.feasible, row.reason)
         assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
-    # events as parse builds them, filled through the slots (an explicit and a
-    # bare bar, a defaulted and a "-" sign), beside their constructor twins
+    # events as parse builds them (an explicit and a bare bar, a defaulted and
+    # a "-" sign), beside their twins built here
     parsed = parse("O1+ U2- V1 T7 U1 O2- V1 T").events
     built_events = (
         ClassicalPass(1, Strand.OVER),
@@ -561,7 +561,7 @@ def test_step_and_survey_row_survive_pickle_deepcopy_and_replace():
         VirtualPass(1),
         TwistBar(1),
     )
-    # parse sets these slots and runs no __init__ either
+    # parse makes each new event with these fields and no others
     assert [f.name for f in fields(ClassicalPass)] == ["crossing_id", "strand", "sign"]
     assert [f.name for f in fields(VirtualPass)] == ["crossing_id"]
     assert [f.name for f in fields(TwistBar)] == ["bar_id"]
@@ -845,6 +845,17 @@ def test_a_solve_request_relaxes_each_point_set_at_most_once_per_crossing_rule(m
             assert facts <= sum(relaxed.values()), (d, crossing)
             kept += facts
     assert kept >= 100, kept
+
+
+def test_a_placement_of_hundreds_of_points_is_answered_without_deep_recursion():
+    # the descent to a minimal live set called itself once per dropped point
+    # and ran out of stack between 470 and 500 events
+    d = parse(" ".join(f"O{i}+ U{i}+" for i in range(1, 301)))
+    (row,) = survey(d, RuleKind.FORWARD, CrossingRule.OVER_FIRST, 600, 1)
+    assert row == SurveyRow(tuple(range(600)), None, True, None)
+    (live,) = _Compiled.of(d, CrossingRule.OVER_FIRST).live
+    points = [g for g in range(600) if live >> g & 1]
+    assert len(points) == 1 and not _Compiled(d, CrossingRule.OVER_FIRST).waits(points)
 
 
 def _solved(text):
