@@ -89,6 +89,7 @@ from .model import (
     TwistBar,
     VirtualPass,
     _check_member,
+    _groups,
     validate,
 )
 from .scheduler import Schedule
@@ -230,15 +231,21 @@ def _span(data: bytes, at: int) -> SourceSpan:
 
 def token(event: Event) -> str:
     """Canonical token for one event (explicit sign and bar id).  Anything
-    that is not a ``ClassicalPass``, ``VirtualPass`` or ``TwistBar`` is
-    refused with ``ValueError``."""
-    if isinstance(event, ClassicalPass):
+    that is not a ``ClassicalPass``, ``VirtualPass`` or ``TwistBar`` that
+    ``validate`` accepts, such as an event with a string strand or a
+    ``bool`` id, is refused with ``ValueError`` by ``validate``'s own check
+    of an event alone."""
+    try:
+        _groups((event,))
+    except DiagramError:
+        raise ValueError(
+            f"event must be a ClassicalPass, VirtualPass or TwistBar that validate accepts, got {event!r}"
+        ) from None
+    if type(event) is ClassicalPass:
         return f"{event.strand.value}{event.crossing_id}{event.sign.value}"
-    if isinstance(event, VirtualPass):
+    if type(event) is VirtualPass:
         return f"V{event.crossing_id}"
-    if isinstance(event, TwistBar):
-        return f"T{event.bar_id}"
-    raise ValueError(f"event must be a ClassicalPass, VirtualPass or TwistBar, got {event!r}")
+    return f"T{event.bar_id}"
 
 
 def serialize(diagram: Diagram) -> str:

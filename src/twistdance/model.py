@@ -178,35 +178,16 @@ def validate(events: Iterable[Event]) -> Diagram:
     virtual crossing seen three times, then a crossing seen once),
     SignMismatch, DuplicateBar; each at the first index where it fails.
 
-    One pass groups the indices of each classical crossing, virtual crossing
-    and bar; each group then names its first failure as a (check, index)
-    pair, the checks numbered in the order above, and the least is raised.
+    One pass, ``_groups``, groups the indices of each classical crossing,
+    virtual crossing and bar; each group then names its first failure as a
+    (check, index) pair, the checks numbered in the order above, and the
+    least is raised.
     """
     try:
         evs = tuple(events)
     except TypeError:  # not iterable
         raise DiagramError(f"events must be an iterable of events, got {events!r}") from None
-    groups: dict[type, dict[int, list[int]]] = {ClassicalPass: {}, VirtualPass: {}, TwistBar: {}}
-    for i, ev in enumerate(evs):
-        kind = type(ev)
-        if kind is ClassicalPass:
-            ident = ev.crossing_id
-            if type(ev.strand) is not Strand or type(ev.sign) is not CrossingSign:
-                ident = None  # refused with the malformed ids below
-        elif kind is VirtualPass:
-            ident = ev.crossing_id
-        elif kind is TwistBar:
-            ident = ev.bar_id
-        else:
-            raise DiagramError(f"not an event: {ev!r}", i)
-        if type(ident) is not int or ident < 1:
-            raise DiagramError(
-                f"malformed event {ev!r}: ids are ints >= 1, "
-                "strands and signs are Strand and CrossingSign members",
-                i,
-            )
-        groups[kind].setdefault(ident, []).append(i)
-
+    groups = _groups(evs)
     failures: list[tuple[int, int, type[DiagramError], str]] = []  # (check, index, class, message)
     fail = failures.append  # at most once per group
     for kind, by_id in groups.items():
@@ -236,6 +217,37 @@ def validate(events: Iterable[Event]) -> Diagram:
         _, i, error, message = min(failures)  # groups share no index, so no two pairs tie
         raise error(message, i)
     return Diagram(evs)
+
+
+def _groups(evs: Sequence[object]) -> dict[type, dict[int, list[int]]]:
+    """The indices of each classical crossing, virtual crossing and bar, by
+    class and id: the check of every event alone, which ``validate`` and
+    ``codec.token`` share.  A malformed event is refused with
+    :class:`DiagramError` itself at the first such index: an object whose
+    type is not exactly ``ClassicalPass``, ``VirtualPass`` or ``TwistBar``,
+    an id that is not an ``int`` >= 1 (a ``bool`` is refused), or a strand
+    or sign that is not a ``Strand`` or ``CrossingSign`` member."""
+    groups: dict[type, dict[int, list[int]]] = {ClassicalPass: {}, VirtualPass: {}, TwistBar: {}}
+    for i, ev in enumerate(evs):
+        kind = type(ev)
+        if kind is ClassicalPass:
+            ident = ev.crossing_id
+            if type(ev.strand) is not Strand or type(ev.sign) is not CrossingSign:
+                ident = None  # refused with the malformed ids below
+        elif kind is VirtualPass:
+            ident = ev.crossing_id
+        elif kind is TwistBar:
+            ident = ev.bar_id
+        else:
+            raise DiagramError(f"not an event: {ev!r}", i)
+        if type(ident) is not int or ident < 1:
+            raise DiagramError(
+                f"malformed event {ev!r}: ids are ints >= 1, "
+                "strands and signs are Strand and CrossingSign members",
+                i,
+            )
+        groups[kind].setdefault(ident, []).append(i)
+    return groups
 
 
 def check_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:

@@ -45,11 +45,27 @@ the pass.  The rows scanned up to the hit are counted, not built:
 (k - 1) * C(gaps, n) + index + 1 at a hit, k_max * C(gaps, n) at an n
 without one.
 
-``survey`` makes each row with ``object.__new__`` and fills its four fields
+``survey`` keeps the rows it builds in ``_ROWS``, one module-level table
+shared by every survey in the process and bounded by ``_ROW_CAP``, as
+``codec`` keeps events.  A placement's rows depend only on the placement,
+its row template and its one Deadlock verdict, so the table maps each
+template to two maps, for the live and the deadlocked verdict, from a
+placement tuple to the tuple of its rows, each beside the (facings,
+feasible, reason) cells those rows are made of.  ``survey`` looks its
+template up once per distinct t and then each placement with one dict
+read, and builds only the rows of a placement not found.  It makes each
+such row with ``object.__new__`` and fills its four fields from the cells
 through ``SurveyRow``'s slot descriptors, which is what the frozen
 dataclass ``__init__`` does through ``object.__setattr__`` at about twice
-the cost; the rows are ``SurveyRow``s all the same.  It counts its rows by
-arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
+the cost; the rows are ``SurveyRow``s all the same.  Before its walk it
+takes, under one lock, room for as many rows as its placements could add,
+one placement's worth per placement and per new template, and gives back
+what it left unused; it adds rows and templates while its room lasts, so
+the table never holds more than ``_ROW_CAP`` rows and template pairs.
+What the table holds never changes a survey's rows.  Rows are frozen
+values, and two surveys may return the same row object: nothing may rely
+on row identity.  ``survey`` counts its rows by arithmetic first and
+refuses more than ``SURVEY_ROW_LIMIT``.
 
 With k free, the number of dancers a diagram needs, its danceability
 number, is the least n with an n-placement that does not deadlock:
@@ -97,6 +113,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from threading import Lock
 
 from .facing import Facing, _matching_solutions, matching_solve
 from .model import Diagram, _check_bound, _check_member
@@ -113,12 +130,14 @@ __all__ = ["SURVEY_ROW_LIMIT", "SolveReport", "SurveyRow", "min_dancers", "surve
 
 SURVEY_ROW_LIMIT = 2**22
 """The most rows one ``survey`` call builds.  It counts rows, not bytes:
-``tracemalloc`` reads about 77 bytes per row when facings are enumerated,
-the 2**n rows of a placement sharing its placement tuple, so about 320 MB
-at the limit, and about 146 bytes per row otherwise, so about 610 MB.  It
-admits every placement and facing assignment of 8 dancers on 16 gaps
-(3,294,720 rows); a call that would build more is refused before it builds
-any."""
+``tracemalloc`` reads about 74 bytes per returned row when facings are
+enumerated (7 dancers on 14 gaps), the 2**n rows of a placement sharing
+its placement tuple, so about 310 MB at the limit, and about 195 bytes per
+row otherwise (10 dancers on 20 gaps), so about 820 MB.  Beside them, rows
+are kept in the table of built rows up to ``_ROW_CAP``, at most about
+9 MB (see there).  It admits every placement and facing assignment of 8
+dancers on 16 gaps (3,294,720 rows); a call that would build more is
+refused before it builds any."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +172,12 @@ class SolveReport:
 
 @dataclass(frozen=True, slots=True)
 class SurveyRow:
+    """One row of ``survey``: a placement, the facings it is tried with
+    (None under the forward rule), and its verdict.  Rows are frozen
+    values kept in a table shared by every survey in the process, and two
+    surveys may return the same row object: nothing may rely on row
+    identity."""
+
     placement: tuple[int, ...]
     facings: tuple[Facing, ...] | None
     feasible: bool
@@ -162,6 +187,36 @@ class SurveyRow:
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
+# a survey row's last three fields: its facings and its outcome
+_Cell = tuple[tuple[Facing, ...] | None, bool, InfeasibleReason | None]
+# for one row template and one Deadlock verdict: each placement's rows kept
+# so far, by placement tuple, and the cells those rows are made of
+_Kept = tuple[dict[tuple[int, ...], tuple[SurveyRow, ...]], list[_Cell]]
+
+_ROWS: dict[tuple[_Row, ...], tuple[_Kept, _Kept]] = {}  # a row template -> live, deadlocked
+_ROWS_LOCK = Lock()  # held to take room under the cap, give it back and add templates
+_ROW_CAP = 2**15
+"""The most rows and template pairs ``_ROWS`` keeps, a template's pairs
+being as many as one placement's rows.  One pass of the solve-survey
+benchmark over its 540 seed-1 items keeps 17,100 rows of 2,363 placements
+and 9 templates of 56 pairs, and answers 95.5 % of its 52,761 placements
+from the table; the cap holds that about twice over.  ``tracemalloc``
+reads about 102 bytes per row for that table (1.75 MB) on CPython 3.11.
+Full, it holds about 2.7 MB with the rows of 7 dancers on 14 gaps with
+their facings enumerated and about 9 MB with the single rows of
+10-dancer placements, whose tuples it then holds alone."""
+# the rows and template pairs in ``_ROWS``, with the room surveys running
+# have taken for theirs, counted under its lock
+_rows_held = 0
+
+
+def _fresh(template: tuple[_Row, ...]) -> tuple[_Kept, _Kept]:
+    """A row template's entry before any row is kept: no rows, and the
+    cells of its rows, live then deadlocked."""
+    parity, deadlock = InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK
+    live = [(f, True, None) if ok else (f, False, parity) for f, ok in template]
+    dead = [(f, False, deadlock if ok else parity) for f, ok in template]
+    return ({}, live), ({}, dead)
 
 
 def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
@@ -246,8 +301,9 @@ def survey(
     the scheduler's linear deadlock test with no search.  The 2**n
     assignments are built only when they are enumerated.  ``n`` and ``k``
     must be ints >= 1, ``n`` may not exceed the diagram's gap count, the
-    diagram must be a ``Diagram`` and the two rules must be members of their
-    enums; otherwise ``ValueError``.  The rows number C(gaps, n), times 2**n
+    diagram must be a ``Diagram``, the two rules must be members of their
+    enums and ``enumerate_facings`` must be a ``bool``; otherwise
+    ``ValueError``.  The rows number C(gaps, n), times 2**n
     when facings are enumerated under the matching rule; a survey of more
     than ``SURVEY_ROW_LIMIT`` rows is refused with ``ValueError`` before any
     row is built.
@@ -257,13 +313,14 @@ def survey(
     _check_bound("k", k)
     _check_member("rule", rule, RuleKind)
     _check_member("crossing_rule", crossing_rule, CrossingRule)
+    _check_member("enumerate_facings", enumerate_facings, bool)
     matching = rule is RuleKind.MATCHING
     enumerated = enumerate_facings and matching
-    count = comb(diagram.gap_count, n) * (2**n if enumerated else 1)
+    placements = comb(diagram.gap_count, n)
+    width = 2**n if enumerated else 1  # the rows of one placement, the pairs of one template
+    count = placements * width
     if count > SURVEY_ROW_LIMIT:
         raise ValueError(f"a survey of {count} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}")
-    refused = (False, InfeasibleReason.FACING_PARITY)
-    decided = {False: (True, None), True: (False, InfeasibleReason.DEADLOCK)}
     # each row filled through the slots, bypassing the frozen __init__ (see above)
     new = object.__new__
     set_placement = SurveyRow.placement.__set__
@@ -273,26 +330,55 @@ def survey(
     rows: list[SurveyRow] = []
     append = rows.append
     compiled = _Compiled.of(diagram, crossing_rule)
+    deadlocks = compiled.deadlocks
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
+    global _rows_held
+    with _ROWS_LOCK:  # room for what this call may keep, in widths; what is left is given back
+        room = min(max(_ROW_CAP - _rows_held, 0) // width, 2 * placements)
+        _rows_held += room * width
 
-    def template(t: tuple[int, ...]) -> tuple[list[_Row], bool]:
-        """The rows of a placement with path parities t, and whether any
-        passes the gate."""
+    def template(t: tuple[int, ...]) -> tuple[bool, tuple[_Kept, _Kept]]:
+        """Whether any row of a placement with path parities t passes the
+        gate, and its template's entry in ``_ROWS``, which a new template
+        joins while there is room: it takes as much as one placement's
+        rows, its ``width`` pairs."""
+        nonlocal room
         if every_facing is not None:  # some row passes iff there is a solution
             solutions = _matching_solutions(t, k)
-            return [(f, f in solutions) for f in every_facing], bool(solutions)
-        gate = _gate(t, k, matching)
-        return [gate], gate[1]
+            rows_of_t, any_passes = tuple([(f, f in solutions) for f in every_facing]), bool(solutions)
+        else:
+            gate = _gate(t, k, matching)
+            rows_of_t, any_passes = (gate,), gate[1]
+        by_verdict = _ROWS.get(rows_of_t)
+        if by_verdict is None:
+            by_verdict = _fresh(rows_of_t)
+            if room:
+                room -= 1
+                with _ROWS_LOCK:
+                    by_verdict = _ROWS.setdefault(rows_of_t, by_verdict)
+        return any_passes, by_verdict
 
-    for placement, (rows_of_t, any_passes) in compiled.placements(n, template):
-        # a placement whose rows all fail the gate is not asked whether it deadlocks
-        verdict = decided[any_passes and compiled.deadlocks(placement)]
-        for facings, ok in rows_of_t:
-            feasible, reason = verdict if ok else refused
-            row = new(SurveyRow)
-            set_placement(row, placement)
-            set_facings(row, facings)
-            set_feasible(row, feasible)
-            set_reason(row, reason)
-            append(row)
+    try:
+        for placement, (any_passes, by_verdict) in compiled.placements(n, template):
+            # a placement whose rows all fail the gate is not asked whether it deadlocks
+            kept, cells = by_verdict[any_passes and deadlocks(placement)]
+            made = kept.get(placement)
+            if made is not None:
+                rows += made
+                continue
+            start = len(rows)
+            for facings, feasible, reason in cells:
+                row = new(SurveyRow)
+                set_placement(row, placement)
+                set_facings(row, facings)
+                set_feasible(row, feasible)
+                set_reason(row, reason)
+                append(row)
+            if room:
+                kept[placement] = tuple(rows[start:])
+                room -= 1
+    finally:
+        if room:
+            with _ROWS_LOCK:
+                _rows_held -= room * width
     return rows

@@ -345,8 +345,20 @@ def test_token_forms():
     assert token(TwistBar(3)) == "T3"
 
 
-@pytest.mark.parametrize("event", [None, "O1+", 3, Strand.OVER, validate([])])
+@pytest.mark.parametrize(
+    "event",
+    [
+        None,
+        "O1+",
+        3,
+        Strand.OVER,
+        validate([]),
+        ClassicalPass(1, "O"),
+        ClassicalPass(True, Strand.OVER, CrossingSign.POSITIVE),
+    ],
+)
 def test_token_refuses_what_is_not_an_event(event):
-    # None and a token string used to raise AttributeError
+    # None and a token string used to raise AttributeError, as did a string
+    # strand, and a bool id was written as 'OTrue+'
     with pytest.raises(ValueError, match="event must be a ClassicalPass"):
         token(event)

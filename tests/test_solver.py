@@ -3,15 +3,18 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twistdance import solver
 from twistdance.codec import parse
 from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
 from twistdance.model import ClassicalPass, CrossingSign, Strand, TwistBar, VirtualPass
@@ -349,6 +352,10 @@ def test_min_dancers_and_survey_refuse_rules_that_are_not_enum_members():
         for enumerate_facings in (False, True):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 survey(d, rule, crossing, 1, 1, enumerate_facings=enumerate_facings)
+    # and a flag that is not a bool: "no" used to enumerate and None to solve
+    for flag in ("no", None):
+        with pytest.raises(ValueError, match="^enumerate_facings must be a bool"):
+            survey(parse("O1+ U1+ T1"), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 1, 1, enumerate_facings=flag)
 
 
 def test_survey_refuses_a_fractional_k():
@@ -959,3 +966,95 @@ def test_survey_admits_exactly_its_row_limit(monkeypatch):
         monkeypatch.setattr(twistdance.solver, "SURVEY_ROW_LIMIT", rows - 1)
         with pytest.raises(ValueError, match=f"^a survey of {rows} rows exceeds SURVEY_ROW_LIMIT = {rows - 1}$"):
             survey(d, rule, CrossingRule.OVER_FIRST, 3, 1, enumerate_facings=enumerate_facings)
+
+
+@contextmanager
+def _row_table(cap=solver._ROW_CAP):
+    """An empty table of kept survey rows for the block, with its cap."""
+    with (
+        patch.dict(solver._ROWS, clear=True),
+        patch.object(solver, "_rows_held", 0),
+        patch.object(solver, "_ROW_CAP", cap),
+    ):
+        yield
+
+
+def _rows_kept():
+    return sum(len(made) for pair in solver._ROWS.values() for kept, _ in pair for made in kept.values())
+
+
+def _held():
+    """The rows kept and the pairs of the templates kept, which the cap counts."""
+    return _rows_kept() + sum(map(len, solver._ROWS))
+
+
+@given(
+    st.lists(diagrams(max_events=6), min_size=1, max_size=4),
+    st.sampled_from(RuleKind),
+    st.sampled_from(CrossingRule),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_survey_reads_the_same_whatever_the_row_table_holds(ds, rule, crossing, n, k, enumerate_facings):
+    d, others = ds[0], ds[1:]
+
+    def rows_of(diagram):
+        rows = survey(diagram, rule, crossing, min(n, diagram.gap_count), k, enumerate_facings=enumerate_facings)
+        assert all(type(row) is SurveyRow for row in rows)
+        return rows, [repr(row) for row in rows]
+
+    with _row_table():
+        empty = rows_of(d)
+        assert rows_of(d) == empty  # its own rows in the table
+        solver._ROWS.clear()
+        solver._rows_held = 0
+        for other in others:  # rows of other diagrams under the same templates
+            rows_of(other)
+        assert rows_of(d) == empty
+        assert _held() == solver._rows_held
+    with _row_table(cap=0):
+        assert rows_of(d) == empty
+        assert rows_of(d) == empty
+        assert not solver._ROWS and solver._rows_held == 0
+
+
+def test_the_row_table_never_holds_more_rows_than_its_cap():
+    texts = [BAR_TREFOIL, TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2", "T1 T2 T3 T4 T5"]
+    with _row_table(cap=30):
+        for text, n, enumerate_facings in product(texts, (1, 2, 3), (True, False)):
+            survey(parse(text), RuleKind.MATCHING, CrossingRule.OVER_FIRST, n, 2, enumerate_facings=enumerate_facings)
+            assert _rows_kept() < _held() == solver._rows_held <= 30
+        assert solver._rows_held > 30 - 8  # full up to less than one placement's rows
+
+
+def test_threads_surveying_one_diagram_at_once_each_get_the_serial_rows():
+    # four threads survey one parsed diagram into one table at once, also
+    # with a cap they reach; a placement two threads keep at once counts twice
+    texts = [BAR_TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
+    try:
+        for text, crossing, cap in product(texts, CrossingRule, (solver._ROW_CAP, 40)):
+            with _row_table(cap):
+                expected = [
+                    survey(parse(text), RuleKind.MATCHING, crossing, n, 2, enumerate_facings=True)
+                    for n in (1, 2, 3)
+                ]
+            with _row_table(cap):
+                shared = parse(text)
+                start = threading.Barrier(4)
+
+                def run():
+                    start.wait()
+                    return [
+                        survey(shared, RuleKind.MATCHING, crossing, n, 2, enumerate_facings=True)
+                        for n in (1, 2, 3)
+                    ]
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    answers = [f.result(timeout=60) for f in [pool.submit(run) for _ in range(4)]]
+                assert all(answer == expected for answer in answers), (text, crossing, cap)
+                assert _held() <= solver._rows_held <= cap
+    finally:
+        sys.setswitchinterval(switch)
