@@ -35,7 +35,8 @@ bounded by ``_EVENT_CAP``.  A bare sign is read as ``+`` and a bare ``T``
 takes the next bar id in reading order, and each is looked up as the token
 it stands for, so every key is canonical.  A run not in the table is
 checked alone against the canonical-token pattern, and its event is made
-by its class's constructor and added while the table is below its cap.
+once per text by its class's constructor; the events a parse made, and
+only those, are added in reading order while the table is below its cap.
 So once a process has parsed diagrams with the same tokens, ``parse``
 reads another such diagram, written in canonical tokens, without making an
 event or running a regular expression.  What the table holds never
@@ -191,9 +192,11 @@ def _lex(data: bytes, runs: list[str], events: list[Event | None]) -> None:
 
     A bare sign is read as '+' and a bare ``T`` takes the next bar id; each
     is then looked up as that canonical token.  A run still not found is
-    checked alone against ``_TOKEN_RE``, its event is made by its class's
-    constructor, and it is kept while the table is below its cap."""
+    checked alone against ``_TOKEN_RE`` and its event is made by its
+    class's constructor, once per text; the runs made are kept, in reading
+    order, while the table is below its cap."""
     bars = count(1)
+    made: dict[str, Event] = {}
     for at, ev in enumerate(events):
         if ev is not None:
             continue
@@ -202,7 +205,7 @@ def _lex(data: bytes, runs: list[str], events: list[Event | None]) -> None:
             run = runs[at] = f"T{next(bars)}"
         elif run[0] in "OU" and run[-1] not in "+-":
             run = runs[at] = run + "+"
-        ev = _EVENTS.get(run)
+        ev = _EVENTS.get(run) or made.get(run)
         if ev is None:
             if _TOKEN_RE.fullmatch(run) is None:
                 span = _span(data, at)
@@ -218,9 +221,11 @@ def _lex(data: bytes, runs: list[str], events: list[Event | None]) -> None:
                 span = _span(data, at)
                 run = data[span.byte_start : span.byte_end]
                 raise LexError(f"id too long in token {run[:12]!r}...", span) from None
+            made[run] = ev
         events[at] = ev
-    with _EVENTS_LOCK:
-        _EVENTS.update(islice(zip(runs, events), max(_EVENT_CAP - len(_EVENTS), 0)))
+    if made:
+        with _EVENTS_LOCK:
+            _EVENTS.update(islice(made.items(), max(_EVENT_CAP - len(_EVENTS), 0)))
 
 
 def _span(data: bytes, at: int) -> SourceSpan:

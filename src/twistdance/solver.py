@@ -50,22 +50,27 @@ shared by every survey in the process and bounded by ``_ROW_CAP``, as
 ``codec`` keeps events.  A placement's rows depend only on the placement,
 its row template and its one Deadlock verdict, so the table maps each
 template to two maps, for the live and the deadlocked verdict, from a
-placement tuple to the tuple of its rows, each beside the (facings,
-feasible, reason) cells those rows are made of.  ``survey`` looks its
-template up once per distinct t and then each placement with one dict
-read, and builds only the rows of a placement not found.  It makes each
-such row with ``object.__new__`` and fills its four fields from the cells
-through ``SurveyRow``'s slot descriptors, which is what the frozen
-dataclass ``__init__`` does through ``object.__setattr__`` at about twice
-the cost; the rows are ``SurveyRow``s all the same.  Before its walk it
-takes, under one lock, room for as many rows as its placements could add,
-one placement's worth per placement and per new template, and gives back
-what it left unused; it adds rows and templates while its room lasts, so
-the table never holds more than ``_ROW_CAP`` rows and template pairs.
-What the table holds never changes a survey's rows.  Rows are frozen
-values, and two surveys may return the same row object: nothing may rely
-on row identity.  ``survey`` counts its rows by arithmetic first and
-refuses more than ``SURVEY_ROW_LIMIT``.
+placement tuple to the tuple of its rows.  ``survey`` looks its template
+up once per distinct t and then each placement with one dict read, and
+builds only the rows of a placement not found.  It makes each such row
+with ``object.__new__`` and fills its four fields through ``SurveyRow``'s
+slot descriptors, which is what the frozen dataclass ``__init__`` does
+through ``object.__setattr__`` at about twice the cost; the rows are
+``SurveyRow``s all the same.  A row reads its fields off its template
+pair and the verdict: it is feasible when the gate passes it and the
+placement does not deadlock, and its reason is ``FACING_PARITY`` when the
+gate refuses it, else ``DEADLOCK`` when the placement deadlocks, else
+None.  The rows it builds among the first ``_ROW_CAP`` rows it returns
+wait beside their template in a map of the call's own, and after the
+walk, as ``_lex`` adds the events it made, one acquisition of
+``_ROWS_LOCK`` adds the new templates and rows while they fit under the
+cap, counting only what it inserted: a template the table lacks goes in
+with every row built under it when all of them fit, and otherwise each
+placement's rows go in one by one.  A survey that built no row takes no
+lock.  What the table holds never changes a survey's rows.  Rows are
+frozen values, and two surveys may return the same row object: nothing
+may rely on row identity.  ``survey`` counts its rows by arithmetic first
+and refuses more than ``SURVEY_ROW_LIMIT``.
 
 With k free, the number of dancers a diagram needs, its danceability
 number, is the least n with an n-placement that does not deadlock:
@@ -133,11 +138,11 @@ SURVEY_ROW_LIMIT = 2**22
 ``tracemalloc`` reads about 74 bytes per returned row when facings are
 enumerated (7 dancers on 14 gaps), the 2**n rows of a placement sharing
 its placement tuple, so about 310 MB at the limit, and about 195 bytes per
-row otherwise (10 dancers on 20 gaps), so about 820 MB.  Beside them, rows
-are kept in the table of built rows up to ``_ROW_CAP``, at most about
-9 MB (see there).  It admits every placement and facing assignment of 8
-dancers on 16 gaps (3,294,720 rows); a call that would build more is
-refused before it builds any."""
+row otherwise (10 dancers on 20 gaps, under either dance rule), so about
+820 MB, on CPython 3.11.  Beside them, rows are kept in the table of built
+rows up to ``_ROW_CAP``, at most about 9 MB (see there).  It admits every
+placement and facing assignment of 8 dancers on 16 gaps (3,294,720 rows);
+a call that would build more is refused before it builds any."""
 
 
 @dataclass(frozen=True)
@@ -187,36 +192,24 @@ class SurveyRow:
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
-# a survey row's last three fields: its facings and its outcome
-_Cell = tuple[tuple[Facing, ...] | None, bool, InfeasibleReason | None]
-# for one row template and one Deadlock verdict: each placement's rows kept
-# so far, by placement tuple, and the cells those rows are made of
-_Kept = tuple[dict[tuple[int, ...], tuple[SurveyRow, ...]], list[_Cell]]
+# for one row template, live then deadlocked: each placement's rows, by its tuple
+_Pair = tuple[dict[tuple[int, ...], tuple[SurveyRow, ...]], dict[tuple[int, ...], tuple[SurveyRow, ...]]]
 
-_ROWS: dict[tuple[_Row, ...], tuple[_Kept, _Kept]] = {}  # a row template -> live, deadlocked
-_ROWS_LOCK = Lock()  # held to take room under the cap, give it back and add templates
+_ROWS: dict[tuple[_Row, ...], _Pair] = {}  # a row template -> its kept rows
+_ROWS_LOCK = Lock()  # held to add templates and rows and count them
 _ROW_CAP = 2**15
-"""The most rows and template pairs ``_ROWS`` keeps, a template's pairs
-being as many as one placement's rows.  One pass of the solve-survey
-benchmark over its 540 seed-1 items keeps 17,100 rows of 2,363 placements
-and 9 templates of 56 pairs, and answers 95.5 % of its 52,761 placements
-from the table; the cap holds that about twice over.  ``tracemalloc``
-reads about 102 bytes per row for that table (1.75 MB) on CPython 3.11.
-Full, it holds about 2.7 MB with the rows of 7 dancers on 14 gaps with
-their facings enumerated and about 9 MB with the single rows of
-10-dancer placements, whose tuples it then holds alone."""
-# the rows and template pairs in ``_ROWS``, with the room surveys running
-# have taken for theirs, counted under its lock
-_rows_held = 0
-
-
-def _fresh(template: tuple[_Row, ...]) -> tuple[_Kept, _Kept]:
-    """A row template's entry before any row is kept: no rows, and the
-    cells of its rows, live then deadlocked."""
-    parity, deadlock = InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK
-    live = [(f, True, None) if ok else (f, False, parity) for f, ok in template]
-    dead = [(f, False, deadlock if ok else parity) for f, ok in template]
-    return ({}, live), ({}, dead)
+"""The most rows and template pairs ``_ROWS`` keeps: ``_rows_held`` counts
+each row kept and, for each template kept, its ``(facings, gate passes)``
+pairs, as many as one placement's rows, and ``survey`` adds a template or
+a placement's rows only while the count stays within the cap.  One pass of
+the solve-survey benchmark over its 540 seed-1 items keeps 17,100 rows of
+2,363 placements and 9 templates of 56 pairs, and answers 95.5 % of its
+52,761 placements from the table; the cap holds that about twice over.
+``tracemalloc`` reads about 102 bytes per row for that table (1.75 MB) on
+CPython 3.11.  Full, it holds about 2.7 MB with the rows of 7 dancers on
+14 gaps with their facings enumerated and about 9 MB with the single rows
+of 10-dancer placements, whose tuples it then holds alone."""
+_rows_held = 0  # the rows and template pairs in ``_ROWS``, counted under its lock
 
 
 def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
@@ -316,9 +309,8 @@ def survey(
     _check_member("enumerate_facings", enumerate_facings, bool)
     matching = rule is RuleKind.MATCHING
     enumerated = enumerate_facings and matching
-    placements = comb(diagram.gap_count, n)
     width = 2**n if enumerated else 1  # the rows of one placement, the pairs of one template
-    count = placements * width
+    count = comb(diagram.gap_count, n) * width
     if count > SURVEY_ROW_LIMIT:
         raise ValueError(f"a survey of {count} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}")
     # each row filled through the slots, bypassing the frozen __init__ (see above)
@@ -327,58 +319,59 @@ def survey(
     set_facings = SurveyRow.facings.__set__
     set_feasible = SurveyRow.feasible.__set__
     set_reason = SurveyRow.reason.__set__
+    parity, deadlock = InfeasibleReason.FACING_PARITY, InfeasibleReason.DEADLOCK
     rows: list[SurveyRow] = []
     append = rows.append
     compiled = _Compiled.of(diagram, crossing_rule)
     deadlocks = compiled.deadlocks
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
+    built: list[tuple[tuple[_Row, ...], _Pair]] = []  # each template met, beside the rows built under it
     global _rows_held
-    with _ROWS_LOCK:  # room for what this call may keep, in widths; what is left is given back
-        room = min(max(_ROW_CAP - _rows_held, 0) // width, 2 * placements)
-        _rows_held += room * width
 
-    def template(t: tuple[int, ...]) -> tuple[bool, tuple[_Kept, _Kept]]:
+    def template(t: tuple[int, ...]) -> tuple[bool, tuple[_Row, ...], _Pair, _Pair]:
         """Whether any row of a placement with path parities t passes the
-        gate, and its template's entry in ``_ROWS``, which a new template
-        joins while there is room: it takes as much as one placement's
-        rows, its ``width`` pairs."""
-        nonlocal room
+        gate, its template, the template's rows in ``_ROWS`` (those built
+        in this call if it has none there) and the rows built in this call."""
         if every_facing is not None:  # some row passes iff there is a solution
             solutions = _matching_solutions(t, k)
             rows_of_t, any_passes = tuple([(f, f in solutions) for f in every_facing]), bool(solutions)
         else:
             gate = _gate(t, k, matching)
             rows_of_t, any_passes = (gate,), gate[1]
-        by_verdict = _ROWS.get(rows_of_t)
-        if by_verdict is None:
-            by_verdict = _fresh(rows_of_t)
-            if room:
-                room -= 1
-                with _ROWS_LOCK:
-                    by_verdict = _ROWS.setdefault(rows_of_t, by_verdict)
-        return any_passes, by_verdict
+        ours: _Pair = {}, {}
+        built.append((rows_of_t, ours))
+        return any_passes, rows_of_t, _ROWS.get(rows_of_t, ours), ours
 
-    try:
-        for placement, (any_passes, by_verdict) in compiled.placements(n, template):
-            # a placement whose rows all fail the gate is not asked whether it deadlocks
-            kept, cells = by_verdict[any_passes and deadlocks(placement)]
-            made = kept.get(placement)
-            if made is not None:
-                rows += made
-                continue
-            start = len(rows)
-            for facings, feasible, reason in cells:
-                row = new(SurveyRow)
-                set_placement(row, placement)
-                set_facings(row, facings)
-                set_feasible(row, feasible)
-                set_reason(row, reason)
-                append(row)
-            if room:
-                kept[placement] = tuple(rows[start:])
-                room -= 1
-    finally:
-        if room:
-            with _ROWS_LOCK:
-                _rows_held -= room * width
+    for placement, (any_passes, rows_of_t, kept, ours) in compiled.placements(n, template):
+        # a placement whose rows all fail the gate is not asked whether it deadlocks
+        dead = any_passes and deadlocks(placement)
+        made = kept[dead].get(placement)
+        if made is not None:
+            rows += made
+            continue
+        start = len(rows)
+        live, reason = not dead, deadlock if dead else None
+        for facings, passes in rows_of_t:
+            row = new(SurveyRow)
+            set_placement(row, placement)
+            set_facings(row, facings)
+            set_feasible(row, passes and live)
+            set_reason(row, reason if passes else parity)
+            append(row)
+        if start < _ROW_CAP:
+            ours[dead][placement] = tuple(rows[start:])
+    if any(any(ours) for _, ours in built):  # add what fits, as ``_lex`` does (see above)
+        with _ROWS_LOCK:
+            for rows_of_t, ours in built:
+                size = width * (1 + len(ours[0]) + len(ours[1]))
+                if _rows_held + size <= _ROW_CAP and _ROWS.setdefault(rows_of_t, ours) is ours:
+                    _rows_held += size  # a new template, with every row built under it
+                    continue
+                fresh: _Pair = {}, {}
+                if _rows_held + width <= _ROW_CAP and _ROWS.setdefault(rows_of_t, fresh) is fresh:
+                    _rows_held += width
+                for mine, theirs in zip(ours, _ROWS.get(rows_of_t, ())):
+                    for placement, made in mine.items():
+                        if _rows_held + width <= _ROW_CAP and theirs.setdefault(placement, made) is made:
+                            _rows_held += width
     return rows

@@ -256,6 +256,17 @@ def test_the_event_table_never_grows_past_its_cap():
         assert len(codec._EVENTS) == 10
 
 
+def test_the_event_table_spends_its_room_only_on_tokens_it_lacks():
+    # a text's tokens already kept, or repeated in it, take no room from its new ones
+    with patch.dict(codec._EVENTS, clear=True), patch.object(codec, "_EVENT_CAP", 4):
+        parse("O1+ U1+")
+        parse("O1+ U1+ O2+ U2+")
+        assert list(codec._EVENTS) == ["O1+", "U1+", "O2+", "U2+"]
+        codec._EVENTS.clear()
+        parse("V1 V1 O1+ U1+ V2 V2")
+        assert list(codec._EVENTS) == ["V1", "O1+", "U1+", "V2"]
+
+
 def test_a_bare_sign_or_bar_shares_the_event_of_its_canonical_token():
     # events are frozen values, so two diagrams may hold the same one
     with patch.dict(codec._EVENTS, clear=True):

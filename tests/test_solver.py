@@ -980,7 +980,7 @@ def _row_table(cap=solver._ROW_CAP):
 
 
 def _rows_kept():
-    return sum(len(made) for pair in solver._ROWS.values() for kept, _ in pair for made in kept.values())
+    return sum(len(made) for pair in solver._ROWS.values() for kept in pair for made in kept.values())
 
 
 def _held():
@@ -1030,7 +1030,7 @@ def test_the_row_table_never_holds_more_rows_than_its_cap():
 
 def test_threads_surveying_one_diagram_at_once_each_get_the_serial_rows():
     # four threads survey one parsed diagram into one table at once, also
-    # with a cap they reach; a placement two threads keep at once counts twice
+    # with a cap they reach, and the count is what the table holds
     texts = [BAR_TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2"]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
@@ -1055,6 +1055,36 @@ def test_threads_surveying_one_diagram_at_once_each_get_the_serial_rows():
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     answers = [f.result(timeout=60) for f in [pool.submit(run) for _ in range(4)]]
                 assert all(answer == expected for answer in answers), (text, crossing, cap)
-                assert _held() <= solver._rows_held <= cap
+                assert _held() == solver._rows_held <= cap
     finally:
         sys.setswitchinterval(switch)
+
+
+class _CountingLock:
+    """A lock that counts the times it is taken."""
+
+    def __init__(self):
+        self.lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_survey_takes_the_row_lock_once_and_not_at_all_when_every_placement_is_kept():
+    texts = [BAR_TREFOIL, TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2"]
+    lock = _CountingLock()
+    with _row_table(), patch.object(solver, "_ROWS_LOCK", lock):
+        for text, rule, n, enumerate_facings in product(texts, RuleKind, (1, 2, 3), (True, False)):
+            d = parse(text)
+            taken = lock.taken
+            rows = survey(d, rule, CrossingRule.OVER_FIRST, n, 2, enumerate_facings=enumerate_facings)
+            assert lock.taken <= taken + 1
+            taken = lock.taken
+            assert survey(d, rule, CrossingRule.OVER_FIRST, n, 2, enumerate_facings=enumerate_facings) == rows
+            assert lock.taken == taken, (text, rule, n, enumerate_facings)
+        assert lock.taken > 0
+        assert _held() == solver._rows_held
