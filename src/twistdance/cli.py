@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dance = sub.add_parser("dance", help="decide one dance plan and optionally dump its trace")
     _plan_flags(p_dance)
     p_dance.add_argument("--points", required=True, help="comma-separated gap indices, e.g. 0,3")
-    p_dance.add_argument("--k", type=int, required=True, help="paths each dancer traverses")
+    p_dance.add_argument("--k", type=_count, required=True, help="paths each dancer traverses")
     p_dance.add_argument("--facings", default=None, help="comma-separated F/B per point (matching rule)")
     p_dance.add_argument("--json", default=None, metavar="PATH", help="write the JSON trace here")
     p_dance.add_argument("--svg", default=None, metavar="PATH", help="write an SVG timeline here")
@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="minimal dancers (then laps) for a diagram")
     _plan_flags(p_solve)
-    p_solve.add_argument("--max-n", type=int, required=True, help="largest dancer count to try")
-    p_solve.add_argument("--max-k", type=int, required=True, help="largest lap count to try")
+    p_solve.add_argument("--max-n", type=_count, required=True, help="largest dancer count to try")
+    p_solve.add_argument("--max-k", type=_count, required=True, help="largest lap count to try")
     p_solve.add_argument("--json", default=None, metavar="PATH", help="write the winning trace here")
     p_solve.set_defaults(func=cmd_solve)
     return parser
@@ -79,6 +79,18 @@ def _plan_flags(sub: argparse.ArgumentParser) -> None:
         choices=[c.value for c in CrossingRule],
         default=CrossingRule.OVER_FIRST.value,
     )
+
+
+def _count(text: str) -> int:
+    """A count flag's value or one ``--points`` index: ASCII digits only,
+    since ``int`` also reads signs, underscores, surrounding space and
+    every Unicode digit (``int("1_0")`` is 10, ``int("\u0662")`` is 2)."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 class _CliExit(Exception):
@@ -126,8 +138,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_dance(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args, invalid_code=2)
     try:
-        points = tuple(int(part.strip()) for part in args.points.split(",") if part.strip() != "")
-    except ValueError:
+        points = tuple(_count(part.strip()) for part in args.points.split(",") if part.strip() != "")
+    except argparse.ArgumentTypeError:
         raise _usage(f"bad --points value {args.points!r}")
     try:
         facings = None

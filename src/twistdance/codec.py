@@ -115,10 +115,6 @@ class LexError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]|V[1-9][0-9]*|T[1-9][0-9]*")  # a canonical token
-# a classical token's strand, by its first character, and its sign, by its
-# last: a dict read costs a fraction of the enum's own value lookup
-_STRAND = {"O": Strand.OVER, "U": Strand.UNDER}
-_SIGN = {"+": CrossingSign.POSITIVE, "-": CrossingSign.NEGATIVE}
 # The grammar's separators become spaces, and the other ASCII bytes that
 # ``str.split()`` cuts at become NUL, which no token holds.  Decoded as ASCII
 # with ``surrogateescape``, the text then has no other whitespace, so
@@ -216,7 +212,7 @@ def _lex(data: bytes, runs: list[str], events: list[Event | None]) -> None:
                 elif run[0] == "T":
                     ev = TwistBar(int(run[1:]))
                 else:
-                    ev = ClassicalPass(int(run[1:-1]), _STRAND[run[0]], _SIGN[run[-1]])
+                    ev = ClassicalPass(int(run[1:-1]), Strand(run[0]), CrossingSign(run[-1]))
             except ValueError:  # more digits than the interpreter's int-string limit
                 span = _span(data, at)
                 run = data[span.byte_start : span.byte_end]

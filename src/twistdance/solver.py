@@ -50,27 +50,25 @@ shared by every survey in the process and bounded by ``_ROW_CAP``, as
 ``codec`` keeps events.  A placement's rows depend only on the placement,
 its row template and its one Deadlock verdict, so the table maps each
 template to two maps, for the live and the deadlocked verdict, from a
-placement tuple to the tuple of its rows.  ``survey`` looks its template
-up once per distinct t and then each placement with one dict read, and
-builds only the rows of a placement not found.  It makes each such row
-with ``object.__new__`` and fills its four fields through ``SurveyRow``'s
-slot descriptors, which is what the frozen dataclass ``__init__`` does
-through ``object.__setattr__`` at about twice the cost; the rows are
-``SurveyRow``s all the same.  A row reads its fields off its template
-pair and the verdict: it is feasible when the gate passes it and the
-placement does not deadlock, and its reason is ``FACING_PARITY`` when the
-gate refuses it, else ``DEADLOCK`` when the placement deadlocks, else
-None.  The rows it builds among the first ``_ROW_CAP`` rows it returns
-wait beside their template in a map of the call's own, and after the
-walk, as ``_lex`` adds the events it made, one acquisition of
-``_ROWS_LOCK`` adds the new templates and rows while they fit under the
-cap, counting only what it inserted: a template the table lacks goes in
-with every row built under it when all of them fit, and otherwise each
-placement's rows go in one by one.  A survey that built no row takes no
-lock.  What the table holds never changes a survey's rows.  Rows are
-frozen values, and two surveys may return the same row object: nothing
-may rely on row identity.  ``survey`` counts its rows by arithmetic first
-and refuses more than ``SURVEY_ROW_LIMIT``.
+placement tuple to the tuple of its rows, and to the template itself.
+``survey`` looks its template up once per distinct t and then each
+placement with one dict read.  The rows of a placement not found are
+built where it is missed, from the template the table holds, so rows
+built under one template share its facing tuples; a row is feasible when
+the gate passes it and the placement does not deadlock, and its reason is
+``FACING_PARITY`` when the gate refuses it, else ``DEADLOCK`` when the
+placement deadlocks, else None.  ``survey`` makes each such row with
+``object.__new__`` and fills its four fields through ``SurveyRow``'s slot
+descriptors, which is what the frozen dataclass ``__init__`` does through
+``object.__setattr__`` at about twice the cost; the rows are
+``SurveyRow``s all the same.  Then ``_keep`` takes ``_ROWS_LOCK`` and adds
+the template, if the table lacks it, and the placement's rows, each while
+it fits under the cap, counting only what it inserted.  A survey that
+builds no row takes no lock, and none once the table is full, since the
+table is never emptied.  What the table holds never changes a survey's
+rows.  Rows are frozen values, and two surveys may return the same row
+object: nothing may rely on row identity.  ``survey`` counts its rows by
+arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
 
 With k free, the number of dancers a diagram needs, its danceability
 number, is the least n with an n-placement that does not deadlock:
@@ -179,7 +177,8 @@ class SolveReport:
 class SurveyRow:
     """One row of ``survey``: a placement, the facings it is tried with
     (None under the forward rule), and its verdict.  Rows are frozen
-    values kept in a table shared by every survey in the process, and two
+    values, stored where a survey misses them in a table shared by every
+    survey in the process, under its lock and within its bound, and two
     surveys may return the same row object: nothing may rely on row
     identity."""
 
@@ -192,24 +191,46 @@ class SurveyRow:
 # a survey row before its verdict: the facings it is tried with, and whether
 # the facing gate passes them
 _Row = tuple[tuple[Facing, ...] | None, bool]
-# for one row template, live then deadlocked: each placement's rows, by its tuple
-_Pair = tuple[dict[tuple[int, ...], tuple[SurveyRow, ...]], dict[tuple[int, ...], tuple[SurveyRow, ...]]]
+_Rows = dict[tuple[int, ...], tuple[SurveyRow, ...]]  # each placement's rows, by its tuple
+# the rows kept under one row template, live then deadlocked, and the template
+# itself, whose facing tuples every row built under it shares
+_Kept = tuple[_Rows, _Rows, tuple[_Row, ...]]
 
-_ROWS: dict[tuple[_Row, ...], _Pair] = {}  # a row template -> its kept rows
+_ROWS: dict[tuple[_Row, ...], _Kept] = {}  # a row template -> its kept rows
 _ROWS_LOCK = Lock()  # held to add templates and rows and count them
 _ROW_CAP = 2**15
 """The most rows and template pairs ``_ROWS`` keeps: ``_rows_held`` counts
 each row kept and, for each template kept, its ``(facings, gate passes)``
-pairs, as many as one placement's rows, and ``survey`` adds a template or
-a placement's rows only while the count stays within the cap.  One pass of
-the solve-survey benchmark over its 540 seed-1 items keeps 17,100 rows of
-2,363 placements and 9 templates of 56 pairs, and answers 95.5 % of its
-52,761 placements from the table; the cap holds that about twice over.
-``tracemalloc`` reads about 102 bytes per row for that table (1.75 MB) on
-CPython 3.11.  Full, it holds about 2.7 MB with the rows of 7 dancers on
-14 gaps with their facings enumerated and about 9 MB with the single rows
-of 10-dancer placements, whose tuples it then holds alone."""
+pairs, as many as one placement's rows.  A survey stores a placement's
+rows where it misses them, under ``_ROWS_LOCK``, with their template if
+the table lacks it, each only while the count stays within the cap.  One
+pass of the solve-survey benchmark over its 540 seed-1 items keeps 17,100
+rows of 2,363 placements and 9 templates of 56 pairs, and answers 95.5 %
+of its 52,761 placements from the table; the cap holds that about twice
+over.  Clearing that table frees about 92 bytes per row (1.57 MB) by
+``tracemalloc`` on CPython 3.11.  Full, it holds about 2.7 MB with the
+rows of 7 dancers on 14 gaps with their facings enumerated and about 9 MB
+with the single rows of 10-dancer placements, whose tuples it then holds
+alone."""
 _rows_held = 0  # the rows and template pairs in ``_ROWS``, counted under its lock
+
+
+def _keep(template: tuple[_Row, ...], dead: bool, placement: tuple[int, ...], made: tuple[SurveyRow, ...]) -> None:
+    """Add the rows a survey just built for a placement with this row
+    template and Deadlock verdict to ``_ROWS``, and the template first if
+    the table lacks it, each while it fits under ``_ROW_CAP``.  Only what
+    is inserted is counted: rows or a template another survey added first
+    are not counted again."""
+    global _rows_held
+    width = len(made)  # the rows of one placement, the pairs of one template
+    with _ROWS_LOCK:
+        kept = _ROWS.get(template)
+        if kept is None and _rows_held + width <= _ROW_CAP:
+            kept = _ROWS[template] = {}, {}, template
+            _rows_held += width
+        # kept is None only if the template did not fit, and then its rows do not
+        if _rows_held + width <= _ROW_CAP and kept[dead].setdefault(placement, made) is made:
+            _rows_held += width
 
 
 def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
@@ -309,8 +330,7 @@ def survey(
     _check_member("enumerate_facings", enumerate_facings, bool)
     matching = rule is RuleKind.MATCHING
     enumerated = enumerate_facings and matching
-    width = 2**n if enumerated else 1  # the rows of one placement, the pairs of one template
-    count = comb(diagram.gap_count, n) * width
+    count = comb(diagram.gap_count, n) * (2**n if enumerated else 1)
     if count > SURVEY_ROW_LIMIT:
         raise ValueError(f"a survey of {count} rows exceeds SURVEY_ROW_LIMIT = {SURVEY_ROW_LIMIT}")
     # each row filled through the slots, bypassing the frozen __init__ (see above)
@@ -325,24 +345,20 @@ def survey(
     compiled = _Compiled.of(diagram, crossing_rule)
     deadlocks = compiled.deadlocks
     every_facing = list(product(Facing, repeat=n)) if enumerated else None
-    built: list[tuple[tuple[_Row, ...], _Pair]] = []  # each template met, beside the rows built under it
-    global _rows_held
 
-    def template(t: tuple[int, ...]) -> tuple[bool, tuple[_Row, ...], _Pair, _Pair]:
+    def template(t: tuple[int, ...]) -> tuple[bool, _Kept]:
         """Whether any row of a placement with path parities t passes the
-        gate, its template, the template's rows in ``_ROWS`` (those built
-        in this call if it has none there) and the rows built in this call."""
+        gate, and its template's entry in ``_ROWS``, or an empty one beside
+        the template when the table lacks it."""
         if every_facing is not None:  # some row passes iff there is a solution
             solutions = _matching_solutions(t, k)
             rows_of_t, any_passes = tuple([(f, f in solutions) for f in every_facing]), bool(solutions)
         else:
             gate = _gate(t, k, matching)
             rows_of_t, any_passes = (gate,), gate[1]
-        ours: _Pair = {}, {}
-        built.append((rows_of_t, ours))
-        return any_passes, rows_of_t, _ROWS.get(rows_of_t, ours), ours
+        return any_passes, _ROWS.get(rows_of_t) or ({}, {}, rows_of_t)
 
-    for placement, (any_passes, rows_of_t, kept, ours) in compiled.placements(n, template):
+    for placement, (any_passes, kept) in compiled.placements(n, template):
         # a placement whose rows all fail the gate is not asked whether it deadlocks
         dead = any_passes and deadlocks(placement)
         made = kept[dead].get(placement)
@@ -351,27 +367,13 @@ def survey(
             continue
         start = len(rows)
         live, reason = not dead, deadlock if dead else None
-        for facings, passes in rows_of_t:
+        for facings, passes in kept[2]:
             row = new(SurveyRow)
             set_placement(row, placement)
             set_facings(row, facings)
             set_feasible(row, passes and live)
             set_reason(row, reason if passes else parity)
             append(row)
-        if start < _ROW_CAP:
-            ours[dead][placement] = tuple(rows[start:])
-    if any(any(ours) for _, ours in built):  # add what fits, as ``_lex`` does (see above)
-        with _ROWS_LOCK:
-            for rows_of_t, ours in built:
-                size = width * (1 + len(ours[0]) + len(ours[1]))
-                if _rows_held + size <= _ROW_CAP and _ROWS.setdefault(rows_of_t, ours) is ours:
-                    _rows_held += size  # a new template, with every row built under it
-                    continue
-                fresh: _Pair = {}, {}
-                if _rows_held + width <= _ROW_CAP and _ROWS.setdefault(rows_of_t, fresh) is fresh:
-                    _rows_held += width
-                for mine, theirs in zip(ours, _ROWS.get(rows_of_t, ())):
-                    for placement, made in mine.items():
-                        if _rows_held + width <= _ROW_CAP and theirs.setdefault(placement, made) is made:
-                            _rows_held += width
+        if _rows_held < _ROW_CAP:  # else the table is full for good: it is never emptied
+            _keep(kept[2], dead, placement, tuple(rows[start:]))
     return rows

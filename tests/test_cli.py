@@ -316,6 +316,12 @@ UNWRITABLE = "missing/out"  # its directory does not exist
                      "error: ", {}, id="dance missing file"),
         pytest.param(["dance", "--diagram", TREFOIL, "--points", "0,x", "--k", "1"], 2, "",
                      "usage error: bad --points value '0,x'\n", {}, id="dance bad points"),
+        # int() reads underscores, signs and every Unicode digit; a point is ASCII digits only
+        *(
+            pytest.param(["dance", "--diagram", TREFOIL, "--points", points, "--k", "1"], 2, "",
+                         f"usage error: bad --points value {points!r}\n", {}, id=f"dance points {points!r}")
+            for points in ("0,1_0", "0,\u0663", "\u0660,3", "0,+3")
+        ),
         pytest.param(["dance", "--diagram", TREFOIL, "--points", "0,0", "--k", "1"], 2, "",
                      "usage error: two initial points share gap 0\n", {}, id="dance plan refused"),
         pytest.param(MATCHING, 2, "",
@@ -378,6 +384,15 @@ def test_every_exit_path(argv, code, out, err, written, tmp_path, monkeypatch, c
         pytest.param(["dance", "--diagram", TREFOIL, "--points", "0"], 2, id="missing --k"),
         pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", "x"], 2,
                      id="--k not an int"),
+        # a count is ASCII digits only, though int() reads these as 2, 10, 1 and 1
+        *(
+            pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", k], 2, id=f"--k {k!r}")
+            for k in ("\u0662", "1_0", "+1", " 1")
+        ),
+        pytest.param(["solve", "--diagram", TREFOIL, "--max-n", "\u0661", "--max-k", "2"], 2,
+                     id="--max-n '\u0661'"),
+        pytest.param(["solve", "--diagram", TREFOIL, "--max-n", "1", "--max-k", "1_0"], 2,
+                     id="--max-k '1_0'"),
         pytest.param(["bogus"], 2, id="unknown command"),
         pytest.param(["--help"], 0, id="help"),
     ],

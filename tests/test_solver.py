@@ -979,8 +979,13 @@ def _row_table(cap=solver._ROW_CAP):
         yield
 
 
+def _kept_rows():
+    """Each placement's tuple of rows in the table."""
+    return [made for *both, _ in solver._ROWS.values() for kept in both for made in kept.values()]
+
+
 def _rows_kept():
-    return sum(len(made) for pair in solver._ROWS.values() for kept in pair for made in kept.values())
+    return sum(map(len, _kept_rows()))
 
 
 def _held():
@@ -1074,17 +1079,33 @@ class _CountingLock:
         return self.lock.__exit__(*exc)
 
 
-def test_a_survey_takes_the_row_lock_once_and_not_at_all_when_every_placement_is_kept():
+def test_a_survey_takes_the_row_lock_once_per_placement_built_and_not_at_all_when_every_placement_is_kept():
     texts = [BAR_TREFOIL, TREFOIL, "O1+ U2+ V1 O3+ T1 U1+ O2+ V1 U3+ T2"]
     lock = _CountingLock()
     with _row_table(), patch.object(solver, "_ROWS_LOCK", lock):
         for text, rule, n, enumerate_facings in product(texts, RuleKind, (1, 2, 3), (True, False)):
             d = parse(text)
             taken = lock.taken
+            kept = {id(row) for made in _kept_rows() for row in made}
             rows = survey(d, rule, CrossingRule.OVER_FIRST, n, 2, enumerate_facings=enumerate_facings)
-            assert lock.taken <= taken + 1
+            assert lock.taken <= taken + len({row.placement for row in rows if id(row) not in kept})
             taken = lock.taken
             assert survey(d, rule, CrossingRule.OVER_FIRST, n, 2, enumerate_facings=enumerate_facings) == rows
             assert lock.taken == taken, (text, rule, n, enumerate_facings)
         assert lock.taken > 0
         assert _held() == solver._rows_held
+
+
+@pytest.mark.parametrize("enumerate_facings", [True, False])
+def test_rows_built_under_a_kept_template_share_its_facing_tuples(enumerate_facings):
+    # no twist bar, so every placement has the same path parities and one
+    # template; the second diagram's placements with a point past gap 5 are
+    # not in the table and are built under the template the first one kept
+    with _row_table():
+        first, second = (
+            survey(parse(text), RuleKind.MATCHING, CrossingRule.OVER_FIRST, 2, 2, enumerate_facings=enumerate_facings)
+            for text in (TREFOIL, TREFOIL + " V1 V1")
+        )
+    facings = {row.facings: row.facings for row in first}
+    assert any(max(row.placement) > 5 for row in second)
+    assert all(row.facings is facings[row.facings] for row in second)
