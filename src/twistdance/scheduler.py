@@ -484,11 +484,11 @@ class _Compiled:
     ``schedule_search``, ``min_dancers`` and ``survey`` on one diagram
     compile it once, and a solve request, which asks ``min_dancers`` under
     both dance rules and then ``survey``, shares its clauses and live sets
-    between the three calls.  ``schedule_search`` asks ``waits`` once, as it
-    always did, and keeps nothing.  An instance keeps only proved facts,
-    each written by rebinding its whole list, so threads that share a
-    diagram never read a fact that is not proved: an update lost to a race
-    costs a relaxation later, never a verdict.
+    between the three calls.  ``schedule_search`` asks ``waits`` once and
+    keeps nothing.  An instance keeps only proved facts, each written by
+    rebinding its whole list, so threads that share a diagram never read a
+    fact that is not proved: an update lost to a race costs a relaxation
+    later, never a verdict.
     """
 
     def __init__(self, diagram: Diagram, crossing_rule: CrossingRule) -> None:
@@ -537,9 +537,7 @@ class _Compiled:
         not deadlock past the facing gate, at every lap count.  Linear in m
         whatever k is (see the module docstring).  Each arc's steps are its
         one-lap walk over the event table (``model._walks``), ended with
-        ``(0, -1)``; with no slot nothing ever waits."""
-        if not self.slot_count:
-            return {}
+        ``(0, -1)``."""
         arcs = [walk + [(0, -1)] for walk in _walks(self.table, sorted(points), 1)]
         return _waiting(arcs, self.slot_count)
 
@@ -648,10 +646,9 @@ class _Compiled:
         found.  With no slot (the unrestricted rule, or no classical
         crossing) nothing can block, so the search would move dancer 0 to
         its route end, then dancer 1, and so on: each dancer's whole route
-        is read off the routes in dancer order, with no table walked, as
-        ``waits`` answers such points without the relaxation.  Otherwise
-        ``_moves`` searches each route's k-lap walk over the event table,
-        ended with ``(0, -1)``."""
+        is read off the routes in dancer order, with no table walked.
+        Otherwise ``_moves`` searches each route's k-lap walk over the
+        event table, ended with ``(0, -1)``."""
         routes = routes_of(plan)
         if not self.slot_count:
             moves = [d for d, route in enumerate(routes) for _ in route]
@@ -712,13 +709,7 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> list[int]:
 
     It runs only when a slot exists (``_Compiled.witness`` answers a plan
     with none), so every route has at least one event and there is a move
-    to make.
-
-    A new state is scanned from dancer 0, except after a move that changes
-    no balance (a virtual pass or a twist bar): it moves no other dancer
-    and keeps the memo key, and the dead set only grows, so every dancer
-    below the mover, blocked or memo-dead before it, still is, and the
-    scan resumes at the mover."""
+    to make.  Every new state is scanned from dancer 0."""
     n = len(lowered)
     total = sum(map(len, lowered)) - n  # the ends never run
 
@@ -751,7 +742,7 @@ def _moves(lowered: list[list[tuple[int, int]]], slot_count: int) -> list[int]:
                 moves.append(d)
                 if len(moves) == total:
                     return moves
-                resume.append(0 if delta else d)  # delta 0 leaves the dancers below d blocked
+                resume.append(0)
                 break
             d += 1
         else:

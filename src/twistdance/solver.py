@@ -62,13 +62,12 @@ placement deadlocks, else None.  ``survey`` makes each such row with
 descriptors, which is what the frozen dataclass ``__init__`` does through
 ``object.__setattr__`` at about twice the cost; the rows are
 ``SurveyRow``s all the same.  Then ``_keep`` takes ``_ROWS_LOCK`` and adds
-the template, if the table lacks it, and the placement's rows, each while
-it fits under the cap, counting only what it inserted.  A survey that
-builds no row takes no lock, and none once the table is full, since the
-table is never emptied.  What the table holds never changes a survey's
-rows.  Rows are frozen values, and two surveys may return the same row
-object: nothing may rely on row identity.  ``survey`` counts its rows by
-arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
+the placement's rows, with the template if the table lacks it, while they
+fit under the cap together, counting only what it inserted.  A survey that
+builds no row takes no lock.  What the table holds never changes a
+survey's rows.  Rows are frozen values, and two surveys may return the
+same row object: nothing may rely on row identity.  ``survey`` counts its
+rows by arithmetic first and refuses more than ``SURVEY_ROW_LIMIT``.
 
 With k free, the number of dancers a diagram needs, its danceability
 number, is the least n with an n-placement that does not deadlock:
@@ -202,12 +201,14 @@ _ROW_CAP = 2**15
 """The most rows and template pairs ``_ROWS`` keeps: ``_rows_held`` counts
 each row kept and, for each template kept, its ``(facings, gate passes)``
 pairs, as many as one placement's rows.  A survey stores a placement's
-rows where it misses them, under ``_ROWS_LOCK``, with their template if
-the table lacks it, each only while the count stays within the cap.  One
-pass of the solve-survey benchmark over its 540 seed-1 items keeps 17,100
-rows of 2,363 placements and 9 templates of 56 pairs, and answers 95.5 %
-of its 52,761 placements from the table; the cap holds that about twice
-over.  Clearing that table frees about 92 bytes per row (1.57 MB) by
+rows where it misses them, under ``_ROWS_LOCK``, while the count stays
+within the cap.  A template the table lacks is admitted only with the
+rows of the placement that missed it, in one check that counts both, so
+the table never spends room on a template no row uses.  One pass of the
+solve-survey benchmark over its 540 seed-1 items keeps 17,100 rows of
+2,363 placements and 9 templates of 56 pairs, and answers 95.5 % of its
+52,761 placements from the table; the cap holds that about twice over.
+Clearing that table frees about 92 bytes per row (1.57 MB) by
 ``tracemalloc`` on CPython 3.11.  Full, it holds about 2.7 MB with the
 rows of 7 dancers on 14 gaps with their facings enumerated and about 9 MB
 with the single rows of 10-dancer placements, whose tuples it then holds
@@ -217,20 +218,20 @@ _rows_held = 0  # the rows and template pairs in ``_ROWS``, counted under its lo
 
 def _keep(template: tuple[_Row, ...], dead: bool, placement: tuple[int, ...], made: tuple[SurveyRow, ...]) -> None:
     """Add the rows a survey just built for a placement with this row
-    template and Deadlock verdict to ``_ROWS``, and the template first if
-    the table lacks it, each while it fits under ``_ROW_CAP``.  Only what
+    template and Deadlock verdict to ``_ROWS``, with the template if the
+    table lacks it, while they fit under ``_ROW_CAP`` together.  Only what
     is inserted is counted: rows or a template another survey added first
     are not counted again."""
     global _rows_held
-    width = len(made)  # the rows of one placement, the pairs of one template
     with _ROWS_LOCK:
         kept = _ROWS.get(template)
-        if kept is None and _rows_held + width <= _ROW_CAP:
-            kept = _ROWS[template] = {}, {}, template
-            _rows_held += width
-        # kept is None only if the template did not fit, and then its rows do not
-        if _rows_held + width <= _ROW_CAP and kept[dead].setdefault(placement, made) is made:
-            _rows_held += width
+        # a template the table lacks is counted with these rows: as many pairs as rows
+        width = len(made) * (2 if kept is None else 1)
+        if _rows_held + width <= _ROW_CAP:
+            if kept is None:
+                kept = _ROWS[template] = {}, {}, template
+            if kept[dead].setdefault(placement, made) is made:
+                _rows_held += width
 
 
 def _gate(t: tuple[int, ...], k: int, matching: bool) -> _Row:
@@ -374,6 +375,5 @@ def survey(
             set_feasible(row, passes and live)
             set_reason(row, reason if passes else parity)
             append(row)
-        if _rows_held < _ROW_CAP:  # else the table is full for good: it is never emptied
-            _keep(kept[2], dead, placement, tuple(rows[start:]))
+        _keep(kept[2], dead, placement, tuple(rows[start:]))
     return rows

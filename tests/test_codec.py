@@ -1,6 +1,9 @@
 import json
 import pickle
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import replace
 from unittest.mock import patch
@@ -254,6 +257,40 @@ def test_the_event_table_never_grows_past_its_cap():
             parse(f"O{i}+ U{i}+ O{i + 40} U{i + 40} V{i} V{i} T{i + 1} T")
             assert len(codec._EVENTS) <= 10
         assert len(codec._EVENTS) == 10
+
+
+def test_threads_parsing_new_tokens_at_once_each_get_the_serial_diagrams():
+    # four threads parse texts the event table lacks into one table at once,
+    # each from its own place in the list so that they add different tokens,
+    # also with caps they reach; each gets a serial parse's diagrams and
+    # token tables, and the table never holds more than its cap
+    texts = [f"O{i}+ U{i + 1}- V{i} T O{i + 1}- V{i} U{i}+ T" for i in range(1, 30)]
+    texts += [f"O{i} U{i} T{i}" for i in range(1, 30)]  # bare signs, and bars by id
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads often
+    try:
+        for cap in (codec._EVENT_CAP, *range(10, 170, 10)):  # each cap they reach is one more race
+            with patch.dict(codec._EVENTS, clear=True), patch.object(codec, "_EVENT_CAP", cap):
+                expected = [_outcome(text) for text in texts]
+                assert all(type(tokens) is tuple for _, tokens in expected)  # every text a diagram
+                codec._EVENTS.clear()
+                start = threading.Barrier(4)
+
+                def run(shift):
+                    start.wait(timeout=60)
+                    outcomes = {}
+                    for at in [*range(shift, len(texts)), *range(shift)]:
+                        outcomes[at] = _outcome(texts[at])
+                        assert len(codec._EVENTS) <= cap
+                    return [outcomes[at] for at in range(len(texts))]
+
+                shifts = [len(texts) * j // 4 for j in range(4)]
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    answers = [f.result(timeout=60) for f in [pool.submit(run, shift) for shift in shifts]]
+                assert all(answer == expected for answer in answers), cap
+                assert len(codec._EVENTS) == min(cap, len({t for _, tokens in expected for t in tokens}))
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_the_event_table_spends_its_room_only_on_tokens_it_lacks():

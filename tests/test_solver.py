@@ -1033,6 +1033,19 @@ def test_the_row_table_never_holds_more_rows_than_its_cap():
         assert solver._rows_held > 30 - 8  # full up to less than one placement's rows
 
 
+def test_the_row_table_admits_a_template_only_with_a_placements_rows():
+    # n = 3 with facings enumerated: 8 pairs a template, 8 rows a placement.
+    # Below 16 nothing fits, since a template alone is of no use to a later
+    # survey; at 16 the first placement's template and rows fill the table
+    d = parse(BAR_TREFOIL)
+    for cap, held in (8, 0), (12, 0), (16, 16):
+        with _row_table(cap):
+            survey(d, RuleKind.MATCHING, CrossingRule.OVER_FIRST, 3, 2, enumerate_facings=True)
+            assert _held() == solver._rows_held == held, cap
+            assert len(solver._ROWS) == len(_kept_rows()) == (held > 0), cap
+            assert _rows_kept() == held // 2, cap
+
+
 def test_threads_surveying_one_diagram_at_once_each_get_the_serial_rows():
     # four threads survey one parsed diagram into one table at once, also
     # with a cap they reach, and the count is what the table holds
