@@ -167,7 +167,9 @@ def parse(text: str | bytes) -> Diagram:
             ) from None
     runs = data.translate(_SEPARATE).decode("ascii", "surrogateescape").split()
     events = list(map(_EVENTS.get, runs))
-    if None in events:  # a run not in the table, or a bare one, which never is
+    # a run not in the table, or a bare one, which never is, left None; events
+    # define no __bool__, so this finds it without calling an event's __eq__
+    if not all(events):
         _lex(data, runs, events)
     try:
         diagram = validate(events)

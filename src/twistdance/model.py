@@ -15,7 +15,11 @@ sit: gap ``g`` lies immediately before event ``g``.  The empty diagram (the
 bare unknot) has a single gap 0.
 
 Classical and virtual crossings are labelled in separate namespaces, so
-``O1`` pairs with ``U1`` while ``V1`` pairs with the other ``V1``.
+``O1`` pairs with ``U1`` while ``V1`` pairs with the other ``V1``.  The
+pairing of classical passes is decided here alone: ``validate`` groups them
+once and keeps the groups on the diagram it makes, as ``Diagram._crossings``,
+beside the codec's token table and the scheduler's compiled forms, and the
+scheduler numbers its balance slots from them.
 
 The three event classes are frozen dataclasses with slots: an event has no
 ``__dict__``.  ``codec.parse`` keeps one event per token in a bounded
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence, TypeVar, Union
 
 __all__ = [
@@ -139,15 +144,19 @@ class Diagram:
     """A validated cyclic event sequence; index order is the orientation.
 
     Construct through :func:`validate` or ``codec.parse``; the dataclass
-    itself does not re-check invariants.
+    itself does not check invariants when built, but one built directly is
+    validated on its first search, minimization or survey (see
+    ``_crossings``).
 
-    Two forms derived from the events are kept on it, outside the fields.
-    The codec keeps the diagram's token table (see ``codec._tokens``):
-    ``codec.parse`` sets it from the lexed text, and any other diagram gets
-    it once first read.  The scheduler keeps one compiled form per crossing
-    rule, with the wait-for clauses and live sets its relaxations proved
-    (see ``scheduler._Compiled``), made on the first search, minimization
-    or survey under that rule.  Equality, hash, repr and
+    Three forms derived from the events are kept on it, outside the fields.
+    ``_crossings`` holds the classical crossings as ``validate`` grouped
+    them (see there).  The codec keeps the diagram's token table (see
+    ``codec._tokens``): ``codec.parse`` sets it from the lexed text, and any
+    other diagram gets it once first read.  The scheduler keeps one
+    compiled form per crossing rule, its slots numbered from
+    ``_crossings``, with the wait-for clauses and live sets its relaxations
+    proved (see ``scheduler._Compiled``), made on the first search,
+    minimization or survey under that rule.  Equality, hash, repr and
     ``dataclasses.replace`` read the fields alone, and pickling and copying
     carry the events alone, so a copy builds its own forms when asked.
     """
@@ -156,6 +165,16 @@ class Diagram:
 
     def __getstate__(self) -> dict[str, tuple[Event, ...]]:
         return {"events": self.events}
+
+    @cached_property
+    def _crossings(self) -> dict[int, list[int]]:
+        """Each classical crossing's two event indices, by id, in order of
+        first pass.  ``validate`` keeps the groups it built on the diagram
+        it makes.  Any other diagram (a copy, a pickle,
+        ``dataclasses.replace``, ``retrograde``, or one built directly) is
+        validated on first read, so an invalid one is refused with the
+        :class:`DiagramError` that names it."""
+        return validate(self.events)._crossings
 
     @property
     def gap_count(self) -> int:
@@ -181,7 +200,8 @@ def validate(events: Iterable[Event]) -> Diagram:
     One pass, ``_groups``, groups the indices of each classical crossing,
     virtual crossing and bar; each group then names its first failure as a
     (check, index) pair, the checks numbered in the order above, and the
-    least is raised.
+    least is raised.  The diagram returned keeps the classical groups as
+    its ``_crossings``.
     """
     try:
         evs = tuple(events)
@@ -216,7 +236,9 @@ def validate(events: Iterable[Event]) -> Diagram:
     if failures:
         _, i, error, message = min(failures)  # groups share no index, so no two pairs tie
         raise error(message, i)
-    return Diagram(evs)
+    diagram = Diagram(evs)
+    diagram.__dict__["_crossings"] = groups[ClassicalPass]  # each crossing now has two passes
+    return diagram
 
 
 def _groups(evs: Sequence[object]) -> dict[type, dict[int, list[int]]]:

@@ -411,11 +411,12 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     step runs only when ``delta >= 0 or balance[slot] > 0``; slot 0 stays 0,
     so the ``(0, -1)`` that ends each arc or route never runs.
 
-    Next the relaxation runs on the n arcs at k = 1 (see ``_waiting``).  It
-    decides Deadlock at every lap count (see the module docstring), so a
-    dancer left waiting there makes the plan ``Infeasible(DEADLOCK, 1)``:
-    the 1 counts the root, the only state entered.  No wait-for cycle is
-    walked: the verdict is all a plan needs.
+    Next, when a slot exists, the relaxation runs on the n arcs at k = 1
+    (see ``_waiting``); with none, nothing can wait.  It decides Deadlock
+    at every lap count (see the module docstring), so a dancer left
+    waiting there makes the plan ``Infeasible(DEADLOCK, 1)``: the 1 counts
+    the root, the only state entered.  No wait-for cycle is walked: the
+    verdict is all a plan needs.
 
     Otherwise the plan is feasible, and ``_Compiled.witness`` builds the
     witness, the lexicographically least feasible dancer-id sequence, by a
@@ -437,7 +438,7 @@ def schedule_search(plan: DancePlan) -> Union[Schedule, Infeasible]:
     compiled = _Compiled.of(plan.diagram, plan.crossing_rule)
     if not matching_check(_parities(compiled.prefix, plan.points), plan.designated, plan.k):
         return Infeasible(InfeasibleReason.FACING_PARITY, 0)
-    if compiled.waits(plan.points):
+    if compiled.slot_count and compiled.waits(plan.points):  # with no slot nothing waits
         return Infeasible(InfeasibleReason.DEADLOCK, 1)
     return compiled.witness(plan)
 
@@ -448,11 +449,15 @@ class _Compiled:
     ``facing``) and its ``table``, one ``(slot, delta)`` per event (see
     ``schedule_search``), with the slot count, and each slot's ``deposit``
     and ``consumer`` event index, the chord d(c) -> e(c) of its crossing
-    (see the module docstring).  The steps of an arc or a route are its
-    walk over the table, cut by ``model._walks`` as paths and routes are
-    cut from the events.  Every caller reads a placement's path
-    parities off ``prefix`` with ``_parities`` (for the facing gate), then
-    asks its ``waits``, then the ``witness`` of a plan that passed both.
+    (see the module docstring).  Slot s is the s-th pair of
+    ``Diagram._crossings``, the crossings ``validate`` grouped, in order
+    of first pass; the unrestricted rule has no slot.  They are read under
+    every rule, so an invalid diagram that ``validate`` did not make is
+    refused here.  The steps of an arc or a route are its walk over the
+    table, cut by ``model._walks`` as paths and routes are cut from the
+    events.  Every caller reads a placement's path parities off ``prefix``
+    with ``_parities`` (for the facing gate), then asks its ``waits``, then
+    the ``witness`` of a plan that passed both.
     The ``wait_cycle`` of deadlocked points is walked from their ``waits``.
 
     ``min_dancers`` and ``survey`` walk the n-placements of a diagram with
@@ -496,27 +501,19 @@ class _Compiled:
         self.gaps = diagram.gap_count
         self.prefix = _bar_prefix(diagram)
         spender = _CONSUMER.get(crossing_rule)
-        slots: dict[int, int] = {}  # classical crossing id -> balance slot
         self.table = table = [(0, 0)] * self.m
         # each slot's chord d(c) -> e(c): the event indices of its (slot, 1)
-        # and (slot, -1) entries, filled in the same pass; entry 0 stands
-        # for no slot
+        # and (slot, -1) entries; entry 0 stands for no slot
         self.deposit = deposit = [0]
         self.consumer = consumer = [0]
-        for e, ev in enumerate(diagram.events if spender is not None else ()):
-            if type(ev) is ClassicalPass:
-                slot = slots.get(ev.crossing_id)
-                if slot is None:  # the crossing's first pass
-                    slot = slots[ev.crossing_id] = len(deposit)
-                    deposit.append(0)
-                    consumer.append(0)
-                if ev.strand is spender:
-                    table[e] = (slot, -1)
-                    consumer[slot] = e
-                else:
-                    table[e] = (slot, 1)
-                    deposit[slot] = e
-        self.slot_count = len(slots)
+        # read under every rule, to refuse an invalid diagram validate did not make
+        events, crossings = diagram.events, diagram._crossings
+        for slot, (d, c) in enumerate(crossings.values() if spender is not None else (), 1):
+            d, c = (c, d) if events[d].strand is spender else (d, c)  # deposit, consumer
+            table[d], table[c] = (slot, 1), (slot, -1)
+            deposit.append(d)
+            consumer.append(c)
+        self.slot_count = len(deposit) - 1
         self.clauses: list[int] = []  # gap masks: points that miss one deadlock
         self.live: list[int] = []  # gap masks: points that hold one do not
 

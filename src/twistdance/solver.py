@@ -40,10 +40,13 @@ whose gate some placement that does not deadlock passes, and at that k it
 is the first such placement.  So each distinct t is gated at k = 1, 2, ...
 up to its first passing k, which is at most 2n by Facts 1 and 2 (see
 ``facing``): the work does not grow with k_max.  Deadlock is asked only
-of a placement whose k is below the best so far, and a hit at k = 1 ends
-the pass.  The rows scanned up to the hit are counted, not built:
-(k - 1) * C(gaps, n) + index + 1 at a hit, k_max * C(gaps, n) at an n
-without one.
+of a placement whose k is below the best so far, and a hit at the floor
+ends the pass: no placement passes either gate at a k below it.  The
+floor is 1 when the total twist-bar parity T is 0 and 2 * (n & -n)
+otherwise, the least k with (k / gcd(n, k)) * T even (Fact 1; the
+forward gate is stricter).
+The rows scanned up to the hit are counted, not built: (k - 1) *
+C(gaps, n) + index + 1 at a hit, k_max * C(gaps, n) at an n without one.
 
 ``survey`` keeps the rows it builds in ``_ROWS``, one module-level table
 shared by every survey in the process and bounded by ``_ROW_CAP``, as
@@ -285,7 +288,7 @@ def min_dancers(
         for index, (placement, (k, facings)) in enumerate(compiled.placements(n, least)):
             if k < best[0] and not compiled.deadlocks(placement):
                 best = k, index, placement, facings
-                if k == 1:
+                if k == (2 * (n & -n) if compiled.prefix[-1] else 1):  # no k below passes (Fact 1)
                     break
         k, index, placement, facings = best
         tried += (k - 1) * comb(compiled.gaps, n) + index + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -278,6 +279,7 @@ SOLVE = ["solve", "--diagram", BAR_TREFOIL, "--max-n", "2", "--max-k", "4"]
 EXHAUSTED = ["solve", "--diagram", "U1+ O1+ U2+ O2+", "--max-n", "1", "--max-k", "3"]
 MATCHING = [*DANCE, "--rule", "matching"]
 UNWRITABLE = "missing/out"  # its directory does not exist
+NINES = "9" * 5000  # past CPython's 4,300-digit int-string limit
 
 
 @pytest.mark.parametrize(
@@ -322,6 +324,8 @@ UNWRITABLE = "missing/out"  # its directory does not exist
                          f"usage error: bad --points value {points!r}\n", {}, id=f"dance points {points!r}")
             for points in ("0,1_0", "0,\u0663", "\u0660,3", "0,+3")
         ),
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", NINES, "--k", "1"], 2, "",
+                     f"usage error: bad --points value {NINES!r}\n", {}, id="dance points of 5000 nines"),
         pytest.param(["dance", "--diagram", TREFOIL, "--points", "0,0", "--k", "1"], 2, "",
                      "usage error: two initial points share gap 0\n", {}, id="dance plan refused"),
         pytest.param(MATCHING, 2, "",
@@ -393,6 +397,13 @@ def test_every_exit_path(argv, code, out, err, written, tmp_path, monkeypatch, c
                      id="--max-n '\u0661'"),
         pytest.param(["solve", "--diagram", TREFOIL, "--max-n", "1", "--max-k", "1_0"], 2,
                      id="--max-k '1_0'"),
+        # more digits than int() reads from a string
+        pytest.param(["dance", "--diagram", TREFOIL, "--points", "0", "--k", NINES], 2,
+                     id="--k of 5000 nines"),
+        pytest.param(["solve", "--diagram", TREFOIL, "--max-n", NINES, "--max-k", "2"], 2,
+                     id="--max-n of 5000 nines"),
+        pytest.param(["solve", "--diagram", TREFOIL, "--max-n", "1", "--max-k", NINES], 2,
+                     id="--max-k of 5000 nines"),
         pytest.param(["bogus"], 2, id="unknown command"),
         pytest.param(["--help"], 0, id="help"),
     ],
@@ -403,6 +414,42 @@ def test_main_returns_the_code_of_an_argparse_exit(argv, code, capsys):
     out, err = capsys.readouterr()
     assert (err if code else out).startswith("usage:")
     assert (out if code else err) == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code, json_sha256, svg_sha256",
+    [
+        pytest.param(["--diagram", BAR_TREFOIL, "--points", "0,1,4", "--k", "2", "--rule", "matching",
+                      "--facings", "B,F,F"], 0,
+                     "a5f669fcfc66d5fd61327172930d37992f45c225b4b0d7411dca4101d246b580",
+                     "3d1ef17ce4846257c99cff4065c0933c3b68b9c35a27ce8e66d8672105abb4e3",
+                     id="matching feasible"),
+        pytest.param(["--diagram", "U1+ O1+", "--points", "0", "--k", "1"], 1,
+                     "025462e967532adf1ec7bd062dfbe2e1f7232cc6258faf0a90a5a6aa1fe66717",
+                     "7ac7d6141bc5a7f636f789cd44a490457a401a6362d47d5a270cbcde3f401310",
+                     id="deadlock"),
+        pytest.param(["--diagram", BAR_TREFOIL, "--points", "0,1,4", "--k", "1", "--rule", "matching",
+                      "--facings", "B,F,F"], 1,
+                     "b9f9b734c0f0414ff2171153208a2f8b33246bb4d5ebb530fde5fef321772830",
+                     "75a28ddb4ea4bd1a6d2355c748b8a4a08c9de2c5a88b4387083ba90ca4f64989",
+                     id="facing parity"),
+        pytest.param(["--diagram", TREFOIL, "--points", "0,3", "--k", "2", "--crossing", "unrestricted"], 0,
+                     "75fe2a745dce9c75f69778c7e553d90cec316c49d6f1dd6d91d339923713b8e0",
+                     "7a7d39e7d85c0d93ec8ad68786548d5fad4a474a4ef7fc5444d1bd25d34dda75",
+                     id="unrestricted"),
+        pytest.param(["--diagram", "V1 T1 V2 V1 T2 V2", "--points", "0,3", "--k", "2"], 0,
+                     "bf61d26150eec7c2d7e3b873c38f9c402c2970f01153ed3b50b896ef4befd532",
+                     "7bfa0ca70e8e735225a3e054d9856216c75822955bb69d2307c97e9ac6abaf30",
+                     id="no classical crossing"),
+    ],
+)
+def test_dance_outputs_match_the_digests_the_ci_pins(argv, code, json_sha256, svg_sha256, tmp_path, monkeypatch):
+    # the five dance calls whose outputs the CI's installed console script
+    # pins by SHA-256, made through main
+    monkeypatch.chdir(tmp_path)
+    assert main(["dance", *argv, "--json", "t.json", "--svg", "t.svg"]) == code
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("t.json", "t.svg")]
+    assert digests == [json_sha256, svg_sha256]
 
 
 # ---------------------------------------------------------------- timeline

@@ -312,6 +312,23 @@ def test_a_bare_sign_or_bar_shares_the_event_of_its_canonical_token():
         assert _tokens(bare) == _tokens(signed) == ("O1+", "U1+", "T1")
 
 
+def test_parse_finds_the_runs_the_table_misses_without_comparing_events():
+    # a text whose tokens the table holds is read without comparing any
+    # event, to None or anything else
+    text = "O1+ U2- V1 T1 O2- V1 U1+ T2"
+    with patch.dict(codec._EVENTS, clear=True):
+        expected = _outcome(text)  # its tokens now in the table
+
+        def refuse(self, other):
+            raise AssertionError(f"{self!r} compared with {other!r}")
+
+        with patch.object(ClassicalPass, "__eq__", refuse), patch.object(
+            VirtualPass, "__eq__", refuse
+        ), patch.object(TwistBar, "__eq__", refuse):
+            events, tokens = _outcome(text)
+    assert (events, tokens) == expected
+
+
 @given(diagrams())
 def test_serialize_parse_is_canonicalizing(d):
     canon = serialize(d)

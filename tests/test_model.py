@@ -24,7 +24,7 @@ from twistdance.model import (
 )
 from twistdance.facing import parity_vector
 from twistdance.codec import serialize
-from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, retrograde, retrograde_points
+from twistdance.scheduler import CrossingRule, DancePlan, RuleKind, retrograde, retrograde_points, schedule_search
 from twistdance.solver import min_dancers, survey
 
 from strategies import arbitrary_events, diagrams, plan_geometries
@@ -216,6 +216,35 @@ def test_a_diagram_that_is_not_a_diagram_is_refused(call, diagram):
 def test_retrograde_and_serialize_refuse_a_diagram_that_is_not_a_diagram(call, diagram):
     with pytest.raises(ValueError, match="diagram must be a Diagram"):
         call(diagram)
+
+
+@pytest.mark.parametrize(
+    "events, error, at",
+    [
+        pytest.param((ClassicalPass(1, Strand.UNDER),), UnpairedCrossing, 0, id="one under-pass"),
+        pytest.param((ClassicalPass(1, Strand.OVER),), UnpairedCrossing, 0, id="one over-pass"),
+        pytest.param((ClassicalPass(1, Strand.OVER),) * 2, DuplicateStrand, 1, id="two over-passes"),
+    ],
+)
+@pytest.mark.parametrize("crossing", list(CrossingRule), ids=[c.value for c in CrossingRule])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, crossing: schedule_search(DancePlan(d, (0,), 1, crossing_rule=crossing)),
+        lambda d, crossing: min_dancers(d, RuleKind.FORWARD, crossing, k_max=2, n_max=1),
+        lambda d, crossing: survey(d, RuleKind.FORWARD, crossing, 1, 1),
+    ],
+    ids=["schedule_search", "min_dancers", "survey"],
+)
+def test_an_invalid_diagram_built_directly_is_refused_as_validate_refuses_it(call, crossing, events, error, at):
+    # a Diagram that validate did not make holds no crossings; they are made
+    # by validating its events on first read, so its first search,
+    # minimization or survey, under any rule, raises what validate raises
+    with pytest.raises(error) as refused:
+        call(Diagram(events), crossing)
+    assert refused.value.event_index == at
+    with pytest.raises(error, match=str(refused.value)):
+        validate(events)
 
 
 def test_no_points_rejected():

@@ -694,6 +694,23 @@ def test_a_plan_nothing_can_block_never_enters_the_search(monkeypatch):
     assert min(checked[True], checked[False], checked["min_dancers"]) >= 50, checked
 
 
+def test_a_plan_nothing_can_block_never_runs_the_relaxation(monkeypatch):
+    # with no balance slot nobody can wait, so the relaxation is skipped; the
+    # witnesses are the oracle's, as when it ran
+    import twistdance.scheduler
+
+    def no_relaxation(lowered, slot_count):
+        raise AssertionError("a plan with no balance slot leaves nobody waiting")
+
+    plans = [
+        DancePlan(parse(TREFOIL), (0, 3), 2, crossing_rule=CrossingRule.UNRESTRICTED),
+        DancePlan(parse("V1 T1 V2 V1 T2 V2"), (0, 3), 2),
+    ]
+    expected = [oracle_schedule(plan).steps for plan in plans]
+    monkeypatch.setattr(twistdance.scheduler, "_waiting", no_relaxation)
+    assert [schedule_search(plan).steps for plan in plans] == expected
+
+
 @given(
     plan_geometries(max_events=8, n_max=3, k_max=4),
     st.sampled_from((CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)),

@@ -9,6 +9,7 @@ move checks stop at 5, past which their counts below are not pinned.
 
 import random
 from collections import Counter
+from copy import copy
 from itertools import combinations, product
 
 import pytest
@@ -247,6 +248,44 @@ def test_every_deadlock_has_a_wait_for_cycle_whose_clause_decides_the_diagram(ma
                         assert not dead[tuple(sorted((*points, g)))], (d, rule, points, g)
         assert deadlocked == DEADLOCKED[m], m
         assert bounded == DEPOSITED[m], m
+
+
+def _paired_per_event(d, rule):
+    """The compiled ``(table, deposit, consumer, slot_count)`` as one pass
+    over the events pairs them: each crossing gets the next slot at its
+    first pass, the rule's consuming strand is -1 and the other +1."""
+    spender = {CrossingRule.OVER_FIRST: Strand.UNDER, CrossingRule.UNDER_FIRST: Strand.OVER}.get(rule)
+    slots = {}
+    table, deposit, consumer = [(0, 0)] * len(d.events), [0], [0]
+    for e, ev in enumerate(d.events if spender is not None else ()):
+        if isinstance(ev, ClassicalPass):
+            if ev.crossing_id not in slots:
+                slots[ev.crossing_id] = len(deposit)
+                deposit.append(0)
+                consumer.append(0)
+            slot = slots[ev.crossing_id]
+            if ev.strand is spender:
+                table[e], consumer[slot] = (slot, -1), e
+            else:
+                table[e], deposit[slot] = (slot, 1), e
+    return table, deposit, consumer, len(slots)
+
+
+def test_the_compiled_slots_are_the_per_event_pairing_on_every_small_diagram(max_events):
+    # the slots numbered from the crossings validate kept, and from those a
+    # copy validates again on first read, are the ones a pass over the
+    # events pairs, under every rule
+    for m in range(max_events + 1):
+        for d in small_diagrams(m) if m else [validate([])]:
+            same = copy(d)
+            assert "_crossings" in d.__dict__ and "_crossings" not in same.__dict__
+            for rule in CrossingRule:
+                want = _paired_per_event(d, rule)
+                for source in (d, same):
+                    compiled = _Compiled(source, rule)
+                    got = compiled.table, compiled.deposit, compiled.consumer, compiled.slot_count
+                    assert got == want, (d, rule, source is d)
+            assert same._crossings == d._crossings
 
 
 def test_kept_facts_answer_every_placement_as_a_fresh_relaxation_does(max_events):

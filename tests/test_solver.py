@@ -4,7 +4,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from copy import deepcopy
+from copy import copy, deepcopy
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
 from math import comb
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from twistdance import solver
 from twistdance.codec import parse
 from twistdance.facing import Facing, forward_rule_ok, matching_check, matching_solve, parity_vector
-from twistdance.model import ClassicalPass, CrossingSign, Strand, TwistBar, VirtualPass
+from twistdance.model import ClassicalPass, CrossingSign, Diagram, Strand, TwistBar, VirtualPass
 from twistdance.scheduler import (
     ORACLE_STEP_LIMIT,
     CrossingRule,
@@ -486,6 +486,29 @@ def test_min_dancers_past_twice_n_max_laps_finds_what_twice_n_max_finds():
     assert hits_past_one_lap >= 20
 
 
+def test_min_dancers_stops_at_the_lap_count_floor(monkeypatch):
+    # with one twist bar no placement of 1 dancer passes the gate below
+    # k = 2, nor of 2 dancers below k = 4 (Fact 1), so the hit at (0, 2),
+    # k = 4, the second placement of 2, ends the walk: 7 + 2 placements
+    # are read, not 7 + 21, and the report is unchanged
+    read = 0
+    walk = _Compiled.placements
+
+    def counted(self, n, of_t):
+        nonlocal read
+        for item in walk(self, n, of_t):
+            read += 1
+            yield item
+
+    monkeypatch.setattr(_Compiled, "placements", counted)
+    for rule in RuleKind:
+        read = 0
+        report = min_dancers(parse(BAR_TREFOIL), rule, k_max=4, n_max=2)
+        assert (report.plan.points, report.plan.k, report.placements_tried) == ((0, 2), 4, 93), rule
+        assert (report.n_searched, report.k_searched) == ((1, 2), (1, 4))
+        assert read == 9, rule
+
+
 def test_min_dancers_matches_a_loop_of_direct_searches():
     outcomes = set()
     for d in [parse(BAR_TREFOIL), *diagram_corpus(29, 30, max_events=8)]:
@@ -876,20 +899,27 @@ def _solved(text):
 
 def test_the_kept_compiled_form_is_absent_from_every_copy():
     d = _solved(BAR_TREFOIL)
-    copies = [pickle.loads(pickle.dumps(d)), deepcopy(d), replace(d), retrograde(retrograde(d))]
-    for copy in copies:
-        assert copy == d and "_compiled" not in copy.__dict__, copy
+    copies = [
+        pickle.loads(pickle.dumps(d)), copy(d), deepcopy(d), replace(d), retrograde(retrograde(d))
+    ]
+    for other in copies:
+        # nor are the crossings validate kept
+        assert other == d and not {"_compiled", "_crossings"} & set(other.__dict__), other
         # each copy compiles its own when asked, and answers the same
-        assert _solve_request(copy, CrossingRule.OVER_FIRST, 2) == _solve_request(
+        assert _solve_request(other, CrossingRule.OVER_FIRST, 2) == _solve_request(
             d, CrossingRule.OVER_FIRST, 2
         )
-        assert _Compiled.of(copy, CrossingRule.OVER_FIRST) is not _Compiled.of(d, CrossingRule.OVER_FIRST)
+        assert _Compiled.of(other, CrossingRule.OVER_FIRST) is not _Compiled.of(d, CrossingRule.OVER_FIRST)
+        assert other._crossings == d._crossings and other._crossings is not d._crossings
 
 
 def test_the_kept_compiled_form_changes_no_equality_hash_or_repr():
     for text in [BAR_TREFOIL, TREFOIL, "U1+ O1+ U2+ T1 O2+", ""]:
-        fresh = parse(text)
         d = _solved(text)
+        assert "_crossings" in d.__dict__
+        # a diagram with no derived form at all, not even the kept crossings
+        fresh = Diagram(d.events)
+        assert not {"_compiled", "_crossings", "_token_table"} & set(fresh.__dict__)
         assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh), text
         assert {d: 1}[fresh] == 1
         assert DancePlan(d, (0,), 1) == DancePlan(fresh, (0,), 1)
