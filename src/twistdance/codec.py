@@ -236,8 +236,8 @@ def token(event: Event) -> str:
     """Canonical token for one event (explicit sign and bar id).  Anything
     that is not a ``ClassicalPass``, ``VirtualPass`` or ``TwistBar`` that
     ``validate`` accepts, such as an event with a string strand or a
-    ``bool`` id, is refused with ``ValueError`` by ``validate``'s own check
-    of an event alone."""
+    ``bool`` id, is refused with ``ValueError`` by ``model.Diagram``'s own
+    check of an event alone."""
     try:
         _groups((event,))
     except DiagramError:
@@ -264,7 +264,7 @@ def _tokens(diagram: Diagram) -> tuple[str, ...]:
     that the JSON trace and the SVG timeline index by ``event_index``.
 
     A diagram from ``parse`` holds it from the start, taken from the runs
-    of its text.  Any other diagram, one made by ``validate``,
+    of its text.  Any other diagram, one built directly or by ``validate``,
     ``dataclasses.replace``, ``retrograde`` or a copy, starts without one
     (see ``model.Diagram``), and it is built here with ``token()``, once,
     on first read, and kept on the diagram, the way a witness keeps its

@@ -33,7 +33,7 @@ parity T, and a window of 2n paths is two, with parity 2T = 0 mod 2.
 The public functions refuse with ``ValueError`` a t that is not a
 non-empty tuple or list of 0/1 ints, a k that is not an ``int`` >= 1 (a
 ``bool`` included), a path index i that is not an ``int`` (a ``bool``
-included) and facings that are not ``Facing`` members.
+included) and facings that are not a tuple or list of ``Facing`` members.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ def matching_check(t: Sequence[int], f: Sequence[Facing], k: int) -> bool:
     impose nothing.
     """
     n = _check_laps(t, k)
+    if not isinstance(f, (tuple, list)) or not all(isinstance(x, Facing) for x in f):
+        raise ValueError(f"facings must be a tuple or list of Facing values, got {f!r}")
     if len(f) != n:
         raise ValueError(f"facing assignment has length {len(f)}, expected {n}")
-    if not all(isinstance(x, Facing) for x in f):
-        raise ValueError(f"facings must be Facing values, got {tuple(f)!r}")
     # a Facing is the int of its bit, so the members are XORed and compared as
     # ints; ``.value`` would be an Enum property call per read
     return all((f[i] ^ _window_parity(t, i, k)) == f[(i + k) % n] for i in range(n))

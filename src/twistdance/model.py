@@ -2,8 +2,10 @@
 
 A twisted virtual Gauss code is read along the knot as a cyclic sequence of
 events: classical crossing passes (over or under strand, signed), virtual
-crossing passes, and twist bars.  ``validate`` enforces the structural
-grammar; ``paths_of`` splits the cycle at a set of initial points.
+crossing passes, and twist bars.  A ``Diagram`` enforces the structural
+grammar when it is built, by every route (see there), and
+``validate(events)`` is ``Diagram(events)``; ``paths_of`` splits the cycle
+at a set of initial points.
 
 Every walk along the cycle is cut by ``_walks``, one slice per point of the
 cycle repeated: a path (one lap), a dancer's route over k consecutive paths
@@ -16,8 +18,8 @@ bare unknot) has a single gap 0.
 
 Classical and virtual crossings are labelled in separate namespaces, so
 ``O1`` pairs with ``U1`` while ``V1`` pairs with the other ``V1``.  The
-pairing of classical passes is decided here alone: ``validate`` groups them
-once and keeps the groups on the diagram it makes, as ``Diagram._crossings``,
+pairing of classical passes is decided here alone: a ``Diagram`` groups them
+once, as it is checked, and keeps the groups as ``Diagram._crossings``,
 beside the codec's token table and the scheduler's compiled forms, and the
 scheduler numbers its balance slots from them.
 
@@ -26,15 +28,14 @@ The three event classes are frozen dataclasses with slots: an event has no
 table and hands the same event object to every diagram that holds that
 token, so events may be shared between diagrams, and nothing may rely on
 event identity; equality and hash read the fields.  A token not in the
-table gets a new event from its class's constructor, and ``validate``, not
-a constructor, checks every event.
+table gets a new event from its class's constructor, and the ``Diagram``
+that holds it, not the event's constructor, checks every event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence, TypeVar, Union
 
 __all__ = [
@@ -106,7 +107,7 @@ class DiagramError(ValueError):
     """An event sequence that is not a valid twisted virtual Gauss code.
 
     ``event_index`` points at the event where the first violation was
-    detected.  A malformed event (see :func:`validate`) is refused first,
+    detected.  A malformed event (see :class:`Diagram`) is refused first,
     with this base class itself; the checks then run in a fixed order
     (strand duplication, crossing pairing, sign agreement, bar uniqueness)
     so every invalid sequence maps to exactly one error class.  ``span`` is
@@ -143,14 +144,31 @@ class DuplicateGap(ValueError):
 class Diagram:
     """A validated cyclic event sequence; index order is the orientation.
 
-    Construct through :func:`validate` or ``codec.parse``; the dataclass
-    itself does not check invariants when built, but one built directly is
-    validated on its first search, minimization or survey (see
-    ``_crossings``).
+    Every diagram is checked when it is built, by every route: the
+    constructor, :func:`validate`, ``codec.parse``, ``dataclasses.replace``,
+    a copy, a deep copy, a pickle and ``scheduler.retrograde``.  ``events``
+    may be any iterable of events and is kept verbatim, as a tuple.
+    ``events`` that are not an iterable, such as ``None``, are refused with
+    :class:`DiagramError` itself and no index.  A malformed event is refused
+    first, with :class:`DiagramError` itself, at the first such index: an
+    object whose type is not exactly ``ClassicalPass``, ``VirtualPass`` or
+    ``TwistBar``, an id that is not an ``int`` >= 1 (a ``bool`` is
+    refused), or a strand or sign that is not a ``Strand`` or
+    ``CrossingSign`` member.  Otherwise the subclass of
+    :class:`DiagramError` for the first violated check is raised, in the
+    order: DuplicateStrand, UnpairedCrossing (a virtual crossing seen three
+    times, then a crossing seen once), SignMismatch, DuplicateBar; each at
+    the first index where it fails.
+
+    One pass, ``_groups``, groups the indices of each classical crossing,
+    virtual crossing and bar; each group then names its first failure as a
+    (check, index) pair, the checks numbered in the order above, and the
+    least is raised.
 
     Three forms derived from the events are kept on it, outside the fields.
-    ``_crossings`` holds the classical crossings as ``validate`` grouped
-    them (see there).  The codec keeps the diagram's token table (see
+    ``_crossings`` holds each classical crossing's two event indices, by
+    id, in order of first pass: the classical groups of the check, kept as
+    it is built.  The codec keeps the diagram's token table (see
     ``codec._tokens``): ``codec.parse`` sets it from the lexed text, and any
     other diagram gets it once first read.  The scheduler keeps one
     compiled form per crossing rule, its slots numbered from
@@ -158,23 +176,55 @@ class Diagram:
     proved (see ``scheduler._Compiled``), made on the first search,
     minimization or survey under that rule.  Equality, hash, repr and
     ``dataclasses.replace`` read the fields alone, and pickling and copying
-    carry the events alone, so a copy builds its own forms when asked.
+    carry the events alone: ``__setstate__`` builds the copy as the
+    constructor does, so it holds its own ``_crossings`` at once and builds
+    its other forms when asked.
     """
 
     events: tuple[Event, ...]
 
+    def __post_init__(self) -> None:
+        try:
+            evs = tuple(self.events)
+        except TypeError:  # not iterable
+            raise DiagramError(f"events must be an iterable of events, got {self.events!r}") from None
+        groups = _groups(evs)
+        failures: list[tuple[int, int, type[DiagramError], str]] = []  # (check, index, class, message)
+        fail = failures.append  # at most once per group
+        for kind, by_id in groups.items():
+            for ident, at in by_id.items():
+                if kind is TwistBar:
+                    if len(at) > 1:
+                        fail((4, at[1], DuplicateBar, f"twist bar {ident} appears twice"))
+                elif len(at) == 1:
+                    name = "classical" if kind is ClassicalPass else "virtual"
+                    fail((2, at[0], UnpairedCrossing, f"{name} crossing {ident} appears only once"))
+                elif kind is VirtualPass:
+                    if len(at) > 2:
+                        fail((1, at[2], UnpairedCrossing,
+                              f"virtual crossing {ident} appears more than twice"))
+                else:
+                    first, second = evs[at[0]], evs[at[1]]
+                    # a crossing has two strands, so its third pass repeats one
+                    again = at[1] if second.strand is first.strand else at[2] if len(at) > 2 else None
+                    if again is not None:
+                        strand = evs[again].strand.name.lower()
+                        fail((0, again, DuplicateStrand,
+                              f"crossing {ident} passed twice on the {strand} strand"))
+                    elif second.sign is not first.sign:
+                        signs = f"{first.sign.value} and one signed {second.sign.value}"
+                        fail((3, at[1], SignMismatch, f"crossing {ident} has one pass signed {signs}"))
+        if failures:
+            _, i, error, message = min(failures)  # groups share no index, so no two pairs tie
+            raise error(message, i)
+        # frozen, so written past ``__setattr__``; each crossing now has two passes
+        self.__dict__.update(events=evs, _crossings=groups[ClassicalPass])
+
     def __getstate__(self) -> dict[str, tuple[Event, ...]]:
         return {"events": self.events}
 
-    @cached_property
-    def _crossings(self) -> dict[int, list[int]]:
-        """Each classical crossing's two event indices, by id, in order of
-        first pass.  ``validate`` keeps the groups it built on the diagram
-        it makes.  Any other diagram (a copy, a pickle,
-        ``dataclasses.replace``, ``retrograde``, or one built directly) is
-        validated on first read, so an invalid one is refused with the
-        :class:`DiagramError` that names it."""
-        return validate(self.events)._crossings
+    def __setstate__(self, state: dict[str, tuple[Event, ...]]) -> None:
+        self.__init__(**state)  # checked and paired as the constructor does
 
     @property
     def gap_count(self) -> int:
@@ -183,67 +233,14 @@ class Diagram:
 
 
 def validate(events: Iterable[Event]) -> Diagram:
-    """Check the structural invariants and wrap the sequence in a Diagram.
-
-    The sequence is preserved verbatim.  ``events`` that are not an
-    iterable, such as ``None``, are refused with :class:`DiagramError`
-    itself and no index.  A malformed event is refused first, with
-    :class:`DiagramError` itself, at the first such index: an object whose
-    type is not exactly ``ClassicalPass``, ``VirtualPass`` or ``TwistBar``,
-    an id that is not an ``int`` >= 1 (a ``bool`` is refused), or a strand
-    or sign that is not a ``Strand`` or ``CrossingSign`` member.
-    Otherwise raises the subclass of :class:`DiagramError` for the first
-    violated check, in the order: DuplicateStrand, UnpairedCrossing (a
-    virtual crossing seen three times, then a crossing seen once),
-    SignMismatch, DuplicateBar; each at the first index where it fails.
-
-    One pass, ``_groups``, groups the indices of each classical crossing,
-    virtual crossing and bar; each group then names its first failure as a
-    (check, index) pair, the checks numbered in the order above, and the
-    least is raised.  The diagram returned keeps the classical groups as
-    its ``_crossings``.
-    """
-    try:
-        evs = tuple(events)
-    except TypeError:  # not iterable
-        raise DiagramError(f"events must be an iterable of events, got {events!r}") from None
-    groups = _groups(evs)
-    failures: list[tuple[int, int, type[DiagramError], str]] = []  # (check, index, class, message)
-    fail = failures.append  # at most once per group
-    for kind, by_id in groups.items():
-        for ident, at in by_id.items():
-            if kind is TwistBar:
-                if len(at) > 1:
-                    fail((4, at[1], DuplicateBar, f"twist bar {ident} appears twice"))
-            elif len(at) == 1:
-                name = "classical" if kind is ClassicalPass else "virtual"
-                fail((2, at[0], UnpairedCrossing, f"{name} crossing {ident} appears only once"))
-            elif kind is VirtualPass:
-                if len(at) > 2:
-                    fail((1, at[2], UnpairedCrossing,
-                          f"virtual crossing {ident} appears more than twice"))
-            else:
-                first, second = evs[at[0]], evs[at[1]]
-                # a crossing has two strands, so its third pass repeats one
-                again = at[1] if second.strand is first.strand else at[2] if len(at) > 2 else None
-                if again is not None:
-                    strand = evs[again].strand.name.lower()
-                    fail((0, again, DuplicateStrand,
-                          f"crossing {ident} passed twice on the {strand} strand"))
-                elif second.sign is not first.sign:
-                    signs = f"{first.sign.value} and one signed {second.sign.value}"
-                    fail((3, at[1], SignMismatch, f"crossing {ident} has one pass signed {signs}"))
-    if failures:
-        _, i, error, message = min(failures)  # groups share no index, so no two pairs tie
-        raise error(message, i)
-    diagram = Diagram(evs)
-    diagram.__dict__["_crossings"] = groups[ClassicalPass]  # each crossing now has two passes
-    return diagram
+    """The diagram of ``events``: ``Diagram(events)``, which checks them
+    (see :class:`Diagram`) and keeps the sequence verbatim, as a tuple."""
+    return Diagram(events)
 
 
 def _groups(evs: Sequence[object]) -> dict[type, dict[int, list[int]]]:
     """The indices of each classical crossing, virtual crossing and bar, by
-    class and id: the check of every event alone, which ``validate`` and
+    class and id: the check of every event alone, which ``Diagram`` and
     ``codec.token`` share.  A malformed event is refused with
     :class:`DiagramError` itself at the first such index: an object whose
     type is not exactly ``ClassicalPass``, ``VirtualPass`` or ``TwistBar``,

@@ -450,10 +450,9 @@ class _Compiled:
     ``schedule_search``), with the slot count, and each slot's ``deposit``
     and ``consumer`` event index, the chord d(c) -> e(c) of its crossing
     (see the module docstring).  Slot s is the s-th pair of
-    ``Diagram._crossings``, the crossings ``validate`` grouped, in order
-    of first pass; the unrestricted rule has no slot.  They are read under
-    every rule, so an invalid diagram that ``validate`` did not make is
-    refused here.  The steps of an arc or a route are its walk over the
+    ``Diagram._crossings``, the crossings the diagram paired when it was
+    built, in order of first pass; the unrestricted rule has no slot and
+    reads no crossing.  The steps of an arc or a route are its walk over the
     table, cut by ``model._walks`` as paths and routes are cut from the
     events.  Every caller reads a placement's path parities off ``prefix``
     with ``_parities`` (for the facing gate), then asks its ``waits``, then
@@ -506,9 +505,8 @@ class _Compiled:
         # and (slot, -1) entries; entry 0 stands for no slot
         self.deposit = deposit = [0]
         self.consumer = consumer = [0]
-        # read under every rule, to refuse an invalid diagram validate did not make
-        events, crossings = diagram.events, diagram._crossings
-        for slot, (d, c) in enumerate(crossings.values() if spender is not None else (), 1):
+        events = diagram.events
+        for slot, (d, c) in enumerate(diagram._crossings.values() if spender is not None else (), 1):
             d, c = (c, d) if events[d].strand is spender else (d, c)  # deposit, consumer
             table[d], table[c] = (slot, 1), (slot, -1)
             deposit.append(d)
@@ -832,10 +830,11 @@ def oracle_schedule(plan: DancePlan) -> Union[Schedule, Infeasible]:
 
 def retrograde(diagram: Diagram) -> Diagram:
     """Orientation reversal: the event order flips, nothing else changes.
+    The reversed diagram pairs its crossings as it is built, once.
 
     A diagram that is not a ``Diagram`` is refused with ``ValueError``."""
     _check_member("diagram", diagram, Diagram)
-    return Diagram(tuple(reversed(diagram.events)))
+    return Diagram(diagram.events[::-1])
 
 
 def retrograde_points(diagram: Diagram, points: Iterable[int]) -> tuple[int, ...]:

@@ -211,8 +211,9 @@ def test_the_facing_functions_refuse_an_empty_vector_or_a_k_that_is_not_a_count(
 
 
 def test_matching_check_refuses_facings_that_are_not_facing_members():
-    # plain ints, letters and None used to raise AttributeError or pass
-    for f in (("F", "F"), (0, 0), (F, 1), (None, B)):
+    # plain ints, letters and None used to raise AttributeError or pass, and
+    # None, an int, an iterator and a set TypeError
+    for f in (("F", "F"), (0, 0), (F, 1), (None, B), None, 3, iter((F, B)), {F, B}):
         with pytest.raises(ValueError, match="Facing"):
             matching_check((0, 1), f, 1)
 

@@ -2,14 +2,17 @@
 
 ``--small-scope-events`` sets the largest diagram checked: 4 events by
 default, and at least 6 for the danceability census.  CI runs every check
-at 5 events, the wait-for cycle checks (``-k wait_for_cycle``) at 6 and
-the census (``-k census``) at 8; the oracle, ``min_dancers`` and diagram
-move checks stop at 5, past which their counts below are not pinned.
+at 5 events, the wait-for cycle and lap-count checks (``-k "wait_for_cycle
+or lap_count"``) at 6 and the census (``-k census``) at 8; the oracle,
+``min_dancers``, retrograde and diagram move checks stop at 5, past which
+their counts below are not pinned.
 """
 
+import pickle
 import random
 from collections import Counter
-from copy import copy
+from copy import copy, deepcopy
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -24,8 +27,12 @@ from twistdance.scheduler import (
     InfeasibleReason,
     RuleKind,
     _Compiled,
+    _SearchExhausted,
     oracle_schedule,
+    retrograde,
+    retrograde_points,
     schedule_search,
+    verify_schedule,
 )
 from twistdance.solver import min_dancers, survey
 
@@ -54,6 +61,37 @@ CENSUS = {
     6: {1: 2_468, 2: 592, 3: 16},
     7: {1: 12_160, 2: 3_584, 3: 112},
     8: {1: 81_724, 2: 39_392, 3: 2_368, 4: 32},
+}
+# (verdict, k) -> plans of m events on at most 3 points, at k = 1 and k = 4,
+# under over-first and under-first, the forward rule and the least matching
+# facings, each checked against its dual on the retrograde diagram; k = 4 is
+# past the oracle's guard from 5 events on
+RETROGRADE = {
+    1: {("FacingParity", 1): 2, ("Feasible", 4): 4},
+    2: {
+        ("Feasible", 1): 54, ("Feasible", 4): 56, ("FacingParity", 1): 2,
+        ("Deadlock", 1): 16, ("Deadlock", 4): 16,
+    },
+    3: {("FacingParity", 1): 224, ("Feasible", 4): 322, ("FacingParity", 4): 30, ("Deadlock", 4): 96},
+    4: {
+        ("Feasible", 1): 3_664, ("Feasible", 4): 3_824, ("FacingParity", 1): 416,
+        ("FacingParity", 4): 208, ("Deadlock", 1): 1_856, ("Deadlock", 4): 1_904,
+    },
+    5: {
+        ("FacingParity", 1): 21_300, ("Feasible", 4): 21_420, ("FacingParity", 4): 8_160,
+        ("Deadlock", 4): 13_020,
+    },
+}
+# whether the witness search exhausts -> (diagram, crossing rule, placement of
+# at most 3 points, k in 2..4) cases of m events, under over-first and
+# under-first
+LAP_COUNT = {
+    1: {False: 6},
+    2: {False: 84, True: 24},
+    3: {False: 528, True: 144},
+    4: {False: 6_024, True: 2_880},
+    5: {False: 42_060, True: 21_840},
+    6: {False: 429_240, True: 327_456},
 }
 # (move, change of the danceability number) -> cases grown from diagrams of
 # m events, under over-first and under-first; at m <= 4 they come to 1,228
@@ -160,6 +198,75 @@ def test_enough_laps_find_the_least_dancer_count_that_does_not_deadlock(max_even
                 if any(row.feasible for row in rows):
                     least = n
             assert (report.plan.n if report.feasible else None) == least, (d, rule, crossing)
+
+
+_MIRROR = {CrossingRule.OVER_FIRST: CrossingRule.UNDER_FIRST, CrossingRule.UNDER_FIRST: CrossingRule.OVER_FIRST}
+
+
+def _verdict_and_dual(d, rd, points, k, rule, facings, crossing):
+    """The verdicts of a plan on ``d`` and of its dual on ``rd``, the
+    retrograde diagram: gap g goes to (m - g) mod m, each matching facing
+    moves with its point, and over-first and under-first swap.  Every
+    witness must verify."""
+    m = len(d.events)
+    dual_points = retrograde_points(d, points)
+    dual_facings = None
+    if facings is not None:
+        at = dict(zip(points, facings))
+        dual_facings = tuple(at[(m - q) % m] for q in dual_points)
+    verdicts = []
+    for plan in (
+        DancePlan(d, points, k, rule, facings, crossing),
+        DancePlan(rd, dual_points, k, rule, dual_facings, _MIRROR[crossing]),
+    ):
+        result = schedule_search(plan)
+        assert isinstance(result, Infeasible) or verify_schedule(result) == [], plan
+        verdicts.append(result.reason.value if isinstance(result, Infeasible) else "Feasible")
+    return verdicts
+
+
+def test_retrograde_duality_on_every_small_diagram_beyond_the_oracle(max_events):
+    # over-first on D and under-first on retrograde(D), and the other way
+    # round, get the same verdict on every placement of at most 3 points, at
+    # k = 1 and at k = 4, past the oracle's guard from 5 events on, under
+    # the forward rule and with the least matching facings
+    for m in range(1, max_events + 1):
+        plans = Counter()
+        for d in small_diagrams(m):
+            rd = retrograde(d)
+            for n, k, crossing in product(range(1, min(3, m) + 1), (1, 4), _MIRROR):
+                for points in combinations(range(m), n):
+                    facings = matching_solve(parity_vector(d, points), k)
+                    rules = [(RuleKind.FORWARD, None)]
+                    rules += [(RuleKind.MATCHING, facings)] if facings is not None else []
+                    for rule, f in rules:
+                        verdict, dual = _verdict_and_dual(d, rd, points, k, rule, f, crossing)
+                        assert verdict == dual, (d, points, k, rule, crossing)
+                        plans[verdict, k] += 1
+        assert plans == RETROGRADE[m], m
+
+
+def test_the_lap_count_theorem_holds_by_search_on_every_small_diagram(max_events):
+    # points whose arcs wait at k = 1 deadlock at every k, and points whose
+    # arcs do not are never exhausted by the witness search, which runs
+    # without the relaxation (see the scheduler module), at k = 2, 3 and 4
+    rules = (CrossingRule.OVER_FIRST, CrossingRule.UNDER_FIRST)
+    for m in range(1, max_events + 1):
+        cases = Counter()
+        for d, rule in product(small_diagrams(m), rules):
+            compiled = _Compiled(d, rule)
+            for points in (p for n in range(1, min(3, m) + 1) for p in combinations(range(m), n)):
+                waits = bool(compiled.waits(points))
+                for k in (2, 3, 4):
+                    try:
+                        compiled.witness(DancePlan(d, points, k, crossing_rule=rule))
+                    except _SearchExhausted:
+                        exhausted = True
+                    else:
+                        exhausted = False
+                    assert exhausted == waits, (d, rule, points, k)
+                    cases[exhausted] += 1
+        assert cases == LAP_COUNT[m], m
 
 
 def _wait_for(d, rule, points):
@@ -272,20 +379,21 @@ def _paired_per_event(d, rule):
 
 
 def test_the_compiled_slots_are_the_per_event_pairing_on_every_small_diagram(max_events):
-    # the slots numbered from the crossings validate kept, and from those a
-    # copy validates again on first read, are the ones a pass over the
-    # events pairs, under every rule
+    # the slots numbered from the crossings a diagram paired when it was
+    # built, and from those each copy paired when it was built, are the ones
+    # a pass over the events pairs, under every rule
     for m in range(max_events + 1):
         for d in small_diagrams(m) if m else [validate([])]:
-            same = copy(d)
-            assert "_crossings" in d.__dict__ and "_crossings" not in same.__dict__
+            copies = [copy(d), deepcopy(d), pickle.loads(pickle.dumps(d)), replace(d)]
+            for same in copies:
+                assert "_crossings" in same.__dict__, (d, same)
+                assert same._crossings == d._crossings and same._crossings is not d._crossings
             for rule in CrossingRule:
                 want = _paired_per_event(d, rule)
-                for source in (d, same):
+                for source in (d, *copies):
                     compiled = _Compiled(source, rule)
                     got = compiled.table, compiled.deposit, compiled.consumer, compiled.slot_count
                     assert got == want, (d, rule, source is d)
-            assert same._crossings == d._crossings
 
 
 def test_kept_facts_answer_every_placement_as_a_fresh_relaxation_does(max_events):

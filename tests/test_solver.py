@@ -903,23 +903,23 @@ def test_the_kept_compiled_form_is_absent_from_every_copy():
         pickle.loads(pickle.dumps(d)), copy(d), deepcopy(d), replace(d), retrograde(retrograde(d))
     ]
     for other in copies:
-        # nor are the crossings validate kept
-        assert other == d and not {"_compiled", "_crossings"} & set(other.__dict__), other
+        # a copy pairs its own crossings as it is built, and holds no other form
+        assert other == d and set(other.__dict__) == {"events", "_crossings"}, other
+        assert other._crossings == d._crossings and other._crossings is not d._crossings
         # each copy compiles its own when asked, and answers the same
         assert _solve_request(other, CrossingRule.OVER_FIRST, 2) == _solve_request(
             d, CrossingRule.OVER_FIRST, 2
         )
         assert _Compiled.of(other, CrossingRule.OVER_FIRST) is not _Compiled.of(d, CrossingRule.OVER_FIRST)
-        assert other._crossings == d._crossings and other._crossings is not d._crossings
 
 
 def test_the_kept_compiled_form_changes_no_equality_hash_or_repr():
     for text in [BAR_TREFOIL, TREFOIL, "U1+ O1+ U2+ T1 O2+", ""]:
         d = _solved(text)
-        assert "_crossings" in d.__dict__
-        # a diagram with no derived form at all, not even the kept crossings
+        # a diagram with no derived form but the crossings it paired when built
         fresh = Diagram(d.events)
-        assert not {"_compiled", "_crossings", "_token_table"} & set(fresh.__dict__)
+        assert set(fresh.__dict__) == {"events", "_crossings"}
+        assert fresh._crossings == d._crossings and fresh._crossings is not d._crossings
         assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh), text
         assert {d: 1}[fresh] == 1
         assert DancePlan(d, (0,), 1) == DancePlan(fresh, (0,), 1)
